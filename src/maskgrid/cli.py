@@ -101,22 +101,22 @@ def _varied_scene(cfg: RunConfig, index: int):
     return _build_scene(cfg, doas=doas, seed=seed)
 
 
-def _oracle_parts(cfg: RunConfig, rendered):
-    """STFTs, thresholded masks, and the configured oracle coding."""
+def _scene_masks(cfg: RunConfig, rendered):
+    """Mixture STFT, per-source image STFTs and their thresholded masks."""
     stft_cfg = cfg.stft_config()
     mixture_spec = stft.analyze(rendered.mixture, stft_cfg)
     image_specs = [stft.analyze(img.channel(cfg.geometry().reference_mic), stft_cfg)
                    for img in rendered.source_images]
     masks = coding.compute_irm(image_specs, cfg.eps_m_db)
-    grid = cfg.grid()
-    encoders = {
-        "mwsbc": lambda: coding.encode_mwsbc(masks, rendered.truth, grid),
-        "mwslc": lambda: coding.encode_mwslc(masks, rendered.truth, grid,
-                                             cfg.sigma_deg),
-        "mwslc_sum": lambda: coding.encode_mwslc_sum(masks, rendered.truth,
-                                                     grid, cfg.sigma_deg),
-    }
-    return mixture_spec, image_specs, masks, encoders[cfg.coding_kind]()
+    return mixture_spec, image_specs, masks
+
+
+def _oracle_parts(cfg: RunConfig, rendered):
+    """_scene_masks plus the configured oracle coding."""
+    mixture_spec, image_specs, masks = _scene_masks(cfg, rendered)
+    oracle = coding.ENCODERS[cfg.coding_kind](masks, rendered.truth,
+                                              cfg.grid(), cfg.sigma_deg)
+    return mixture_spec, image_specs, masks, oracle
 
 
 def _estimated_coding(cfg: RunConfig, mixture_spec, oracle):
@@ -199,12 +199,7 @@ def cmd_encode(cfg: RunConfig, args) -> int:
     masks = coding.compute_irm(image_specs, cfg.eps_m_db)
     grid = cfg.grid()
     kind = cfg.coding_kind
-    if kind == "mwsbc":
-        tensor = coding.encode_mwsbc(masks, truth, grid)
-    elif kind == "mwslc":
-        tensor = coding.encode_mwslc(masks, truth, grid, cfg.sigma_deg)
-    else:
-        tensor = coding.encode_mwslc_sum(masks, truth, grid, cfg.sigma_deg)
+    tensor = coding.ENCODERS[kind](masks, truth, grid, cfg.sigma_deg)
     container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
     container.save_coding(out_dir / "coding.bin", tensor)
     _write_json(out_dir / "encode.json", {
@@ -219,7 +214,7 @@ def cmd_encode(cfg: RunConfig, args) -> int:
 
 def cmd_conditioning(cfg: RunConfig, args) -> int:
     _, rendered = _build_scene(cfg)
-    mixture_spec, image_specs, masks, _ = _oracle_parts(cfg, rendered)
+    _, _, masks = _scene_masks(cfg, rendered)
     report = conditioning.theta_sweep(
         masks, rendered.truth, cfg.sigma_deg, cfg.span_deg,
         cfg.conditioning_theta_counts)
@@ -257,21 +252,15 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _target_for(cfg: RunConfig, masks, truth, kind: str):
-    grid = cfg.grid()
-    if kind == "mwsbc":
-        return coding.encode_mwsbc(masks, truth, grid)
-    return coding.encode_mwslc(masks, truth, grid, cfg.sigma_deg)
-
-
 def cmd_train(cfg: RunConfig, args) -> int:
     train_cfg = cfg.train_config()
     pairs = []
     total = cfg.train_scene_count + cfg.val_scene_count
     for i in range(total):
         _, rendered = _varied_scene(cfg, i)
-        mixture_spec, _, masks, _ = _oracle_parts(cfg, rendered)
-        target = _target_for(cfg, masks, rendered.truth, train_cfg.target_kind)
+        mixture_spec, _, masks = _scene_masks(cfg, rendered)
+        target = coding.ENCODERS[train_cfg.target_kind](
+            masks, rendered.truth, cfg.grid(), cfg.sigma_deg)
         pairs.append((estimator.features(mixture_spec), target))
     split = cfg.train_scene_count
     params, history = estimator.train(pairs[:split], pairs[split:], train_cfg,

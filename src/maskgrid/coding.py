@@ -280,3 +280,11 @@ def encode_mwslc_sum(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
     for i in range(truth.count):
         values += masks.values[i][:, :, None] * gauss[i]
     return CodingTensor(values, grid, "mwslc_sum")
+
+
+# Mask-weighted encoders by config name, called as (masks, truth, grid, sigma_deg).
+ENCODERS = {
+    "mwsbc": lambda masks, truth, grid, _: encode_mwsbc(masks, truth, grid),
+    "mwslc": encode_mwslc,
+    "mwslc_sum": encode_mwslc_sum,
+}

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .coding import SpatialGrid
+from .coding import ENCODERS, SpatialGrid
 from .errors import ConfigError
 from .estimator import TrainConfig
 from .scene import ArrayGeometry, RoomSpec, linear_array
@@ -213,7 +213,7 @@ class RunConfig:
     @property
     def coding_kind(self) -> str:
         value = self._get("coding", "kind")
-        if value not in ("mwsbc", "mwslc", "mwslc_sum"):
+        if value not in ENCODERS:
             raise ConfigError(f"coding.kind: expected mwsbc, mwslc or "
                               f"mwslc_sum, got {value!r}")
         return value
@@ -254,13 +254,17 @@ class RunConfig:
 
     # train / estimate
     def train_config(self) -> TrainConfig:
+        target_kind = self._get("train", "target_kind")
+        if target_kind not in ("mwsbc", "mwslc"):
+            raise ConfigError(f"train.target_kind: expected mwsbc or mwslc, "
+                              f"got {target_kind!r}")
         return TrainConfig(
             learning_rate=self.float_of("train", "learning_rate"),
             decay_factor=self.float_of("train", "decay_factor"),
             decay_every_epochs=self.int_of("train", "decay_every_epochs"),
             epochs=self.int_of("train", "epochs"),
             batch_size=self.int_of("train", "batch_size"),
-            target_kind=self._get("train", "target_kind"),
+            target_kind=target_kind,
             patience=self.int_of("train", "patience"),
             seed=self.seed,
         )

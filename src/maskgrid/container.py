@@ -51,6 +51,7 @@ def write_array(path, kind: str, array: np.ndarray, span_deg: float = 0.0,
 
 
 def _parse(blob: bytes, name: str):
+    """(kind, header dims, float64 payload, span, theta, seed) of a container."""
     if len(blob) < 4 + _KIND_BYTES + 4 or blob[:4] != MAGIC:
         raise FormatError(f"{name}: not a container file")
     kind = blob[4 : 4 + _KIND_BYTES].rstrip(b"\x00").decode("ascii", "replace")
@@ -63,20 +64,19 @@ def _parse(blob: bytes, name: str):
     pos += 4 * ndim
     span, theta, seed = struct.unpack_from("<dII", blob, pos)
     pos += 16
+    shape = dims
     if kind == "params" and len(dims) == 3:
         # Parameter files store layer sizes, not payload dims; the payload
         # is the concatenation of two weight matrices and two bias vectors.
         f_in, hidden, out = dims
-        count = f_in * hidden + hidden + hidden * out + out
-        dims = (count,)
-    else:
-        count = int(np.prod(dims)) if dims else 1
+        shape = (f_in * hidden + hidden + hidden * out + out,)
+    count = int(np.prod(shape)) if shape else 1
     payload = blob[pos:]
     if len(payload) != 4 * count:
         raise FormatError(f"{name}: payload holds {len(payload)} bytes, "
                           f"dims {dims} need {4 * count}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
-    return kind, arr, span, int(theta), int(seed)
+    arr = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+    return kind, dims, arr, span, int(theta), int(seed)
 
 
 def read_array(path):
@@ -85,7 +85,8 @@ def read_array(path):
     Raises:
         FormatError: wrong magic, truncated header, or payload size mismatch.
     """
-    return _parse(Path(path).read_bytes(), str(path))
+    kind, _, arr, span, theta, seed = _parse(Path(path).read_bytes(), str(path))
+    return kind, arr, span, theta, seed
 
 
 def save_coding(path, coding: CodingTensor) -> None:
@@ -131,31 +132,13 @@ def save_params(path, params: EstimatorParams) -> None:
 
 
 def load_params(path) -> EstimatorParams:
-    blob = Path(path).read_bytes()
-    head = 4 + _KIND_BYTES
-    if len(blob) < head + 4 + 12 + 16 or blob[:4] != MAGIC:
-        raise FormatError(f"{path}: not a container file")
-    kind = blob[4:head].rstrip(b"\x00").decode("ascii", "replace")
+    kind, dims, flat, _, _, seed = _parse(Path(path).read_bytes(), str(path))
     if kind != "params":
         raise FormatError(f"{path}: kind {kind!r} is not a parameter file")
-    (ndim,) = struct.unpack_from("<I", blob, head)
-    if ndim != 3:
+    if len(dims) != 3:
         raise FormatError(f"{path}: parameter container must have 3 dims")
-    f_in, hidden, out = struct.unpack_from("<3I", blob, head + 4)
-    _, _, seed = struct.unpack_from("<dII", blob, head + 16)
-    payload = blob[head + 32 :]
-    expected = f_in * hidden + hidden + hidden * out + out
-    if len(payload) != 4 * expected:
-        raise FormatError(f"{path}: payload holds {len(payload)} bytes, "
-                          f"layer sizes ({f_in}, {hidden}, {out}) need "
-                          f"{4 * expected}")
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    pos = 0
-    w1 = flat[pos : pos + f_in * hidden].reshape(f_in, hidden)
-    pos += f_in * hidden
-    b1 = flat[pos : pos + hidden]
-    pos += hidden
-    w2 = flat[pos : pos + hidden * out].reshape(hidden, out)
-    pos += hidden * out
-    b2 = flat[pos : pos + out]
-    return EstimatorParams(w1, b1, w2, b2, seed)
+    f_in, hidden, out = dims
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([f_in * hidden, hidden,
+                                                hidden * out]))
+    return EstimatorParams(w1.reshape(f_in, hidden), b1,
+                           w2.reshape(hidden, out), b2, seed)

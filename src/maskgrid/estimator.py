@@ -6,6 +6,10 @@ conditioning of nearest-cell vs. Gaussian targets observable during real
 optimization at desk scale, and to produce imperfect encodings for decoder
 robustness tests. All gradients are written out by hand and checked against
 finite differences in the tests.
+
+The passes reuse their buffers in place, so a backward pass holds two
+(rows, cells) arrays, yet each element goes through the reference formulas'
+floating-point operations in their order: results are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -19,14 +23,29 @@ from .errors import ShapeError, TrainingError
 from .stft import Spectrogram
 
 FEATURE_NORM_EPS = 1e-8
+_SIGMOID_BLOCK = 1 << 15  # elements per _sigmoid block, 256 KiB per temporary
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow; `out` may be z itself.
+
+    With e = exp(-|z|) the result is 1 / (1 + e) where z >= 0 and
+    e / (1 + e) elsewhere. Since -|z| is exactly -z or z on those two sets,
+    these are the textbook stable branches, bit for bit. The numerator is
+    max(e, z >= 0): 1 where z >= 0 because e <= 1, and e elsewhere. Blocks
+    of leading-axis rows keep the temporaries in cache.
+    """
+    out = np.empty_like(z) if out is None else out
+    rows, out_rows = np.atleast_1d(z, out)  # views; a 0-d z becomes one row
+    step = max(1, _SIGMOID_BLOCK * len(rows) // max(rows.size, 1))
+    for start in range(0, len(rows), step):
+        zb, e = rows[start : start + step], out_rows[start : start + step]
+        pos = zb >= 0
+        np.copysign(zb, -1.0, out=e)
+        np.exp(e, out=e)
+        den = e + 1.0
+        np.maximum(e, pos, out=e)
+        np.divide(e, den, out=e)
     return out
 
 
@@ -115,6 +134,35 @@ class Gradients:
         return float(sum(np.abs(a).sum() for a in (self.w1, self.b1, self.w2, self.b2)))
 
 
+def _layers(params: EstimatorParams, x: np.ndarray) -> tuple:
+    """Hidden tanh(x w1 + b1) and output sigmoid(h w2 + b2) for rows x."""
+    h = x @ params.w1
+    h += params.b1
+    np.tanh(h, out=h)
+    y = h @ params.w2
+    y += params.b2
+    return h, _sigmoid(y, out=y)
+
+
+def _target_rows(params: EstimatorParams, feats: np.ndarray,
+                 target: CodingTensor) -> np.ndarray:
+    t, k, _ = feats.shape
+    if target.values.shape != (t, k, params.output_dim):
+        raise ShapeError(f"target shape {target.values.shape} does not match "
+                         f"({t}, {k}, {params.output_dim})")
+    return target.values.reshape(t * k, params.output_dim)
+
+
+def _squared_error(y: np.ndarray, tgt: np.ndarray) -> tuple:
+    """Mean of (y - tgt)^2, and the buffer that holds the squares."""
+    sq = np.subtract(y, tgt)
+    np.multiply(sq, sq, out=sq)
+    loss = float(np.mean(sq))
+    if not np.isfinite(loss):
+        raise TrainingError("non-finite loss")
+    return loss, sq
+
+
 def forward(params: EstimatorParams, feats: np.ndarray,
             grid: SpatialGrid) -> CodingTensor:
     """Network output as an estimated coding tensor, values in (0, 1)."""
@@ -123,9 +171,7 @@ def forward(params: EstimatorParams, feats: np.ndarray,
         raise ShapeError(f"feature dim {f} != input dim {params.input_dim}")
     if grid.theta_count != params.output_dim:
         raise ShapeError(f"grid {grid.theta_count} != output dim {params.output_dim}")
-    x = feats.reshape(t * k, f)
-    h = np.tanh(x @ params.w1 + params.b1)
-    y = _sigmoid(h @ params.w2 + params.b2)
+    _, y = _layers(params, feats.reshape(t * k, f))
     return CodingTensor(y.reshape(t, k, grid.theta_count), grid, "estimated")
 
 
@@ -142,23 +188,20 @@ def backward(params: EstimatorParams, feats: np.ndarray,
     Raises:
         TrainingError: loss is not finite.
     """
-    t, k, f = feats.shape
-    if target.values.shape != (t, k, params.output_dim):
-        raise ShapeError(f"target shape {target.values.shape} does not match "
-                         f"({t}, {k}, {params.output_dim})")
-    x = feats.reshape(t * k, f)
-    tgt = target.values.reshape(t * k, params.output_dim)
-    h = np.tanh(x @ params.w1 + params.b1)
-    y = _sigmoid(h @ params.w2 + params.b2)
-    diff = y - tgt
-    loss = float(np.mean(diff * diff))
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite loss in backward pass")
-    dz2 = (2.0 / diff.size) * diff * y * (1.0 - y)
+    tgt = _target_rows(params, feats, target)
+    x = feats.reshape(tgt.shape[0], feats.shape[2])
+    h, y = _layers(params, x)
+    loss, dz2 = _squared_error(y, tgt)
+    # The squares' buffer becomes ((2/n) (y - tgt) y) (1 - y), in that order.
+    np.subtract(y, tgt, out=dz2)
+    dz2 *= 2.0 / dz2.size
+    dz2 *= y
+    dz2 *= np.subtract(1.0, y, out=y)
     gw2 = h.T @ dz2
     gb2 = dz2.sum(axis=0)
-    dh = dz2 @ params.w2.T
-    dz1 = dh * (1.0 - h * h)
+    dz1 = dz2 @ params.w2.T
+    np.multiply(h, h, out=h)
+    dz1 *= np.subtract(1.0, h, out=h)
     gw1 = x.T @ dz1
     gb1 = dz1.sum(axis=0)
     return Gradients(gw1, gb1, gw2, gb2), loss
@@ -225,7 +268,13 @@ def _as_feature_pairs(scenes):
 
 
 def _mean_loss(params, pairs):
-    return float(np.mean([backward(params, f, t)[1] for f, t in pairs]))
+    """Validation loss from forward passes alone; equals backward's loss."""
+    losses = []
+    for feats, target in pairs:
+        tgt = _target_rows(params, feats, target)
+        y = forward(params, feats, target.grid).values.reshape(tgt.shape)
+        losses.append(_squared_error(y, tgt)[0])
+    return float(np.mean(losses))
 
 
 def train(train_scenes, val_scenes, cfg: TrainConfig,

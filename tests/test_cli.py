@@ -260,6 +260,13 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "x")]) == 4
 
+    def test_unknown_train_target_kind_exit_2(self, tmp_path, capsys):
+        ini = _fast_ini(tmp_path, "target_kind = slc\n")
+        out = tmp_path / "x"
+        assert main(["train", "--config", ini, "--out", str(out)]) == 2
+        assert "train.target_kind" in capsys.readouterr().err
+        assert not (out / "params.bin").exists()
+
     def test_model_mode_without_params_exit_2(self, tmp_path):
         ini = _fast_ini(tmp_path, "[estimate]\nmode = model\n")
         assert main(["pipeline", "--config", ini,

@@ -108,6 +108,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="coding.kind"):
             cfg.coding_kind
 
+    @pytest.mark.parametrize("kind", ["mwslc_sum", "slc", "MWSBC", ""])
+    def test_train_target_kind_restricted(self, kind):
+        cfg = load_config(overrides={("train", "target_kind"): kind})
+        with pytest.raises(ConfigError, match="train.target_kind"):
+            cfg.train_config()
+
+    @pytest.mark.parametrize("kind", ["mwsbc", "mwslc"])
+    def test_train_target_kind_accepted(self, kind):
+        cfg = load_config(overrides={("train", "target_kind"): kind})
+        assert cfg.train_config().target_kind == kind
+
     def test_room_kind_restricted(self):
         cfg = load_config(overrides={("scene", "room"): "cave"})
         with pytest.raises(ConfigError, match="scene.room"):

@@ -2,13 +2,50 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from maskgrid.coding import CodingTensor, SpatialGrid
 from maskgrid.errors import ShapeError, TrainingError
-from maskgrid.estimator import (EstimatorParams, TrainConfig, backward,
-                                corrupt_oracle, features, forward, init_params,
-                                train)
+from maskgrid.estimator import (EstimatorParams, Gradients, TrainConfig,
+                                _mean_loss, _sigmoid, backward, corrupt_oracle,
+                                features, forward, init_params, train)
 from maskgrid.stft import Spectrogram
+
+
+def _oracle_sigmoid(z):
+    """Reference sigmoid: masked stable branches, kept as the test oracle."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _oracle_backward(params, feats, target):
+    """Reference backward pass with fresh temporaries, kept as the test oracle."""
+    t, k, f = feats.shape
+    if target.values.shape != (t, k, params.output_dim):
+        raise ShapeError(f"target shape {target.values.shape} does not match "
+                         f"({t}, {k}, {params.output_dim})")
+    x = feats.reshape(t * k, f)
+    tgt = target.values.reshape(t * k, params.output_dim)
+    h = np.tanh(x @ params.w1 + params.b1)
+    y = _oracle_sigmoid(h @ params.w2 + params.b2)
+    diff = y - tgt
+    loss = float(np.mean(diff * diff))
+    if not np.isfinite(loss):
+        raise TrainingError("non-finite loss in backward pass")
+    dz2 = (2.0 / diff.size) * diff * y * (1.0 - y)
+    gw2 = h.T @ dz2
+    gb2 = dz2.sum(axis=0)
+    dh = dz2 @ params.w2.T
+    dz1 = dh * (1.0 - h * h)
+    gw1 = x.T @ dz1
+    gb1 = dz1.sum(axis=0)
+    return Gradients(gw1, gb1, gw2, gb2), loss
 
 
 def _toy_problem(rng, t=3, k=4, f=5, hidden=6, theta=8):
@@ -126,6 +163,87 @@ class TestForwardBackward:
         bad = CodingTensor(np.zeros((3, 5, 8)), target.grid, "mwslc")
         with pytest.raises(ShapeError):
             backward(params, feats, bad)
+
+
+class TestOracleIdentity:
+    """The in-place passes reproduce the reference formulas bit for bit."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 709.0, -709.0,
+             746.0, -746.0, 1e308, -1e308]
+
+    def test_sigmoid_edge_values(self):
+        z = np.array(self.EDGES)
+        got = _sigmoid(z)
+        np.testing.assert_array_equal(got, _oracle_sigmoid(z))
+        assert np.array_equal(np.signbit(got), np.signbit(_oracle_sigmoid(z)))
+        np.testing.assert_array_equal(z, self.EDGES)
+
+    def test_sigmoid_in_place_over_blocks(self, rng):
+        # 165k elements span several blocks and end in a partial one.
+        z = rng.normal(0.0, 20.0, (5000, 33))
+        expected = _oracle_sigmoid(z)
+        out = _sigmoid(z, out=z)
+        assert out is z
+        np.testing.assert_array_equal(z, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                           max_side=12),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_sigmoid_matches_oracle(self, z):
+        got = _sigmoid(z)
+        assert np.array_equal(got, _oracle_sigmoid(z))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    @pytest.mark.parametrize("output_bias", [0.0, -12.0])
+    def test_backward_matches_oracle(self, rng, output_bias):
+        feats, target, _ = _toy_problem(rng)
+        params = init_params(5, 6, 8, seed=3, output_bias=output_bias)
+        grads, loss = backward(params, feats, target)
+        want, want_loss = _oracle_backward(params, feats, target)
+        assert loss == want_loss
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(grads, name), getattr(want, name)), name
+
+    def test_backward_matches_oracle_at_scene_size(self, two_speaker_scene):
+        bundle = two_speaker_scene
+        feats = features(bundle.mixture_spec)
+        params = init_params(feats.shape[2], 16, bundle.grid.theta_count,
+                             seed=1)
+        grads, loss = backward(params, feats, bundle.coding)
+        want, want_loss = _oracle_backward(params, feats, bundle.coding)
+        assert loss == want_loss
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(grads, name), getattr(want, name)), name
+
+    def test_forward_matches_oracle(self, rng):
+        feats, target, params = _toy_problem(rng)
+        x = feats.reshape(-1, feats.shape[2])
+        want = _oracle_sigmoid(np.tanh(x @ params.w1 + params.b1) @ params.w2
+                               + params.b2)
+        got = forward(params, feats, target.grid).values
+        assert np.array_equal(got, want.reshape(got.shape))
+
+    def test_validation_loss_equals_backward_loss(self, rng):
+        pairs = [_toy_problem(rng)[:2] for _ in range(3)]
+        params = init_params(5, 6, 8, seed=4)
+        want = float(np.mean([backward(params, f, t)[1] for f, t in pairs]))
+        assert _mean_loss(params, pairs) == want
+
+    def test_validation_rejects_mismatched_target(self, rng):
+        feats, target, params = _toy_problem(rng)
+        bad = CodingTensor(np.zeros((3, 5, 8)), target.grid, "mwslc")
+        with pytest.raises(ShapeError):
+            _mean_loss(params, [(feats, bad)])
+
+    def test_nonfinite_loss_raises(self, rng):
+        feats, target, params = _toy_problem(rng)
+        bad = CodingTensor(np.full(target.values.shape, np.inf), target.grid,
+                           "mwslc")
+        with pytest.raises(TrainingError):
+            backward(params, feats, bad)
+        with pytest.raises(TrainingError):
+            _mean_loss(params, [(feats, bad)])
 
 
 class TestTrainConfig:
