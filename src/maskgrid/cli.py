@@ -227,12 +227,17 @@ def cmd_conditioning(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _calibration_scene(cfg: RunConfig, index: int):
+    """Oracle coding and truth of varied scene `index`."""
+    _, rendered = _varied_scene(cfg, index)
+    return _oracle_parts(cfg, rendered)[3], rendered.truth
+
+
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    scenes = []
-    for i in range(cfg.calibration_scene_count):
-        _, rendered = _varied_scene(cfg, i)
-        _, _, masks, tensor = _oracle_parts(cfg, rendered)
-        scenes.append((tensor, rendered.truth))
+    # A generator, so each scene's tensor is built only when the previous
+    # one has been reduced to its frame likelihood.
+    scenes = (_calibration_scene(cfg, i)
+              for i in range(cfg.calibration_scene_count))
     result = decode.calibrate_threshold(
         scenes, cfg.eps_theta_candidates, cfg.delta_theta_deg,
         cfg.sigma_deg, cfg.tolerance_deg, cfg.min_support_frac)

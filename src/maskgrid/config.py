@@ -237,11 +237,24 @@ class RunConfig:
 
     @property
     def eps_theta_candidates(self) -> tuple:
-        return _parse_list(self._get("decode", "eps_theta_candidates"), float)
+        section, key = "decode", "eps_theta_candidates"
+        values = _parse_list(self._get(section, key),
+                             lambda raw: _parse_float(section, key, raw))
+        if not values:
+            raise ConfigError(f"{section}.{key}: expected at least one threshold")
+        for value in values:
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{section}.{key}: thresholds must lie in "
+                                  f"(0, 1), got {value!r}")
+        return values
 
     @property
     def calibration_scene_count(self) -> int:
-        return self.int_of("decode", "calibration_scene_count")
+        count = self.int_of("decode", "calibration_scene_count")
+        if count < 1:
+            raise ConfigError(f"decode.calibration_scene_count: expected at "
+                              f"least 1, got {count}")
+        return count
 
     # beamform / metrics
     @property

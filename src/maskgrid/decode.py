@@ -140,26 +140,48 @@ def _average_linkage(angles: np.ndarray, span: float, threshold: float) -> list:
     wrapped distance between clusters is at or below the threshold.
 
     Returns a list of member-index arrays.
+
+    Each row caches its minimum and the first column holding it (the
+    nearest-neighbour list of Muellner, arXiv:1109.2378), so a merge picks
+    the pair a row-major argmin over the live matrix would pick, and only
+    rows whose nearest cluster was merged away are rescanned.
     """
     n = angles.size
+    if n == 0:
+        return []
     dist = wrapped_distance(angles[:, None], angles[None, :], span)
     np.fill_diagonal(dist, np.inf)
     members = [[i] for i in range(n)]
     sizes = np.ones(n)
     alive = np.ones(n, dtype=bool)
-    while alive.sum() > 1:
-        masked = np.where(alive[:, None] & alive[None, :], dist, np.inf)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        if masked[i, j] > threshold:
+    nearest = np.argmin(dist, axis=1)
+    low = dist[np.arange(n), nearest]
+    for _ in range(n - 1):
+        i = int(np.argmin(low))
+        j = int(nearest[i])
+        if low[i] > threshold:
             break
         # Lance-Williams update keeps dist[i] the exact mean pairwise distance.
         dist[i, :] = (sizes[i] * dist[i, :] + sizes[j] * dist[j, :]) / (
             sizes[i] + sizes[j])
         dist[:, i] = dist[i, :]
         dist[i, i] = np.inf
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
         members[i].extend(members[j])
         sizes[i] += sizes[j]
         alive[j] = False
+        low[j] = np.inf
+        # i < j, as row i is the first to hold the minimum. A row's first
+        # minimum moves to column i if the new distance beats it, or ties it
+        # at or after i; rows whose minimum was at i or j (row i too) rescan.
+        col = dist[i]
+        to_i = (col < low) | ((col == low) & (nearest >= i))
+        stale = np.flatnonzero(~to_i & ((nearest == i) | (nearest == j)))
+        nearest[to_i] = i
+        low[to_i] = col[to_i]
+        nearest[stale] = np.argmin(dist[stale], axis=1)
+        low[stale] = dist[stale, nearest[stale]]
     return [np.array(members[i]) for i in range(n) if alive[i]]
 
 
@@ -233,15 +255,26 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
                         min_support_frac: float | None = 0.05) -> CalibrationResult:
     """Exhaustive threshold search maximizing micro-averaged F1.
 
-    validation_scenes: (CodingTensor, DoaSet) pairs. Every candidate is run
-    through peak search and clustering on every scene; matches within
-    match_tol_deg count as true positives. Ties prefer the lower threshold.
+    validation_scenes: any iterable of (CodingTensor, DoaSet) pairs, consumed
+    once. Each tensor is reduced to its FrameLikelihood on arrival and not
+    kept, so a generator keeps one tensor alive at a time. Every candidate
+    is run through peak search and clustering on every scene; matches
+    within match_tol_deg count as true positives. Ties prefer the lower
+    threshold.
+
+    Raises:
+        ValueError: no candidates, or no validation scenes.
     """
     from .metrics import doa_precision_recall
 
     if not candidates:
         raise ValueError("need at least one threshold candidate")
-    scenes = [(freq_average(coding), truth) for coding, truth in validation_scenes]
+    scenes = []
+    for coding, truth in validation_scenes:
+        scenes.append((freq_average(coding), truth))
+        del coding  # free the tensor before the next scene is built
+    if not scenes:
+        raise ValueError("need at least one validation scene")
     rows = []
     best = None
     for eps in sorted(candidates):
@@ -254,11 +287,9 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
             tp += pr.matches
             est_total += pr.estimate_count
             truth_total += pr.truth_count
-        if est_total == 0 and truth_total == 0:
-            precision = recall = 1.0
-        else:
-            precision = tp / est_total if est_total else 0.0
-            recall = tp / truth_total if truth_total else 0.0
+        # Every DoaSet is non-empty, so truth_total > 0.
+        precision = tp / est_total if est_total else 0.0
+        recall = tp / truth_total
         f1 = (2 * precision * recall / (precision + recall)
               if precision + recall > 0 else 0.0)
         rows.append(CalibrationRow(eps, precision, recall, f1))

@@ -267,6 +267,30 @@ class TestErrorPaths:
         assert "train.target_kind" in capsys.readouterr().err
         assert not (out / "params.bin").exists()
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_calibration_scenes_exit_2(self, tmp_path, capsys, count):
+        ini = tmp_path / "none.ini"
+        ini.write_text(f"[decode]\ncalibration_scene_count = {count}\n")
+        out = tmp_path / "x"
+        assert main(["calibrate", "--config", str(ini), "--out", str(out)]) == 2
+        assert "decode.calibration_scene_count" in capsys.readouterr().err
+        assert not (out / "calibration_best.json").exists()
+
+    @pytest.mark.parametrize("candidates", ["0.1,1.5", "0.1,abc", ","])
+    def test_bad_threshold_candidates_exit_2_before_any_scene(
+            self, tmp_path, capsys, monkeypatch, candidates):
+        import maskgrid.cli as cli
+
+        def no_scenes(*args, **kwargs):
+            raise AssertionError("a scene was built before validation")
+
+        monkeypatch.setattr(cli, "_varied_scene", no_scenes)
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[decode]\neps_theta_candidates = {candidates}\n")
+        assert main(["calibrate", "--config", str(ini),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "decode.eps_theta_candidates" in capsys.readouterr().err
+
     def test_model_mode_without_params_exit_2(self, tmp_path):
         ini = _fast_ini(tmp_path, "[estimate]\nmode = model\n")
         assert main(["pipeline", "--config", ini,

@@ -2,17 +2,37 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from maskgrid.coding import (CodingTensor, DoaSet, MaskSet, SpatialGrid,
-                             compute_irm, encode_mwsbc, encode_mwslc,
-                             encode_mwslc_sum, encode_sbc, encode_slc,
-                             frame_activity, snap_to_grid, wrapped_distance)
+from maskgrid.coding import (_ENCODE_BLOCK_ROWS, CodingTensor, DoaSet, MaskSet,
+                             SpatialGrid, _gaussian_rows, compute_irm,
+                             encode_mwsbc, encode_mwslc, encode_mwslc_sum,
+                             encode_sbc, encode_slc, frame_activity,
+                             snap_to_grid, wrapped_distance)
 from maskgrid.errors import CollisionError, ShapeError
 from maskgrid.stft import Spectrogram
 
 
 def _unit_masks(count, frames=1, bins=1):
     return MaskSet(np.ones((count, frames, bins)))
+
+
+def _oracle_encode_mwslc(masks, truth, grid, sigma_deg=6.0):
+    """Reference max-form coding: one full-size product per speaker, kept as
+    the test oracle."""
+    gauss = _gaussian_rows(truth, grid, sigma_deg)
+    values = np.zeros((masks.frames, masks.bins, grid.theta_count))
+    for i in range(truth.count):
+        np.maximum(values, masks.values[i][:, :, None] * gauss[i], out=values)
+    return values
+
+
+def _assert_encoder_matches_oracle(masks, truth, grid, sigma_deg=6.0):
+    got = encode_mwslc(masks, truth, grid, sigma_deg).values
+    expected = _oracle_encode_mwslc(masks, truth, grid, sigma_deg)
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestWrappedDistance:
@@ -228,6 +248,72 @@ class TestMaskWeightedEncodings:
         assert bundle.coding.kind == "mwslc"
         assert bundle.coding.values.shape == (62, 257, 720)
         assert bundle.coding.grid.theta_count == 720
+
+
+class TestMwslcOracleIdentity:
+    """The zero-skipping block encoder is bitwise equal to the full loop."""
+
+    def _sparse_masks(self, rng, speakers, frames, bins, zero_frac=0.5):
+        values = rng.uniform(0.0, 1.0, (speakers, frames, bins))
+        values[rng.uniform(size=values.shape) < zero_frac] = 0.0
+        return MaskSet(values)
+
+    def test_all_zero_speaker_mask(self, rng):
+        grid = SpatialGrid(360)
+        masks = self._sparse_masks(rng, 2, 7, 9)
+        masks.values[1] = 0.0
+        _assert_encoder_matches_oracle(masks, DoaSet(np.array([30.0, 200.0])),
+                                       grid)
+        alone = MaskSet(np.zeros((1, 7, 9)))
+        got = encode_mwslc(alone, DoaSet(np.array([30.0])), grid).values
+        assert got.tobytes() == np.zeros((7, 9, 360)).tobytes()
+
+    @pytest.mark.parametrize("doas", [[100.0], [10.0, 95.5, 181.0, 300.25]])
+    def test_one_and_four_speakers(self, rng, doas):
+        masks = self._sparse_masks(rng, len(doas), 11, 13)
+        _assert_encoder_matches_oracle(masks, DoaSet(np.array(doas)),
+                                       SpatialGrid(720))
+
+    @pytest.mark.parametrize("rows", [1, _ENCODE_BLOCK_ROWS - 1,
+                                      _ENCODE_BLOCK_ROWS, _ENCODE_BLOCK_ROWS + 1,
+                                      3 * _ENCODE_BLOCK_ROWS + 5])
+    def test_row_counts_around_the_block_size(self, rng, rows):
+        # Dense masks put exactly `rows` nonzero (t, k) rows in the blocks.
+        masks = self._sparse_masks(rng, 2, rows, 1, zero_frac=0.0)
+        _assert_encoder_matches_oracle(masks, DoaSet(np.array([40.0, 52.0])),
+                                       SpatialGrid(360))
+
+    def test_exact_zero_and_one_mask_values(self, rng):
+        masks = MaskSet(rng.choice([0.0, 1.0], (3, 6, 40)))
+        _assert_encoder_matches_oracle(
+            masks, DoaSet(np.array([0.0, 7.0, 359.5])), SpatialGrid(720))
+
+    @pytest.mark.parametrize("theta", [90, 180, 360, 720, 1440])
+    def test_grid_sizes(self, rng, theta):
+        masks = self._sparse_masks(rng, 2, 9, 17)
+        _assert_encoder_matches_oracle(masks, DoaSet(np.array([50.0, 120.0])),
+                                       SpatialGrid(theta))
+
+    @pytest.mark.parametrize("theta", [720, 1440])
+    def test_real_scene(self, two_speaker_scene, theta):
+        bundle = two_speaker_scene
+        _assert_encoder_matches_oracle(bundle.masks, bundle.truth,
+                                       SpatialGrid(theta))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6),
+                                        st.integers(1, 70)),
+                  elements=st.one_of(st.just(0.0),
+                                     st.floats(0.0, 1.0, allow_subnormal=True))),
+           st.lists(st.integers(0, 3599), min_size=4, max_size=4, unique=True),
+           st.sampled_from([90, 360, 1440]),
+           st.sampled_from([0.5, 6.0, 40.0]))
+    def test_matches_oracle_on_sparse_masks(self, values, tenths, theta, sigma):
+        # np.abs turns any -0.0 into +0.0: masks are >= 0 with unsigned zeros.
+        masks = MaskSet(np.abs(values))
+        truth = DoaSet(np.array(tenths[:masks.speakers]) / 10.0)
+        _assert_encoder_matches_oracle(masks, truth, SpatialGrid(theta), sigma)
 
 
 class TestHelpers:

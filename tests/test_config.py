@@ -129,6 +129,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match="estimate.mode"):
             cfg.estimate_mode
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_calibration_scene_count_at_least_one(self, count):
+        cfg = load_config(overrides={("decode", "calibration_scene_count"): count})
+        with pytest.raises(ConfigError, match="decode.calibration_scene_count"):
+            cfg.calibration_scene_count
+
+    @pytest.mark.parametrize("raw", ["", " , ", "0.1,high", "0.1,0", "1.0",
+                                     "-0.2,0.5", "0.5,nan", "inf"])
+    def test_eps_theta_candidates_restricted(self, raw):
+        cfg = load_config(overrides={("decode", "eps_theta_candidates"): raw})
+        with pytest.raises(ConfigError, match="decode.eps_theta_candidates"):
+            cfg.eps_theta_candidates
+
+    def test_eps_theta_candidates_accepted(self):
+        cfg = load_config(overrides={("decode", "eps_theta_candidates"):
+                                     "0.9, 0.05,1e-3"})
+        assert cfg.eps_theta_candidates == (0.9, 0.05, 0.001)
+        assert load_config().calibration_scene_count == 10
+
     def test_shoebox_room_spec(self):
         cfg = load_config(overrides={("scene", "room"): "shoebox"})
         room = cfg.room_spec()

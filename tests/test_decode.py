@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
@@ -9,6 +11,39 @@ from maskgrid.coding import CodingTensor, DoaSet, SpatialGrid, wrapped_distance
 from maskgrid.decode import (Detection, FrameLikelihood, _average_linkage,
                              calibrate_threshold, circular_mean, cluster_doas,
                              freq_average, peak_search, sample_masks)
+from maskgrid.estimator import corrupt_oracle
+
+
+def _oracle_average_linkage(angles, span, threshold):
+    """Reference linkage: full masked argmin per merge, kept as the test oracle."""
+    n = angles.size
+    dist = wrapped_distance(angles[:, None], angles[None, :], span)
+    np.fill_diagonal(dist, np.inf)
+    members = [[i] for i in range(n)]
+    sizes = np.ones(n)
+    alive = np.ones(n, dtype=bool)
+    while alive.sum() > 1:
+        masked = np.where(alive[:, None] & alive[None, :], dist, np.inf)
+        i, j = np.unravel_index(np.argmin(masked), masked.shape)
+        if masked[i, j] > threshold:
+            break
+        # Lance-Williams update keeps dist[i] the exact mean pairwise distance.
+        dist[i, :] = (sizes[i] * dist[i, :] + sizes[j] * dist[j, :]) / (
+            sizes[i] + sizes[j])
+        dist[:, i] = dist[i, :]
+        dist[i, i] = np.inf
+        members[i].extend(members[j])
+        sizes[i] += sizes[j]
+        alive[j] = False
+    return [np.array(members[i]) for i in range(n) if alive[i]]
+
+
+def _assert_same_groups(angles, threshold, span=360.0):
+    got = _average_linkage(angles, span, threshold)
+    expected = _oracle_average_linkage(angles, span, threshold)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
 
 
 def _likelihood(rows, theta=360):
@@ -123,6 +158,48 @@ class TestAverageLinkage:
         groups = _average_linkage(np.array([42.0]), 360.0, 12.0)
         assert len(groups) == 1
 
+    def test_empty(self):
+        assert _average_linkage(np.zeros(0), 360.0, 12.0) == []
+
+
+class TestAverageLinkageOracle:
+    """The cached-neighbour linkage makes the reference's merges: the same
+    groups, in the same order, with the same member order."""
+
+    @pytest.mark.parametrize("threshold", [1.0, 12.0, 40.0, 200.0])
+    def test_uniform_angles(self, rng, threshold):
+        for n in (2, 3, 17, 120):
+            _assert_same_groups(rng.uniform(0, 360, n), threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 6.0, 12.0, 90.0])
+    def test_half_degree_cell_centres_with_ties(self, rng, threshold):
+        # Few distinct cells, so equal distances and equal minima are common.
+        for n in (5, 40, 150):
+            _assert_same_groups(rng.integers(0, 40, n) * 0.5, threshold)
+            _assert_same_groups(rng.integers(0, 720, n) * 0.5, threshold)
+
+    def test_clustered_angles(self, rng):
+        centres = np.array([3.0, 50.0, 56.0, 200.0, 357.0])
+        angles = (rng.choice(centres, 200)
+                  + rng.integers(-10, 11, 200) * 0.5) % 360.0
+        for threshold in (2.0, 6.0, 12.0, 30.0):
+            _assert_same_groups(angles, threshold)
+
+    def test_noisy_coding_detections(self, two_speaker_scene):
+        coding = two_speaker_scene.coding
+        head = CodingTensor(coding.values[:16], coding.grid, coding.kind)
+        noisy = corrupt_oracle(head, 0.15, 0, seed=5)
+        detections = peak_search(freq_average(noisy), 0.05)
+        assert len(detections) >= 300
+        angles = np.array([d.angle_deg for d in detections])
+        _assert_same_groups(angles, 12.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 719), min_size=0, max_size=60),
+           st.sampled_from([0.0, 0.5, 3.0, 12.0, 45.0, 180.0]))
+    def test_matches_oracle_on_cell_centres(self, cells, threshold):
+        _assert_same_groups(np.array(cells, dtype=float) * 0.5, threshold)
+
 
 class TestClusterDoas:
     def _detections(self, frame_angles):
@@ -231,3 +308,26 @@ class TestCalibrateThreshold:
     def test_empty_candidates_rejected(self, rng):
         with pytest.raises(ValueError):
             calibrate_threshold([self._scene(rng, [50.0])], [])
+
+    def test_no_scenes_rejected(self):
+        with pytest.raises(ValueError, match="validation scene"):
+            calibrate_threshold([], [0.2, 0.5])
+        with pytest.raises(ValueError, match="validation scene"):
+            calibrate_threshold(iter(()), [0.2, 0.5])
+
+    def test_generator_matches_list(self, rng):
+        scenes = [self._scene(rng, [50.0, 120.0], noise=0.2),
+                  self._scene(rng, [10.0, 200.0], noise=0.2),
+                  self._scene(rng, [300.0])]
+        consumed = []
+
+        def one_at_a_time():
+            for scene in scenes:
+                consumed.append(scene)
+                yield scene
+
+        candidates = [0.1, 0.3, 0.5, 0.9]
+        from_list = calibrate_threshold(scenes, candidates)
+        from_generator = calibrate_threshold(one_at_a_time(), candidates)
+        assert from_generator == from_list
+        assert len(consumed) == len(scenes)
