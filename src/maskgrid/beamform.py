@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import MaskSet
-from .errors import NumericError, ShapeError
+from .errors import DegenerateInputError, NumericError, ShapeError
 from .scene import ArrayGeometry, steering_matrix
 from .stft import Spectrogram
 
@@ -157,9 +157,17 @@ def mvdr(mixture: Spectrogram, steering: np.ndarray,
 def separate(mixture: Spectrogram, masks: MaskSet, doas_deg,
              geometry: ArrayGeometry,
              loading_eps: float = DEFAULT_LOADING_EPS) -> list:
-    """Full MVDR chain: covariances from masks, steering from DoAs, filter."""
+    """Full MVDR chain: covariances from masks, steering from DoAs, filter.
+
+    Raises:
+        DegenerateInputError: no DoAs, so there is no speaker to separate.
+    """
+    doas_deg = np.atleast_1d(doas_deg)
+    if doas_deg.size == 0:
+        raise DegenerateInputError("no speaker directions to beamform toward "
+                                   "(did the decoder find no speakers?)")
     cov = interference_covariance(mixture, masks, loading_eps)
     steering = np.stack([
         steering_matrix(geometry, float(a), mixture.config, mixture.sample_rate_hz)
-        for a in np.atleast_1d(doas_deg)])
+        for a in doas_deg])
     return mvdr(mixture, steering, cov)

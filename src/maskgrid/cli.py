@@ -2,9 +2,12 @@
 
 Subcommands cover the full flow: scene simulation, oracle or model
 encoding, the conditioning sweep, threshold calibration, estimator
-training, decoding, MVDR separation, and scoring. Every report carries the
-config hash, seed, and package version; identical configs and seeds yield
-identical output bytes.
+training, decoding, MVDR separation, and scoring. Each stage is one
+function (`_source_masks`, `_decode`, `_separate`, `_score`): the staged
+subcommands load its inputs from the artifact directory and save its
+outputs, and `pipeline` chains the same functions in memory. Every report
+carries the config hash, seed, and package version; identical configs and
+seeds yield identical output bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .config import RunConfig, load_config
 from .errors import (CollisionError, ConfigError, DegenerateInputError,
                      FormatError, MaskGridError, NumericError)
 from .signal import TimeSignal, load_wav, save_wav
+
+# Command-line flags that each override one config key.
+_OVERRIDES = {"seed": ("run", "seed"), "theta_count": ("grid", "theta_count"),
+              "sigma_deg": ("coding", "sigma_deg"),
+              "eps_theta": ("decode", "eps_theta")}
 
 
 def _meta(cfg: RunConfig) -> dict:
@@ -101,45 +109,86 @@ def _varied_scene(cfg: RunConfig, index: int):
     return _build_scene(cfg, doas=doas, seed=seed)
 
 
-def _scene_masks(cfg: RunConfig, rendered):
-    """Mixture STFT, per-source image STFTs and their thresholded masks."""
+def _source_masks(cfg: RunConfig, images):
+    """Reference-mic STFTs of the source images and their thresholded IRMs."""
     stft_cfg = cfg.stft_config()
-    mixture_spec = stft.analyze(rendered.mixture, stft_cfg)
-    image_specs = [stft.analyze(img.channel(cfg.geometry().reference_mic), stft_cfg)
-                   for img in rendered.source_images]
-    masks = coding.compute_irm(image_specs, cfg.eps_m_db)
-    return mixture_spec, image_specs, masks
+    ref = cfg.geometry().reference_mic
+    image_specs = [stft.analyze(img.channel(ref), stft_cfg) for img in images]
+    return image_specs, coding.compute_irm(image_specs, cfg.eps_m_db)
+
+
+def _encode(cfg: RunConfig, kind: str, masks, truth):
+    return coding.ENCODERS[kind](masks, truth, cfg.grid(), cfg.sigma_deg)
 
 
 def _oracle_parts(cfg: RunConfig, rendered):
-    """_scene_masks plus the configured oracle coding."""
-    mixture_spec, image_specs, masks = _scene_masks(cfg, rendered)
-    oracle = coding.ENCODERS[cfg.coding_kind](masks, rendered.truth,
-                                              cfg.grid(), cfg.sigma_deg)
-    return mixture_spec, image_specs, masks, oracle
+    """Mixture STFT, image STFTs, masks and oracle coding (acceptance suite)."""
+    image_specs, masks = _source_masks(cfg, rendered.source_images)
+    mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
+    return (mixture_spec, image_specs, masks,
+            _encode(cfg, cfg.coding_kind, masks, rendered.truth))
 
 
-def _estimated_coding(cfg: RunConfig, mixture_spec, oracle):
-    """Oracle, corrupted-oracle, or trained-model coding per config."""
+def _estimated_coding(cfg: RunConfig, mixture_spec, masks, truth):
+    """Coding per estimate.mode; only oracle and corrupt encode the masks."""
     mode = cfg.estimate_mode
-    if mode == "oracle":
-        return oracle
+    if mode == "model":
+        if not cfg.params_path:
+            raise ConfigError("estimate.params_path is required for mode=model")
+        params = container.load_params(cfg.params_path)
+        return estimator.forward(params, estimator.features(mixture_spec),
+                                 cfg.grid())
+    oracle = _encode(cfg, cfg.coding_kind, masks, truth)
     if mode == "corrupt":
         return estimator.corrupt_oracle(oracle, cfg.noise_std,
                                         cfg.blur_cells, cfg.seed)
-    if not cfg.params_path:
-        raise ConfigError("estimate.params_path is required for mode=model")
-    params = container.load_params(cfg.params_path)
-    return estimator.forward(params, estimator.features(mixture_spec), cfg.grid())
+    return oracle
 
 
-def _decode_coding(cfg: RunConfig, tensor):
+def _decode(cfg: RunConfig, tensor, out_dir: Path):
+    """Decoded DoAs and sampled masks; writes doas.json and sampled_masks.bin."""
     fl = decode.freq_average(tensor)
     detections = decode.peak_search(fl, cfg.eps_theta, cfg.delta_theta_deg)
     estimates = decode.cluster_doas(detections, cfg.sigma_deg,
                                     tensor.grid.span_deg, cfg.min_support_frac)
     sampled = decode.sample_masks(tensor, estimates)
+    _write_json(out_dir / "doas.json", {
+        "clusters": [{"center_deg": float(c.center_deg),
+                      "support": int(c.support)} for c in estimates.clusters],
+        "span_deg": estimates.span_deg,
+    }, _meta(cfg))
+    container.save_masks(out_dir / "sampled_masks.bin", sampled,
+                         estimates.span_deg)
     return estimates, sampled
+
+
+def _separate(cfg: RunConfig, mixture_spec, masks, estimates, out_dir: Path):
+    """MVDR at the decoded directions; writes and returns the sepNN signals."""
+    separated = [stft.synthesize(sep) for sep in beamform.separate(
+        mixture_spec, masks, estimates.centers_deg, cfg.geometry(),
+        cfg.loading_eps)]
+    for i, signal in enumerate(separated):
+        save_wav(signal, out_dir / f"sep{i + 1:02d}.wav")
+    return separated
+
+
+def _score(cfg: RunConfig, out_dir: Path, estimates, truth, separated,
+           mixture, images, fmt: str):
+    """Report of mono `separated` against the reference-mic channels of
+    `mixture` and `images`, all cut to their common length."""
+    ref = cfg.geometry().reference_mic
+    signals = ([s.channel(0) for s in separated] + [mixture.channel(ref)]
+               + [img.channel(ref) for img in images])
+    length = min(s.length for s in signals)
+    signals = [TimeSignal(s.samples[:, :length], s.sample_rate_hz)
+               for s in signals]
+    n = len(separated)
+    report = metrics.evaluate_scene(out_dir.name, estimates, truth,
+                                    signals[:n], signals[n], signals[n + 1:],
+                                    cfg.tolerance_deg)
+    path = _write_table(out_dir, "report", [report.as_row()],
+                        metrics.EvalReport.COLUMNS, _meta(cfg), fmt)
+    return report, path
 
 
 def _save_scene(cfg: RunConfig, rendered, out_dir: Path) -> None:
@@ -159,13 +208,6 @@ def _load_truth(out_dir: Path) -> coding.DoaSet:
     with open(out_dir / "truth.json") as fh:
         data = json.load(fh)
     return coding.DoaSet(np.array(data["doas_deg"]), data["span_deg"])
-
-
-def _doas_payload(estimates) -> dict:
-    return {"clusters": [{"center_deg": float(c.center_deg),
-                          "support": int(c.support)}
-                         for c in estimates.clusters],
-            "span_deg": estimates.span_deg}
 
 
 def _load_doas(out_dir: Path) -> decode.DoaEstimates:
@@ -190,31 +232,26 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 def cmd_encode(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out)
     truth = _load_truth(out_dir)
-    stft_cfg = cfg.stft_config()
-    ref = cfg.geometry().reference_mic
-    image_specs = []
-    for i in range(truth.count):
-        image = load_wav(out_dir / f"src{i + 1:02d}_image.wav")
-        image_specs.append(stft.analyze(image.channel(ref), stft_cfg))
-    masks = coding.compute_irm(image_specs, cfg.eps_m_db)
-    grid = cfg.grid()
-    kind = cfg.coding_kind
-    tensor = coding.ENCODERS[kind](masks, truth, grid, cfg.sigma_deg)
+    _, masks = _source_masks(cfg, [
+        load_wav(out_dir / f"src{i + 1:02d}_image.wav")
+        for i in range(truth.count)])
+    tensor = _encode(cfg, cfg.coding_kind, masks, truth)
     container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
     container.save_coding(out_dir / "coding.bin", tensor)
+    grid = tensor.grid
     _write_json(out_dir / "encode.json", {
-        "kind": kind, "theta_count": grid.theta_count,
+        "kind": cfg.coding_kind, "theta_count": grid.theta_count,
         "span_deg": grid.span_deg, "sigma_deg": cfg.sigma_deg,
         "eps_m_db": cfg.eps_m_db,
     }, _meta(cfg))
-    print(f"{kind} coding ({tensor.frames} frames, {tensor.bins} bins, "
-          f"{grid.theta_count} cells) -> {out_dir}")
+    print(f"{cfg.coding_kind} coding ({tensor.frames} frames, {tensor.bins} "
+          f"bins, {grid.theta_count} cells) -> {out_dir}")
     return 0
 
 
 def cmd_conditioning(cfg: RunConfig, args) -> int:
     _, rendered = _build_scene(cfg)
-    _, _, masks = _scene_masks(cfg, rendered)
+    _, masks = _source_masks(cfg, rendered.source_images)
     report = conditioning.theta_sweep(
         masks, rendered.truth, cfg.sigma_deg, cfg.span_deg,
         cfg.conditioning_theta_counts)
@@ -230,7 +267,8 @@ def cmd_conditioning(cfg: RunConfig, args) -> int:
 def _calibration_scene(cfg: RunConfig, index: int):
     """Oracle coding and truth of varied scene `index`."""
     _, rendered = _varied_scene(cfg, index)
-    return _oracle_parts(cfg, rendered)[3], rendered.truth
+    _, masks = _source_masks(cfg, rendered.source_images)
+    return _encode(cfg, cfg.coding_kind, masks, rendered.truth), rendered.truth
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
@@ -263,9 +301,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
     total = cfg.train_scene_count + cfg.val_scene_count
     for i in range(total):
         _, rendered = _varied_scene(cfg, i)
-        mixture_spec, _, masks = _scene_masks(cfg, rendered)
-        target = coding.ENCODERS[train_cfg.target_kind](
-            masks, rendered.truth, cfg.grid(), cfg.sigma_deg)
+        _, masks = _source_masks(cfg, rendered.source_images)
+        target = _encode(cfg, train_cfg.target_kind, masks, rendered.truth)
+        mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
         pairs.append((estimator.features(mixture_spec), target))
     split = cfg.train_scene_count
     params, history = estimator.train(pairs[:split], pairs[split:], train_cfg,
@@ -282,11 +320,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def cmd_decode(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out)
-    tensor = container.load_coding(out_dir / "coding.bin")
-    estimates, sampled = _decode_coding(cfg, tensor)
-    _write_json(out_dir / "doas.json", _doas_payload(estimates), _meta(cfg))
-    container.save_masks(out_dir / "sampled_masks.bin", sampled,
-                         estimates.span_deg)
+    estimates, _ = _decode(cfg, container.load_coding(out_dir / "coding.bin"),
+                           out_dir)
     angles = ", ".join(f"{c.center_deg:.1f}" for c in estimates.clusters)
     print(f"{estimates.count} speakers at [{angles}] deg -> {out_dir}")
     return 0
@@ -297,36 +332,23 @@ def cmd_beamform(cfg: RunConfig, args) -> int:
     mixture = load_wav(out_dir / "mixture.wav")
     estimates = _load_doas(out_dir)
     masks = container.load_masks(out_dir / "sampled_masks.bin")
-    mixture_spec = stft.analyze(mixture, cfg.stft_config())
-    separated = beamform.separate(mixture_spec, masks, estimates.centers_deg,
-                                  cfg.geometry(), cfg.loading_eps)
-    for i, sep in enumerate(separated):
-        save_wav(stft.synthesize(sep), out_dir / f"sep{i + 1:02d}.wav")
+    separated = _separate(cfg, stft.analyze(mixture, cfg.stft_config()),
+                          masks, estimates, out_dir)
     print(f"{len(separated)} separated channels -> {out_dir}")
     return 0
-
-
-def _trim_to(signals, length: int):
-    return [TimeSignal(s.samples[:, :length], s.sample_rate_hz) for s in signals]
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out)
     truth = _load_truth(out_dir)
     estimates = _load_doas(out_dir)
-    ref = cfg.geometry().reference_mic
-    references = [load_wav(out_dir / f"src{i + 1:02d}_image.wav").channel(ref)
-                  for i in range(truth.count)]
-    separated = sorted(out_dir.glob("sep[0-9][0-9].wav"))
-    separated = [load_wav(p).channel(0) for p in separated]
-    mixture_ref = load_wav(out_dir / "mixture.wav").channel(ref)
-    length = min(s.length for s in separated + references + [mixture_ref])
-    report = metrics.evaluate_scene(
-        out_dir.name, estimates, truth, _trim_to(separated, length),
-        _trim_to([mixture_ref], length)[0], _trim_to(references, length),
-        cfg.tolerance_deg)
-    path = _write_table(out_dir, "report", [report.as_row()],
-                        metrics.EvalReport.COLUMNS, _meta(cfg), args.format)
+    images = [load_wav(out_dir / f"src{i + 1:02d}_image.wav")
+              for i in range(truth.count)]
+    separated = [load_wav(p)
+                 for p in sorted(out_dir.glob("sep[0-9][0-9].wav"))]
+    report, path = _score(cfg, out_dir, estimates, truth, separated,
+                          load_wav(out_dir / "mixture.wav"), images,
+                          args.format)
     print(f"MAE {report.doa_mae_deg:.2f} deg, F1 {report.f1:.2f}, "
           f"delta SI-SDR {report.delta_si_sdr_db:.2f} dB -> {path}")
     return 0
@@ -337,34 +359,16 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _, rendered = _build_scene(cfg)
     _save_scene(cfg, rendered, out_dir)
-    mixture_spec, image_specs, masks, oracle = _oracle_parts(cfg, rendered)
+    _, masks = _source_masks(cfg, rendered.source_images)
     container.save_masks(out_dir / "masks.bin", masks, rendered.truth.span_deg)
-    tensor = _estimated_coding(cfg, mixture_spec, oracle)
+    mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
+    tensor = _estimated_coding(cfg, mixture_spec, masks, rendered.truth)
     container.save_coding(out_dir / "coding.bin", tensor)
-    estimates, sampled = _decode_coding(cfg, tensor)
-    _write_json(out_dir / "doas.json", _doas_payload(estimates), _meta(cfg))
-    container.save_masks(out_dir / "sampled_masks.bin", sampled,
-                         rendered.truth.span_deg)
-    if estimates.count == 0:
-        raise DegenerateInputError("decoder produced no speakers; cannot "
-                                   "beamform (eps_theta too high?)")
-    separated = beamform.separate(mixture_spec, sampled, estimates.centers_deg,
-                                  cfg.geometry(), cfg.loading_eps)
-    sep_signals = []
-    for i, sep in enumerate(separated):
-        signal = stft.synthesize(sep)
-        sep_signals.append(signal)
-        save_wav(signal, out_dir / f"sep{i + 1:02d}.wav")
-    ref = cfg.geometry().reference_mic
-    references = [img.channel(ref) for img in rendered.source_images]
-    mixture_ref = rendered.mixture.channel(ref)
-    length = min(s.length for s in sep_signals + references)
-    report = metrics.evaluate_scene(
-        out_dir.name, estimates, rendered.truth, _trim_to(sep_signals, length),
-        _trim_to([mixture_ref], length)[0], _trim_to(references, length),
-        cfg.tolerance_deg)
-    path = _write_table(out_dir, "report", [report.as_row()],
-                        metrics.EvalReport.COLUMNS, _meta(cfg), args.format)
+    estimates, sampled = _decode(cfg, tensor, out_dir)
+    separated = _separate(cfg, mixture_spec, sampled, estimates, out_dir)
+    report, path = _score(cfg, out_dir, estimates, rendered.truth, separated,
+                          rendered.mixture, rendered.source_images,
+                          args.format)
     print(f"MAE {report.doa_mae_deg:.2f} deg, precision {report.precision:.2f}, "
           f"recall {report.recall:.2f}, delta SI-SDR "
           f"{report.delta_si_sdr_db:.2f} dB -> {path}")
@@ -405,15 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides[("run", "seed")] = args.seed
-    if args.theta_count is not None:
-        overrides[("grid", "theta_count")] = args.theta_count
-    if args.sigma_deg is not None:
-        overrides[("coding", "sigma_deg")] = args.sigma_deg
-    if args.eps_theta is not None:
-        overrides[("decode", "eps_theta")] = args.eps_theta
+    overrides = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
+                 if getattr(args, flag) is not None}
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg, args)

@@ -91,23 +91,15 @@ DEFAULTS = {
 }
 
 
-def _parse_float(section, key, raw):
+_EXPECTED = {float: "a number", int: "an integer"}
+
+
+def _parse(section, key, raw, conv):
     try:
-        return float(raw)
+        return conv(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_list(raw, conv):
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    return tuple(conv(s) for s in items)
+        raise ConfigError(f"{section}.{key}: expected {_EXPECTED[conv]}, "
+                          f"got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -120,10 +112,18 @@ class RunConfig:
         return self.raw[section][key]
 
     def float_of(self, section, key):
-        return _parse_float(section, key, self._get(section, key))
+        return _parse(section, key, self._get(section, key), float)
 
     def int_of(self, section, key):
-        return _parse_int(section, key, self._get(section, key))
+        return _parse(section, key, self._get(section, key), int)
+
+    def list_of(self, section, key, conv=float) -> tuple:
+        """Non-empty comma-separated items, each parsed under section.key."""
+        items = (s.strip() for s in self._get(section, key).split(","))
+        values = tuple(_parse(section, key, s, conv) for s in items if s)
+        if not values:
+            raise ConfigError(f"{section}.{key}: expected at least one value")
+        return values
 
     # scene
     @property
@@ -136,23 +136,19 @@ class RunConfig:
 
     @property
     def doas_deg(self) -> tuple:
-        try:
-            return _parse_list(self._get("scene", "doas_deg"), float)
-        except ValueError:
-            raise ConfigError("scene.doas_deg: expected comma-separated "
-                              "numbers") from None
+        return self.list_of("scene", "doas_deg")
 
     @property
     def distances_m(self) -> tuple:
-        return _parse_list(self._get("scene", "distances_m"), float)
+        return self.list_of("scene", "distances_m")
 
     @property
     def source_kinds(self) -> tuple:
-        return _parse_list(self._get("scene", "source_kinds"), str)
+        return self.list_of("scene", "source_kinds", str)
 
     @property
     def pitches_hz(self) -> tuple:
-        return _parse_list(self._get("scene", "pitches_hz"), float)
+        return self.list_of("scene", "pitches_hz")
 
     @property
     def channels(self) -> int:
@@ -176,7 +172,7 @@ class RunConfig:
     def room_spec(self) -> RoomSpec | None:
         if self.room_kind == "none":
             return None
-        dims = _parse_list(self._get("scene", "room_dims_m"), float)
+        dims = self.list_of("scene", "room_dims_m")
         return RoomSpec(dims, self.float_of("scene", "absorption"),
                         self.int_of("scene", "max_order"))
 
@@ -220,7 +216,7 @@ class RunConfig:
 
     @property
     def conditioning_theta_counts(self) -> tuple:
-        return _parse_list(self._get("conditioning", "theta_counts"), int)
+        return self.list_of("conditioning", "theta_counts", int)
 
     # decode
     @property
@@ -238,10 +234,7 @@ class RunConfig:
     @property
     def eps_theta_candidates(self) -> tuple:
         section, key = "decode", "eps_theta_candidates"
-        values = _parse_list(self._get(section, key),
-                             lambda raw: _parse_float(section, key, raw))
-        if not values:
-            raise ConfigError(f"{section}.{key}: expected at least one threshold")
+        values = self.list_of(section, key)
         for value in values:
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{section}.{key}: thresholds must lie in "

@@ -6,7 +6,7 @@ import pytest
 from maskgrid.beamform import (CovarianceSet, interference_covariance, mvdr,
                                mvdr_weights, separate, solve_hermitian)
 from maskgrid.coding import MaskSet
-from maskgrid.errors import NumericError, ShapeError
+from maskgrid.errors import DegenerateInputError, NumericError, ShapeError
 from maskgrid.scene import ArrayGeometry
 from maskgrid.stft import Spectrogram
 
@@ -168,3 +168,13 @@ class TestMvdrAndSeparate:
         cov = interference_covariance(spec, masks, 0.0)
         with pytest.raises(NumericError, match="speaker 0, bin 0"):
             mvdr(spec, steering, cov)
+
+
+class TestSeparateWithoutSpeakers:
+    @pytest.mark.parametrize("doas", [[], np.array([])])
+    def test_empty_doas_is_degenerate(self, two_speaker_scene, doas):
+        bundle = two_speaker_scene
+        spec = bundle.mixture_spec
+        masks = MaskSet(np.zeros((0, spec.frames, spec.bins)))
+        with pytest.raises(DegenerateInputError, match="no speaker"):
+            separate(spec, masks, doas, bundle.geometry)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from maskgrid import coding
 from maskgrid.cli import main
 from maskgrid.container import load_coding, load_params, read_array
 
@@ -234,6 +235,27 @@ class TestTrain:
         assert code in (0, 3)
         assert load_coding(model_out / "coding.bin").kind == "estimated"
 
+    def test_model_mode_never_encodes(self, tmp_path, monkeypatch):
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", ini, "--out", str(out)]) == 0
+        cfg_dir = tmp_path / "model_cfg"
+        cfg_dir.mkdir()
+        model_ini = _fast_ini(
+            cfg_dir,
+            f"[estimate]\nmode = model\nparams_path = {out / 'params.bin'}\n")
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("model mode built an oracle coding")
+
+        for kind in list(coding.ENCODERS):
+            monkeypatch.setitem(coding.ENCODERS, kind, no_encoding)
+        model_out = tmp_path / "model_run"
+        code = main(["pipeline", "--config", model_ini, "--out",
+                     str(model_out)])
+        assert code in (0, 3)
+        assert load_coding(model_out / "coding.bin").kind == "estimated"
+
 
 class TestErrorPaths:
     def test_unknown_config_key_exit_2(self, tmp_path):
@@ -295,3 +317,57 @@ class TestErrorPaths:
         ini = _fast_ini(tmp_path, "[estimate]\nmode = model\n")
         assert main(["pipeline", "--config", ini,
                      "--out", str(tmp_path / "x")]) == 2
+
+
+class TestStagedCommandsShareStages:
+    def test_beamform_after_starved_decode_exit_3(self, tmp_path, capsys):
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        for command in ("simulate", "encode"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 0
+        assert main(["decode", "--config", ini, "--eps-theta", "0.95",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["beamform", "--config", ini, "--out", str(out)]) == 3
+        assert "numeric error" in capsys.readouterr().err
+        assert not list(out.glob("sep*.wav"))
+
+    def test_decode_rewrites_pipeline_artifacts(self, tmp_path):
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
+        names = ("doas.json", "sampled_masks.bin")
+        before = {name: (out / name).read_bytes() for name in names}
+        _, pipeline_rows = _read_report(out / "report.csv")
+        assert main(["decode", "--config", ini, "--out", str(out)]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == before[name], name
+        for command in ("beamform", "eval"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 0
+        _, eval_rows = _read_report(out / "report.csv")
+        # Same DoAs and truth; only the separation scores may differ, since
+        # eval reads the float32 WAVs.
+        for column in ("doa_mae_deg", "precision", "recall", "f1"):
+            assert eval_rows[0][column] == pipeline_rows[0][column]
+
+
+class TestListConfigKeys:
+    @pytest.mark.parametrize("command, text, key", [
+        ("simulate", "[scene]\ndistances_m = 2.0,far\n", "scene.distances_m"),
+        ("simulate", "[scene]\npitches_hz = 210,low\n", "scene.pitches_hz"),
+        ("simulate", "[scene]\nroom = shoebox\nroom_dims_m = 6,wide,3\n",
+         "scene.room_dims_m"),
+        ("conditioning", "[conditioning]\ntheta_counts = 90,abc\n",
+         "conditioning.theta_counts"),
+        # Empty cycled lists used to end in a ZeroDivisionError traceback.
+        ("simulate", "[scene]\ndistances_m =\n", "scene.distances_m"),
+        ("simulate", "[scene]\nsource_kinds = ,\n", "scene.source_kinds"),
+    ], ids=["distances_m", "pitches_hz", "room_dims_m", "theta_counts",
+            "empty_distances_m", "empty_source_kinds"])
+    def test_bad_list_exit_2_names_key(self, tmp_path, capsys, command,
+                                       text, key):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert main([command, "--config", str(ini),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert key in capsys.readouterr().err

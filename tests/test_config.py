@@ -1,6 +1,8 @@
 """Configuration loading, overrides, validation, and hashing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskgrid.config import load_config
 from maskgrid.errors import ConfigError
@@ -172,3 +174,59 @@ class TestHash:
         assert "grid.theta_count=720" in lines
         total_keys = sum(len(v) for v in cfg.raw.values())
         assert len(lines) == total_keys
+
+
+# (section, key, item type) of every comma-separated config value.
+LIST_KEYS = [("scene", "doas_deg", float), ("scene", "distances_m", float),
+             ("scene", "source_kinds", str), ("scene", "pitches_hz", float),
+             ("scene", "room_dims_m", float),
+             ("conditioning", "theta_counts", int),
+             ("decode", "eps_theta_candidates", float)]
+
+
+class TestListKeys:
+    @pytest.mark.parametrize("read, key", [
+        (lambda cfg: cfg.doas_deg, "scene.doas_deg"),
+        (lambda cfg: cfg.distances_m, "scene.distances_m"),
+        (lambda cfg: cfg.pitches_hz, "scene.pitches_hz"),
+        (lambda cfg: cfg.room_spec(), "scene.room_dims_m"),
+        (lambda cfg: cfg.conditioning_theta_counts, "conditioning.theta_counts"),
+    ], ids=["doas_deg", "distances_m", "pitches_hz", "room_dims_m",
+            "theta_counts"])
+    def test_bad_item_names_key(self, read, key):
+        section, name = key.split(".")
+        cfg = load_config(overrides={(section, name): "1, oops",
+                                     ("scene", "room"): "shoebox"})
+        with pytest.raises(ConfigError, match=f"{key}: expected .* 'oops'"):
+            read(cfg)
+
+    @pytest.mark.parametrize("section, key, conv", LIST_KEYS)
+    def test_empty_list_names_key(self, section, key, conv):
+        cfg = load_config(overrides={(section, key): " , "})
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected at "
+                                              "least one value"):
+            cfg.list_of(section, key, conv)
+
+    def test_items_stripped_and_blanks_dropped(self):
+        cfg = load_config(overrides={("conditioning", "theta_counts"):
+                                     " 90, ,180 ,"})
+        assert cfg.conditioning_theta_counts == (90, 180)
+        assert load_config().source_kinds == ("harmonic-complex",
+                                              "modulated-noise")
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=st.sampled_from(LIST_KEYS),
+           items=st.lists(st.one_of(st.text(max_size=6),
+                                    st.integers().map(str),
+                                    st.floats().map(repr)), max_size=4))
+    def test_any_value_parses_or_names_key(self, key, items):
+        section, name, conv = key
+        raw = ",".join(items)
+        cfg = load_config(overrides={(section, name): raw})
+        try:
+            values = cfg.list_of(section, name, conv)
+        except ConfigError as err:
+            assert str(err).startswith(f"{section}.{name}: ")
+        else:
+            assert len(values) == sum(1 for s in raw.split(",") if s.strip())
+            assert all(type(v) is conv for v in values)
