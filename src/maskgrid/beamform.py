@@ -3,9 +3,9 @@
 Per speaker, the covariance of everything except that speaker is estimated
 by weighting mixture frames with one minus the speaker's mask; the MVDR
 filter then passes the steering direction with unit gain while minimizing
-the remaining interference power. The per-bin solves use a hand-rolled
-complex Cholesky factorization; the covariance dimension is the channel
-count, typically 4.
+the remaining interference power. The weights of all speakers and bins come
+from one batched solve over the (I, K, C, C) covariance stack; the
+covariance dimension is the channel count, typically 4.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ class CovarianceSet:
     @property
     def speakers(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
 
     def validate(self, herm_tol: float = 1e-10, psd_tol: float = 1e-10) -> None:
         """Check Hermitian symmetry and (loaded) positive semi-definiteness."""
@@ -83,45 +75,32 @@ def interference_covariance(mixture: Spectrogram, masks: MaskSet,
     return CovarianceSet(out, loading_eps)
 
 
-def _cholesky(r: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor of a Hermitian positive-definite matrix.
+def solve_hermitian(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve R x = b for Hermitian positive-definite R of shape (..., C, C)
+    and b of shape (..., C): one batched Cholesky check, one batched solve.
 
     Raises:
-        NumericError: non-positive or non-finite pivot.
+        NumericError: some R is not positive definite or not finite.
     """
-    c = r.shape[0]
-    low = np.zeros((c, c), dtype=np.complex128)
-    for j in range(c):
-        pivot = r[j, j].real - float(np.sum(np.abs(low[j, :j]) ** 2))
-        if not np.isfinite(pivot) or pivot <= 0.0:
-            raise NumericError(f"pivot {pivot:.3e} at column {j}")
-        low[j, j] = np.sqrt(pivot)
-        for i in range(j + 1, c):
-            low[i, j] = (r[i, j] - low[i, :j] @ np.conj(low[j, :j])) / low[j, j]
-    return low
-
-
-def solve_hermitian(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve R x = b for Hermitian positive-definite R via Cholesky."""
-    low = _cholesky(np.asarray(r, dtype=np.complex128))
-    c = low.shape[0]
-    b = np.asarray(b, dtype=np.complex128)
-    z = np.zeros(c, dtype=np.complex128)
-    for i in range(c):
-        z[i] = (b[i] - low[i, :i] @ z[:i]) / low[i, i]
-    x = np.zeros(c, dtype=np.complex128)
-    for i in reversed(range(c)):
-        x[i] = (z[i] - np.conj(low[i + 1 :, i]) @ x[i + 1 :]) / low[i, i].real
-    return x
+    r = np.asarray(r, dtype=np.complex128)
+    try:
+        if not np.isfinite(np.linalg.cholesky(r)).all():
+            raise NumericError("non-finite Cholesky factor")
+        return np.linalg.solve(r, np.asarray(b, np.complex128)[..., None])[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"covariance not positive definite ({err})") from None
 
 
 def mvdr_weights(r: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """MVDR filter w = R^{-1} d / (d^H R^{-1} d); w^H d = 1 by construction."""
+    """MVDR filter w = R^{-1} d / (d^H R^{-1} d); w^H d = 1 by construction.
+    Shapes as in solve_hermitian; every denominator is checked at once."""
     x = solve_hermitian(r, d)
-    denom = np.conj(d) @ x
-    if not np.isfinite(denom.real) or denom.real <= 0.0:
-        raise NumericError(f"non-positive beamformer denominator {denom.real:.3e}")
-    return x / denom.real
+    denom = np.einsum("...c,...c->...", np.conj(d), x).real
+    bad = ~((denom > 0.0) & (denom < np.inf))
+    if bad.any():
+        raise NumericError(f"non-positive beamformer denominator "
+                           f"{denom[bad][0]:.3e}")
+    return x / denom[..., None]
 
 
 def mvdr(mixture: Spectrogram, steering: np.ndarray,
@@ -132,26 +111,26 @@ def mvdr(mixture: Spectrogram, steering: np.ndarray,
 
     Raises:
         NumericError: a covariance stays singular despite loading; the
-            message names the speaker and bin.
+            message names the first failing speaker and bin.
     """
     c, t, k = mixture.values.shape
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != (cov.speakers, k, c):
         raise ShapeError(f"steering shape {steering.shape} does not match "
                          f"({cov.speakers}, {k}, {c})")
-    y = np.transpose(mixture.values, (1, 2, 0))
-    outputs = []
-    for i in range(cov.speakers):
-        out = np.empty((1, t, k), dtype=np.complex128)
-        for kk in range(k):
+    try:
+        w = mvdr_weights(cov.values, steering)
+    except NumericError:
+        # Re-solve speaker-major, pair by pair, only to name the failure.
+        for i, kk in np.ndindex(steering.shape[:2]):
             try:
-                w = mvdr_weights(cov.values[i, kk], steering[i, kk])
+                mvdr_weights(cov.values[i, kk], steering[i, kk])
             except NumericError as err:
-                raise NumericError(
-                    f"speaker {i}, bin {kk}: {err}") from err
-            out[0, :, kk] = y[:, kk, :] @ np.conj(w)
-        outputs.append(Spectrogram(out, mixture.config, mixture.sample_rate_hz))
-    return outputs
+                raise NumericError(f"speaker {i}, bin {kk}: {err}") from err
+        raise
+    out = np.einsum("ctk,ikc->itk", mixture.values, np.conj(w))
+    return [Spectrogram(o[None], mixture.config, mixture.sample_rate_hz)
+            for o in out]
 
 
 def separate(mixture: Spectrogram, masks: MaskSet, doas_deg,

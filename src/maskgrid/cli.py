@@ -344,8 +344,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     estimates = _load_doas(out_dir)
     images = [load_wav(out_dir / f"src{i + 1:02d}_image.wav")
               for i in range(truth.count)]
-    separated = [load_wav(p)
-                 for p in sorted(out_dir.glob("sep[0-9][0-9].wav"))]
+    separated = [load_wav(out_dir / f"sep{i + 1:02d}.wav")
+                 for i in range(estimates.count)]
     report, path = _score(cfg, out_dir, estimates, truth, separated,
                           load_wav(out_dir / "mixture.wav"), images,
                           args.format)

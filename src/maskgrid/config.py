@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,8 +174,18 @@ class RunConfig:
         if self.room_kind == "none":
             return None
         dims = self.list_of("scene", "room_dims_m")
-        return RoomSpec(dims, self.float_of("scene", "absorption"),
-                        self.int_of("scene", "max_order"))
+        absorption = self.float_of("scene", "absorption")
+        max_order = self.int_of("scene", "max_order")
+        if len(dims) != 3 or not all(0 < d < math.inf for d in dims):
+            raise ConfigError(f"scene.room_dims_m: expected 3 finite positive "
+                              f"values, got {dims}")
+        if not 0.0 <= absorption <= 1.0:
+            raise ConfigError(f"scene.absorption: expected a value in [0, 1], "
+                              f"got {absorption}")
+        if max_order < 0:
+            raise ConfigError(f"scene.max_order: expected at least 0, got "
+                              f"{max_order}")
+        return RoomSpec(dims, absorption, max_order)
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry(linear_array(self.channels, self.spacing_m))

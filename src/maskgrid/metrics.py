@@ -73,6 +73,22 @@ class Alignment:
         return float(np.mean(self.pair_si_sdr_db))
 
 
+def _pairings(n_ref: int, n_est: int):
+    """Every injective pairing of min(n_ref, n_est) references and estimates,
+    as (reference, estimate) tuples: permutations of the larger side in
+    itertools order, listed along the smaller side. Nothing if a side is
+    empty.
+    """
+    if min(n_ref, n_est) == 0:
+        return
+    if n_est >= n_ref:
+        for perm in itertools.permutations(range(n_est), n_ref):
+            yield tuple(enumerate(perm))
+    else:
+        for perm in itertools.permutations(range(n_ref), n_est):
+            yield tuple(zip(perm, range(n_est)))
+
+
 def permute_align(estimates, references) -> Alignment:
     """Exhaustive assignment of estimates to references maximizing mean SI-SDR.
 
@@ -87,23 +103,13 @@ def permute_align(estimates, references) -> Alignment:
     for r, e in itertools.product(range(n_ref), range(n_est)):
         scores[r, e] = si_sdr(estimates[e], references[r])
 
-    best_pairs = None
-    best_mean = -np.inf
-    if n_est >= n_ref:
-        for perm in itertools.permutations(range(n_est), n_ref):
-            mean = float(np.mean([scores[r, perm[r]] for r in range(n_ref)]))
-            if mean > best_mean:
-                best_mean = mean
-                best_pairs = {r: perm[r] for r in range(n_ref)}
-    elif n_est == 0:
-        best_pairs = {}
-    else:
-        for perm in itertools.permutations(range(n_ref), n_est):
-            mean = float(np.mean([scores[perm[e], e] for e in range(n_est)]))
-            if mean > best_mean:
-                best_mean = mean
-                best_pairs = {perm[e]: e for e in range(n_est)}
-    assignment = tuple(best_pairs.get(r) for r in range(n_ref))
+    best_pairs, best_mean = (), -np.inf
+    for pairs in _pairings(n_ref, n_est):
+        mean = float(np.mean([scores[r, e] for r, e in pairs]))
+        if mean > best_mean:
+            best_mean, best_pairs = mean, pairs
+    matched = dict(best_pairs)
+    assignment = tuple(matched.get(r) for r in range(n_ref))
     pair_scores = tuple(
         float(scores[r, a]) if a is not None else -SI_SDR_CAP_DB
         for r, a in enumerate(assignment))
@@ -141,16 +147,10 @@ def doa_mae_known_count(estimates, truth: DoaSet,
     ref = truth.angles_deg
     n_pairs = min(angles.size, ref.size)
     best = np.inf
-    if angles.size >= ref.size:
-        for perm in itertools.permutations(range(angles.size), ref.size):
-            err = np.mean([wrapped_distance(angles[perm[r]], ref[r], span)
-                           for r in range(ref.size)])
-            best = min(best, float(err))
-    else:
-        for perm in itertools.permutations(range(ref.size), angles.size):
-            err = np.mean([wrapped_distance(angles[e], ref[perm[e]], span)
-                           for e in range(angles.size)])
-            best = min(best, float(err))
+    for pairs in _pairings(ref.size, angles.size):
+        err = np.mean([wrapped_distance(angles[e], ref[r], span)
+                       for r, e in pairs])
+        best = min(best, float(err))
     return DoaMae(best, n_pairs, angles.size < ref.size)
 
 

@@ -3,11 +3,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from maskgrid import coding
 from maskgrid.cli import main
 from maskgrid.container import load_coding, load_params, read_array
+from maskgrid.signal import TimeSignal, save_wav
 
 
 def _fast_ini(tmp_path, extra=""):
@@ -350,6 +352,25 @@ class TestStagedCommandsShareStages:
         for column in ("doa_mae_deg", "precision", "recall", "f1"):
             assert eval_rows[0][column] == pipeline_rows[0][column]
 
+    def test_eval_ignores_stale_separated_file(self, tmp_path):
+        # A sep03.wav left by an earlier 3-speaker run must not enter the
+        # permutation search or the common-length cut of a 2-speaker eval.
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
+        assert main(["eval", "--config", ini, "--out", str(out)]) == 0
+        clean = (out / "report.csv").read_bytes()
+        save_wav(TimeSignal(np.full((1, 400), 0.1), 16000), out / "sep03.wav")
+        assert main(["eval", "--config", ini, "--out", str(out)]) == 0
+        assert (out / "report.csv").read_bytes() == clean
+
+    def test_eval_missing_separated_file_exit_4(self, tmp_path):
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
+        (out / "sep02.wav").unlink()
+        assert main(["eval", "--config", ini, "--out", str(out)]) == 4
+
 
 class TestListConfigKeys:
     @pytest.mark.parametrize("command, text, key", [
@@ -362,8 +383,16 @@ class TestListConfigKeys:
         # Empty cycled lists used to end in a ZeroDivisionError traceback.
         ("simulate", "[scene]\ndistances_m =\n", "scene.distances_m"),
         ("simulate", "[scene]\nsource_kinds = ,\n", "scene.source_kinds"),
+        # Room settings that parse but that RoomSpec rejects.
+        ("simulate", "[scene]\nroom = shoebox\nroom_dims_m = 6,5\n",
+         "scene.room_dims_m"),
+        ("simulate", "[scene]\nroom = shoebox\nabsorption = 1.5\n",
+         "scene.absorption"),
+        ("simulate", "[scene]\nroom = shoebox\nmax_order = -1\n",
+         "scene.max_order"),
     ], ids=["distances_m", "pitches_hz", "room_dims_m", "theta_counts",
-            "empty_distances_m", "empty_source_kinds"])
+            "empty_distances_m", "empty_source_kinds", "room_dims_m_count",
+            "absorption_range", "max_order_negative"])
     def test_bad_list_exit_2_names_key(self, tmp_path, capsys, command,
                                        text, key):
         ini = tmp_path / "bad.ini"

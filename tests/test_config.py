@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from maskgrid.config import load_config
 from maskgrid.errors import ConfigError
+from maskgrid.scene import RoomSpec
 
 
 class TestDefaults:
@@ -230,3 +231,28 @@ class TestListKeys:
         else:
             assert len(values) == sum(1 for s in raw.split(",") if s.strip())
             assert all(type(v) is conv for v in values)
+
+
+class TestRoomKeys:
+    @pytest.mark.parametrize("key, value", [
+        ("room_dims_m", "6,5"), ("room_dims_m", "6,0,3"),
+        ("room_dims_m", "6,nan,3"), ("room_dims_m", "inf,5,3"),
+        ("absorption", "1.5"), ("absorption", "-0.1"), ("absorption", "nan"),
+        ("max_order", "-1"),
+    ])
+    def test_out_of_range_names_key(self, key, value):
+        cfg = load_config(overrides={("scene", "room"): "shoebox",
+                                     ("scene", key): value})
+        with pytest.raises(ConfigError) as info:
+            cfg.room_spec()
+        assert str(info.value).startswith(f"scene.{key}: expected ")
+
+    def test_no_room_skips_room_keys(self):
+        cfg = load_config(overrides={("scene", "absorption"): "1.5"})
+        assert cfg.room_spec() is None
+
+    def test_room_spec_keeps_its_own_checks(self):
+        for kwargs in ({"dimensions_m": (6.0, 5.0)}, {"absorption": 1.5},
+                       {"max_order": -1}):
+            with pytest.raises(ConfigError):
+                RoomSpec(**kwargs)

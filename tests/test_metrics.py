@@ -1,6 +1,7 @@
 """Scoring metric tests with independent brute-force oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ class TestPermuteAlign:
     def test_empty_references_rejected(self, rng):
         with pytest.raises(ValueError):
             permute_align(self._signals(rng, 1), [])
+
+    def test_no_estimates_leaves_every_reference_unmatched(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aligned = permute_align([], self._signals(rng, 2))
+        assert aligned.assignment == (None, None)
+        assert aligned.pair_si_sdr_db == (-SI_SDR_CAP_DB, -SI_SDR_CAP_DB)
+
+    def test_ties_keep_the_first_pairing(self, rng):
+        # Equal means: the first pairing in itertools.permutations order of
+        # the larger side wins, on either side.
+        ref = self._signals(rng, 1)
+        assert permute_align([ref[0], ref[0]], ref).assignment == (0,)
+        assert permute_align(ref, [ref[0], ref[0]]).assignment == (0, None)
 
 
 class TestDoaMae:
