@@ -27,7 +27,6 @@ class CovarianceSet:
     """Per-speaker, per-bin Hermitian matrices, shape (I, K, C, C)."""
 
     values: np.ndarray
-    loading_eps: float = DEFAULT_LOADING_EPS
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.complex128)
@@ -72,7 +71,7 @@ def interference_covariance(mixture: Spectrogram, masks: MaskSet,
         r = 0.5 * (r + np.conj(np.swapaxes(r, 1, 2)))
         trace = np.trace(r, axis1=1, axis2=2).real
         out[i] = r + (loading_eps * trace / c)[:, None, None] * eye
-    return CovarianceSet(out, loading_eps)
+    return CovarianceSet(out)
 
 
 def solve_hermitian(r: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from . import metrics, scene, stft
 from ._version import __version__
 from .config import RunConfig, load_config
 from .errors import (CollisionError, ConfigError, DegenerateInputError,
-                     FormatError, MaskGridError, NumericError)
+                     FormatError, NumericError)
 from .signal import TimeSignal, load_wav, save_wav
 
 # Command-line flags that each override one config key.
@@ -163,12 +163,16 @@ def _decode(cfg: RunConfig, tensor, out_dir: Path):
 
 
 def _separate(cfg: RunConfig, mixture_spec, masks, estimates, out_dir: Path):
-    """MVDR at the decoded directions; writes and returns the sepNN signals."""
+    """MVDR at the decoded directions; writes and returns the sepNN signals
+    and removes any higher-numbered sepNN.wav left in out_dir."""
     separated = [stft.synthesize(sep) for sep in beamform.separate(
         mixture_spec, masks, estimates.centers_deg, cfg.geometry(),
         cfg.loading_eps)]
     for i, signal in enumerate(separated):
         save_wav(signal, out_dir / f"sep{i + 1:02d}.wav")
+    for path in out_dir.glob("sep[0-9][0-9].wav"):
+        if int(path.name[3:5]) > len(separated):
+            path.unlink()  # left by an earlier run with more speakers
     return separated
 
 
@@ -214,8 +218,7 @@ def _load_doas(out_dir: Path) -> decode.DoaEstimates:
     with open(out_dir / "doas.json") as fh:
         data = json.load(fh)
     clusters = tuple(
-        decode.DoaCluster(c["center_deg"], c["support"],
-                          np.array([c["center_deg"]]))
+        decode.DoaCluster(c["center_deg"], c["support"])
         for c in data["clusters"])
     return decode.DoaEstimates(clusters, data["span_deg"])
 

@@ -110,14 +110,6 @@ class MaskSet:
     def bins(self) -> int:
         return self.values.shape[2]
 
-    def validate_partition(self, tol: float = 1e-9) -> None:
-        """Check the ratio-mask property: values in [0,1], sums <= 1 + tol."""
-        v = self.values
-        if np.any(v < 0) or np.any(v > 1):
-            raise ValueError("mask values outside [0, 1]")
-        if np.any(v.sum(axis=0) > 1 + tol):
-            raise ValueError("mask sum over speakers exceeds 1")
-
 
 @dataclass(frozen=True)
 class CodingTensor:

@@ -18,30 +18,10 @@ import numpy as np
 
 from .coding import (CodingTensor, DoaSet, MaskSet, SpatialGrid, encode_mwsbc,
                      encode_mwslc, encode_mwslc_sum)
-from .errors import CollisionError, ShapeError
+from .errors import CollisionError
 
 SWEEP_COLUMNS = ("theta_count", "mean_mwsbc", "mean_mwslc_max",
                  "mean_mwslc_sum", "limit", "rel_gap")
-
-
-def _check_dims(est: CodingTensor, target: CodingTensor) -> None:
-    if est.values.shape != target.values.shape:
-        raise ShapeError(
-            f"coding shapes differ: {est.values.shape} vs {target.values.shape}")
-
-
-def mse_loss(est: CodingTensor, target: CodingTensor) -> np.ndarray:
-    """Per-(frame, bin) mean squared difference over cells, shape (T, K)."""
-    _check_dims(est, target)
-    diff = est.values - target.values
-    return np.mean(diff * diff, axis=2)
-
-
-def mse_gradient(est: CodingTensor, target: CodingTensor) -> np.ndarray:
-    """Gradient of mse_loss w.r.t. the estimate: (2/cells)(est - target)."""
-    _check_dims(est, target)
-    theta = est.grid.theta_count
-    return (2.0 / theta) * (est.values - target.values)
 
 
 def grad_norm_at_zero(target: CodingTensor) -> np.ndarray:
@@ -89,12 +69,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ConditioningReport:
-    """Sweep rows plus the shared per-(t, k) closed-form limit."""
+    """Sweep rows and the number of speech-active (frame, bin) cells."""
 
     rows: tuple
     sigma_deg: float
     span_deg: float
-    limit_per_bin: np.ndarray
     active_bins: int
 
     def as_table(self):
@@ -156,5 +135,4 @@ def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
             norms_mwslc_max=max_norm if keep_norms else None,
             norms_mwslc_sum=sum_norm if keep_norms else None,
         ))
-    return ConditioningReport(tuple(rows), sigma_deg, span_deg,
-                              limit_per_bin, n_active)
+    return ConditioningReport(tuple(rows), sigma_deg, span_deg, n_active)

@@ -97,10 +97,14 @@ _EXPECTED = {float: "a number", int: "an integer"}
 
 def _parse(section, key, raw, conv):
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key}: expected {_EXPECTED[conv]}, "
                           f"got {raw!r}") from None
+    if conv is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, "
+                          f"got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,12 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return self.int_of("run", "seed")
+        # The MGT1 container header stores the seed as a uint32.
+        seed = self.int_of("run", "seed")
+        if not 0 <= seed <= 0xFFFFFFFF:
+            raise ConfigError(f"run.seed: expected an integer in "
+                              f"[0, 4294967295], got {seed}")
+        return seed
 
     def lines(self) -> list:
         """Canonical section.key=value lines, sorted."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodingTensor, DoaSet, MaskSet, SpatialGrid, wrapped_distance
+from .coding import CodingTensor, MaskSet, SpatialGrid, wrapped_distance
+from .metrics import doa_precision_recall
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class Detection:
 class DoaCluster:
     center_deg: float
     support: int
-    member_angles_deg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,35 +95,19 @@ def peak_search(fl: FrameLikelihood, eps_theta: float,
         np.maximum(window_max, np.roll(v, -off, axis=1), out=window_max)
     is_peak = (v >= eps_theta) & (v >= window_max)
 
-    detections = []
-    for t in np.nonzero(is_peak.any(axis=1))[0]:
-        cand = np.flatnonzero(is_peak[t])
-        cand_set = set(cand.tolist())
-        visited = set()
-        for g in cand.tolist():
-            if g in visited:
-                continue
-            # Collect the maximal circular run of adjacent equal-valued
-            # peaks around g; only its lowest index is reported.
-            run = [g]
-            visited.add(g)
-            nxt = (g + 1) % theta
-            while (nxt in cand_set and nxt not in visited
-                   and v[t, nxt] == v[t, run[-1]]):
-                run.append(nxt)
-                visited.add(nxt)
-                nxt = (run[-1] + 1) % theta
-            prv = (g - 1) % theta
-            while (prv in cand_set and prv not in visited
-                   and v[t, prv] == v[t, run[0]]):
-                run.insert(0, prv)
-                visited.add(prv)
-                prv = (run[0] - 1) % theta
-            low = min(run)
-            detections.append(Detection(int(t), grid.angle_of(low),
-                                        float(v[t, low])))
-    detections.sort(key=lambda d: (d.frame, d.angle_deg))
-    return detections
+    # A run of circularly adjacent equal peaks starts where the left
+    # neighbour is not an equal peak. A run through cell 0 is reported at
+    # cell 0 instead of at its start, the row's last one (a whole-circle
+    # run has no start, and clearing cell theta - 1 changes nothing).
+    joins_left = is_peak & np.roll(is_peak, 1, axis=1) & (v == np.roll(v, 1, axis=1))
+    report = is_peak & ~joins_left
+    wraps = joins_left[:, 0]
+    last_start = theta - 1 - np.argmax(report[wraps, ::-1], axis=1)
+    report[wraps, last_start] = False
+    report[wraps, 0] = True
+    frames, cells = np.nonzero(report)
+    return [Detection(t, grid.angle_of(g), float(v[t, g]))
+            for t, g in zip(frames.tolist(), cells.tolist())]
 
 
 def circular_mean(angles_deg: np.ndarray, span_deg: float = 360.0) -> float:
@@ -222,7 +206,7 @@ def cluster_doas(detections, sigma_deg: float = 6.0, span_deg: float = 360.0,
         clusters = [c for c in clusters if c[1].size >= min_support]
     clusters.sort(key=lambda c: (-c[1].size, c[0]))
     return DoaEstimates(
-        tuple(DoaCluster(center, int(members.size), members)
+        tuple(DoaCluster(center, int(members.size))
               for center, members in clusters),
         span_deg)
 
@@ -265,8 +249,6 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
     Raises:
         ValueError: no candidates, or no validation scenes.
     """
-    from .metrics import doa_precision_recall
-
     if not candidates:
         raise ValueError("need at least one threshold candidate")
     scenes = []

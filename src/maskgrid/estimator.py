@@ -259,14 +259,6 @@ class TrainHistory:
                 for e in self.epochs]
 
 
-def _as_feature_pairs(scenes):
-    pairs = []
-    for mixture, target in scenes:
-        feats = mixture if isinstance(mixture, np.ndarray) else features(mixture)
-        pairs.append((feats, target))
-    return pairs
-
-
 def _mean_loss(params, pairs):
     """Validation loss from forward passes alone; equals backward's loss."""
     losses = []
@@ -277,30 +269,25 @@ def _mean_loss(params, pairs):
     return float(np.mean(losses))
 
 
-def train(train_scenes, val_scenes, cfg: TrainConfig,
-          params: EstimatorParams | None = None,
-          grid: SpatialGrid | None = None,
+def train(train_pairs, val_pairs, cfg: TrainConfig,
           hidden_dim: int = 64) -> tuple:
     """Mini-batch SGD over scenes; returns best-validation params + history.
 
-    Scenes are (mixture Spectrogram or precomputed features, target
-    CodingTensor) pairs. Reproducible bit-for-bit for a fixed config seed:
-    shuffling uses its own generator and batch gradients are averaged in
-    list order.
+    Scenes are (features, target CodingTensor) pairs, the features as
+    returned by `features`. The network is initialized from the config seed
+    with the first target's grid as its output. Reproducible bit-for-bit for
+    a fixed config seed: shuffling uses its own generator and batch
+    gradients are averaged in list order.
 
     Raises:
         TrainingError: empty splits, or loss turning non-finite (the epoch
             index is named in the message).
     """
-    train_pairs = _as_feature_pairs(train_scenes)
-    val_pairs = _as_feature_pairs(val_scenes)
     if not train_pairs or not val_pairs:
         raise TrainingError("need non-empty training and validation splits")
-    if params is None:
-        feats0, target0 = train_pairs[0]
-        out_grid = grid if grid is not None else target0.grid
-        params = init_params(feats0.shape[2], hidden_dim,
-                             out_grid.theta_count, seed=cfg.seed)
+    feats0, target0 = train_pairs[0]
+    params = init_params(feats0.shape[2], hidden_dim,
+                         target0.grid.theta_count, seed=cfg.seed)
 
     rng = np.random.default_rng(cfg.seed)
     best = params

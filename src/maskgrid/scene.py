@@ -88,8 +88,9 @@ class RoomSpec:
 
     def __post_init__(self):
         dims = tuple(float(d) for d in self.dimensions_m)
-        if len(dims) != 3 or min(dims) <= 0:
-            raise ConfigError(f"room dimensions must be 3 positive values, got {dims}")
+        if len(dims) != 3 or not all(0 < d < math.inf for d in dims):
+            raise ConfigError(f"room dimensions must be 3 finite positive "
+                              f"values, got {dims}")
         if not 0.0 <= self.absorption <= 1.0:
             raise ConfigError(f"absorption must be in [0, 1], got {self.absorption}")
         if self.max_order < 0:
@@ -151,25 +152,15 @@ def unit_vector(doa_deg: float) -> np.ndarray:
     return np.array([math.cos(rad), math.sin(rad), 0.0])
 
 
-def steering_vector(geometry: ArrayGeometry, doa_deg: float, k: int,
-                    cfg: StftConfig, sample_rate_hz: int = 16000) -> np.ndarray:
-    """Far-field plane-wave array response at frequency bin k.
-
-    Component c is exp(-j 2 pi f_k tau_c) with tau_c = -(p_c - p_ref) . u / v,
-    so the reference component is exactly 1 and all components have unit
-    modulus. A mic closer to the source leads the reference (positive phase).
-
-    Raises:
-        IndexError: k outside the one-sided bin range.
-    """
-    if not 0 <= k < cfg.bins:
-        raise IndexError(f"bin {k} out of range [0, {cfg.bins})")
-    return steering_matrix(geometry, doa_deg, cfg, sample_rate_hz)[k]
-
-
 def steering_matrix(geometry: ArrayGeometry, doa_deg: float, cfg: StftConfig,
                     sample_rate_hz: int = 16000) -> np.ndarray:
-    """Steering vectors for all bins at once, shape (bins, channels)."""
+    """Far-field plane-wave array response, shape (bins, channels).
+
+    Row k, component c is exp(-j 2 pi f_k tau_c) with
+    tau_c = -(p_c - p_ref) . u / v, so the reference component is exactly 1
+    and all components have unit modulus. A mic closer to the source leads
+    the reference (positive phase).
+    """
     u = unit_vector(doa_deg)
     rel = geometry.mic_positions - geometry.mic_positions[geometry.reference_mic]
     tau = -(rel @ u) / geometry.speed_of_sound
@@ -301,16 +292,6 @@ def simulate_shoebox(spec: SceneSpec, geometry: ArrayGeometry) -> RenderedScene:
                               "lies outside the room")
         images.append(_shoebox_images(pos, lo, hi, beta, room.max_order))
     return _finish(spec, geometry, images, fs)
-
-
-def room_impulse_response(geometry: ArrayGeometry, doa_deg: float,
-                          distance_m: float, room: RoomSpec,
-                          sample_rate_hz: int = 16000) -> TimeSignal:
-    """Multichannel RIR for one source position, via a unit-impulse render."""
-    impulse = TimeSignal(np.array([[1.0]]), sample_rate_hz)
-    spec = SceneSpec(sources=(SourceSpec(doa_deg, distance_m, impulse),),
-                     room=room, min_gap_deg=0.0)
-    return simulate_shoebox(spec, geometry).source_images[0]
 
 
 def synth_source(kind: str, duration_s: float, pitch_hz: float = 200.0,

@@ -1,4 +1,4 @@
-"""Multichannel waveform container, WAV file I/O, and mixing utilities.
+"""Multichannel waveform container, WAV file I/O, and peak normalization.
 
 WAV support is deliberately narrow: little-endian RIFF with 16-bit PCM or
 32-bit IEEE float samples, interleaved channels. Anything else is rejected
@@ -167,17 +167,3 @@ def peak_normalize(signal: TimeSignal) -> TimeSignal:
         raise DegenerateInputError("cannot peak-normalize an all-zero signal")
     return TimeSignal(signal.samples / peak, signal.sample_rate_hz)
 
-
-def sum_signals(signals) -> TimeSignal:
-    """Sample-wise sum of equally shaped signals at a common rate."""
-    signals = list(signals)
-    if not signals:
-        raise ValueError("need at least one signal")
-    first = signals[0]
-    for s in signals[1:]:
-        if s.samples.shape != first.samples.shape:
-            raise ShapeError(f"shape mismatch: {s.samples.shape} vs {first.samples.shape}")
-        if s.sample_rate_hz != first.sample_rate_hz:
-            raise ShapeError("sample rate mismatch")
-    total = np.sum([s.samples for s in signals], axis=0)
-    return TimeSignal(total, first.sample_rate_hz)

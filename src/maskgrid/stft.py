@@ -76,10 +76,6 @@ class Spectrogram:
     def bins(self) -> int:
         return self.values.shape[2]
 
-    def bin_frequency_hz(self, k) -> np.ndarray:
-        """Center frequency of bin k."""
-        return np.asarray(k) * self.sample_rate_hz / self.config.win_len_samples
-
     def channel(self, c: int) -> "Spectrogram":
         return Spectrogram(self.values[c : c + 1], self.config, self.sample_rate_hz)
 
@@ -104,18 +100,17 @@ def analyze(signal: TimeSignal, cfg: StftConfig | None = None) -> Spectrogram:
     return Spectrogram(values, cfg, signal.sample_rate_hz)
 
 
-def synthesize(spec: Spectrogram, cfg: StftConfig | None = None) -> TimeSignal:
+def synthesize(spec: Spectrogram) -> TimeSignal:
     """Inverse STFT by weighted overlap-add with the same sqrt-Hann window.
 
-    Output length is (T - 1) * hop + win. Boundary samples are compensated
-    by the accumulated window-square envelope where it is nonzero.
+    Uses the spectrogram's own framing. Output length is (T - 1) * hop + win.
+    Boundary samples are compensated by the accumulated window-square
+    envelope where it is nonzero.
 
     Raises:
-        ConfigError: cfg does not match the spectrogram's framing.
+        ConfigError: the spectrogram's bin count does not match its config.
     """
-    cfg = cfg or spec.config
-    if cfg != spec.config:
-        raise ConfigError(f"config mismatch: spectrogram has {spec.config}, got {cfg}")
+    cfg = spec.config
     if spec.bins != cfg.bins:
         raise ConfigError(
             f"spectrogram has {spec.bins} bins but config implies {cfg.bins}")

@@ -364,6 +364,21 @@ class TestStagedCommandsShareStages:
         assert main(["eval", "--config", ini, "--out", str(out)]) == 0
         assert (out / "report.csv").read_bytes() == clean
 
+    def test_beamform_removes_stale_separated_file(self, tmp_path):
+        # A 2-speaker beamform over a directory holding sep03.wav from an
+        # earlier 3-speaker run leaves only the files its report describes.
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
+        assert main(["beamform", "--config", ini, "--out", str(out)]) == 0
+        names = ("sep01.wav", "sep02.wav")
+        clean = {name: (out / name).read_bytes() for name in names}
+        save_wav(TimeSignal(np.full((1, 400), 0.1), 16000), out / "sep03.wav")
+        assert main(["beamform", "--config", ini, "--out", str(out)]) == 0
+        assert not (out / "sep03.wav").exists()
+        for name in names:
+            assert (out / name).read_bytes() == clean[name], name
+
     def test_eval_missing_separated_file_exit_4(self, tmp_path):
         ini = _fast_ini(tmp_path)
         out = tmp_path / "run"
@@ -390,9 +405,18 @@ class TestListConfigKeys:
          "scene.absorption"),
         ("simulate", "[scene]\nroom = shoebox\nmax_order = -1\n",
          "scene.max_order"),
+        # Numbers that numpy, int() or the MGT1 header used to reject.
+        ("simulate", "[run]\nseed = -1\n", "run.seed"),
+        ("train", "[scene]\nduration_s = 0.5\n[grid]\ntheta_count = 90\n"
+         "[train]\nepochs = 1\nhidden_dim = 4\nscene_count = 1\n"
+         "val_scene_count = 1\n[run]\nseed = 4294967296\n", "run.seed"),
+        ("simulate", "[scene]\nduration_s = nan\n", "scene.duration_s"),
+        ("simulate", "[scene]\nspacing_m = nan\n", "scene.spacing_m"),
+        ("pipeline", "[coding]\nsigma_deg = nan\n", "coding.sigma_deg"),
     ], ids=["distances_m", "pitches_hz", "room_dims_m", "theta_counts",
             "empty_distances_m", "empty_source_kinds", "room_dims_m_count",
-            "absorption_range", "max_order_negative"])
+            "absorption_range", "max_order_negative", "seed_negative",
+            "seed_above_uint32", "duration_nan", "spacing_nan", "sigma_nan"])
     def test_bad_list_exit_2_names_key(self, tmp_path, capsys, command,
                                        text, key):
         ini = tmp_path / "bad.ini"

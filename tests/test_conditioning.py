@@ -7,40 +7,12 @@ import pytest
 
 from maskgrid.coding import (CodingTensor, DoaSet, MaskSet, SpatialGrid,
                              encode_mwsbc, encode_mwslc_sum)
-from maskgrid.conditioning import (SWEEP_COLUMNS, grad_norm_at_zero, mse_gradient,
-                                   mse_loss, mwslc_norm_limit, theta_sweep)
-from maskgrid.errors import ShapeError
+from maskgrid.conditioning import (SWEEP_COLUMNS, grad_norm_at_zero,
+                                   mwslc_norm_limit, theta_sweep)
 
 
 def _tensor(values, theta, kind="mwslc"):
     return CodingTensor(values, SpatialGrid(theta), kind)
-
-
-class TestMseLossAndGradient:
-    def test_loss_is_cell_mean(self):
-        est = _tensor(np.full((1, 1, 4), 0.5), 4)
-        target = _tensor(np.zeros((1, 1, 4)), 4)
-        np.testing.assert_allclose(mse_loss(est, target), 0.25)
-
-    def test_gradient_matches_finite_differences(self, rng):
-        theta = 8
-        est_values = rng.uniform(0, 1, (2, 3, theta))
-        target = _tensor(rng.uniform(0, 1, (2, 3, theta)), theta)
-        grad = mse_gradient(_tensor(est_values, theta), target)
-        h = 1e-6
-        for idx in [(0, 0, 0), (1, 2, 5), (0, 1, 7)]:
-            bumped = est_values.copy()
-            bumped[idx] += h
-            up = mse_loss(_tensor(bumped, theta), target)
-            bumped[idx] -= 2 * h
-            down = mse_loss(_tensor(bumped, theta), target)
-            fd = (up - down)[idx[:2]] / (2 * h)
-            assert grad[idx] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            mse_loss(_tensor(np.zeros((1, 1, 4)), 4),
-                     _tensor(np.zeros((2, 1, 4)), 4))
 
 
 class TestGradNormAtZero:
@@ -57,8 +29,8 @@ class TestGradNormAtZero:
         # so the spatial L1 norm is the scaled cell sum.
         theta = 16
         target = _tensor(rng.uniform(0, 1, (3, 2, theta)), theta)
-        zero = _tensor(np.zeros((3, 2, theta)), theta)
-        direct = np.abs(mse_gradient(zero, target)).sum(axis=2)
+        gradient = (2.0 / theta) * (0.0 - target.values)
+        direct = np.abs(gradient).sum(axis=2)
         np.testing.assert_allclose(grad_norm_at_zero(target), direct, atol=1e-15)
 
     def test_mwsbc_norm_halves_per_doubling(self):

@@ -151,6 +151,20 @@ class TestValidation:
         assert cfg.eps_theta_candidates == (0.9, 0.05, 0.001)
         assert load_config().calibration_scene_count == 10
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "seed", "-1"), ("run", "seed", "4294967296"),
+        ("scene", "duration_s", "nan"), ("scene", "spacing_m", "nan"),
+        ("coding", "sigma_deg", "nan"), ("coding", "sigma_deg", "-inf"),
+    ])
+    def test_out_of_range_number_names_key(self, section, key, value):
+        cfg = load_config(overrides={(section, key): value})
+        with pytest.raises(ConfigError, match=f"^{section}.{key}: expected "):
+            getattr(cfg, key)
+
+    def test_seed_bounds_accepted(self):
+        for seed in (0, 4294967295):
+            assert load_config(overrides={("run", "seed"): seed}).seed == seed
+
     def test_shoebox_room_spec(self):
         cfg = load_config(overrides={("scene", "room"): "shoebox"})
         room = cfg.room_spec()

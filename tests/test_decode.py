@@ -1,5 +1,7 @@
 """Peak search, clustering, and threshold calibration tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,54 @@ def _oracle_average_linkage(angles, span, threshold):
         sizes[i] += sizes[j]
         alive[j] = False
     return [np.array(members[i]) for i in range(n) if alive[i]]
+
+
+def _oracle_peak_search(fl, eps_theta, delta_theta_deg=6.0):
+    """Reference peak search with a per-frame plateau walk, kept as the oracle."""
+    if not 0.0 < eps_theta < 1.0:
+        raise ValueError(f"eps_theta must be in (0, 1), got {eps_theta}")
+    if delta_theta_deg <= 0:
+        raise ValueError(f"delta_theta must be positive, got {delta_theta_deg}")
+    v = fl.values
+    grid = fl.grid
+    theta = grid.theta_count
+    reach = int(math.floor(delta_theta_deg / grid.cell_width_deg + 1e-9))
+    reach = min(reach, theta // 2)
+    window_max = v.copy()
+    for off in range(1, reach + 1):
+        np.maximum(window_max, np.roll(v, off, axis=1), out=window_max)
+        np.maximum(window_max, np.roll(v, -off, axis=1), out=window_max)
+    is_peak = (v >= eps_theta) & (v >= window_max)
+
+    detections = []
+    for t in np.nonzero(is_peak.any(axis=1))[0]:
+        cand = np.flatnonzero(is_peak[t])
+        cand_set = set(cand.tolist())
+        visited = set()
+        for g in cand.tolist():
+            if g in visited:
+                continue
+            # Collect the maximal circular run of adjacent equal-valued
+            # peaks around g; only its lowest index is reported.
+            run = [g]
+            visited.add(g)
+            nxt = (g + 1) % theta
+            while (nxt in cand_set and nxt not in visited
+                   and v[t, nxt] == v[t, run[-1]]):
+                run.append(nxt)
+                visited.add(nxt)
+                nxt = (run[-1] + 1) % theta
+            prv = (g - 1) % theta
+            while (prv in cand_set and prv not in visited
+                   and v[t, prv] == v[t, run[0]]):
+                run.insert(0, prv)
+                visited.add(prv)
+                prv = (run[0] - 1) % theta
+            low = min(run)
+            detections.append(Detection(int(t), grid.angle_of(low),
+                                        float(v[t, low])))
+    detections.sort(key=lambda d: (d.frame, d.angle_deg))
+    return detections
 
 
 def _assert_same_groups(angles, threshold, span=360.0):
@@ -123,6 +173,46 @@ class TestPeakSearch:
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             peak_search(_likelihood([np.zeros(360)]), 0.3, 0.0)
+
+
+# Plateau-heavy rows: few levels, so runs of equal cells are common; some
+# rows are one level around the whole circle.
+_LEVELS = st.sampled_from([0.0, 0.2, 0.5, 0.9])
+
+
+@st.composite
+def _plateau_likelihoods(draw):
+    theta = draw(st.integers(2, 39))
+    row = st.one_of(st.lists(_LEVELS, min_size=theta, max_size=theta),
+                    _LEVELS.map(lambda level: [level] * theta))
+    return _likelihood(draw(st.lists(row, min_size=1, max_size=4)), theta)
+
+
+class TestPeakSearchOracle:
+    """The run-start mask reports exactly the reference walk's detections,
+    in the same order."""
+
+    EPS = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.15])
+    def test_real_scene_likelihoods(self, two_speaker_scene, noise):
+        fl = freq_average(corrupt_oracle(two_speaker_scene.coding, noise, 0,
+                                         seed=3))
+        for eps in self.EPS:
+            assert peak_search(fl, eps) == _oracle_peak_search(fl, eps)
+        assert peak_search(fl, 0.05)
+
+    @pytest.mark.parametrize("theta", [2, 3])
+    def test_whole_circle_plateau(self, theta):
+        fl = _likelihood([[0.5] * theta], theta)
+        assert peak_search(fl, 0.3) == _oracle_peak_search(fl, 0.3) == \
+            [Detection(0, 0.0, 0.5)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_plateau_likelihoods(), st.sampled_from([1.0, 6.0, 30.0, 200.0]),
+           st.sampled_from([0.1, 0.3, 0.6]))
+    def test_matches_oracle_on_plateaus(self, fl, delta, eps):
+        assert peak_search(fl, eps, delta) == _oracle_peak_search(fl, eps, delta)
 
 
 class TestCircularMean:

@@ -308,17 +308,6 @@ class TestTrain:
         assert history.stopped_early
         assert len(history.epochs) < 100
 
-    def test_accepts_spectrogram_inputs(self, two_speaker_scene, rng):
-        bundle = two_speaker_scene
-        theta = 16
-        target = CodingTensor(rng.uniform(0, 1, (62, 257, theta)),
-                              SpatialGrid(theta), "mwslc")
-        cfg = TrainConfig(epochs=1, batch_size=1, seed=0)
-        params, _ = train([(bundle.mixture_spec, target)],
-                          [(bundle.mixture_spec, target)], cfg, hidden_dim=4)
-        assert params.input_dim == 9
-        assert params.output_dim == theta
-
     def test_empty_split_rejected(self, rng):
         pairs = self._pairs(rng, 2)
         with pytest.raises(TrainingError):

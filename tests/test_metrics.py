@@ -21,8 +21,7 @@ def _sig(samples):
 
 def _estimates(centers, supports=None):
     supports = supports or [10] * len(centers)
-    clusters = tuple(DoaCluster(c, s, np.array([c]))
-                     for c, s in zip(centers, supports))
+    clusters = tuple(DoaCluster(c, s) for c, s in zip(centers, supports))
     return DoaEstimates(clusters)
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from maskgrid.errors import ConfigError
 from maskgrid.scene import (ArrayGeometry, RoomSpec, SceneSpec, SourceSpec,
-                            linear_array, room_impulse_response,
-                            simulate_anechoic, simulate_shoebox, steering_matrix,
-                            steering_vector, synth_source, unit_vector)
+                            linear_array, simulate_anechoic, simulate_shoebox,
+                            steering_matrix, synth_source, unit_vector)
 from maskgrid.signal import TimeSignal
 from maskgrid.stft import StftConfig
 
@@ -75,7 +74,7 @@ class TestSteering:
         np.testing.assert_allclose(unit_vector(90.0), [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_reference_component_is_one(self):
-        sv = steering_vector(ArrayGeometry(), 37.0, 100, StftConfig())
+        sv = steering_matrix(ArrayGeometry(), 37.0, StftConfig())[100]
         assert sv[0] == 1.0 + 0.0j
 
     def test_unit_modulus(self):
@@ -93,17 +92,13 @@ class TestSteering:
         cfg = StftConfig()
         k = 16
         f = k * 16000 / 512
-        sv = steering_vector(ArrayGeometry(), 0.0, k, cfg)
+        sv = steering_matrix(ArrayGeometry(), 0.0, cfg)[k]
         expected = 2 * np.pi * f * 0.05 / 343.0
         assert np.angle(sv[1]) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_frequency_bin_is_flat(self):
-        sv = steering_vector(ArrayGeometry(), 10.0, 0, StftConfig())
+        sv = steering_matrix(ArrayGeometry(), 10.0, StftConfig())[0]
         np.testing.assert_allclose(sv, 1.0, atol=1e-15)
-
-    def test_bin_out_of_range(self):
-        with pytest.raises(IndexError):
-            steering_vector(ArrayGeometry(), 0.0, 257, StftConfig())
 
     def test_matrix_shape(self):
         mat = steering_matrix(ArrayGeometry(), 45.0, StftConfig())
@@ -190,11 +185,23 @@ class TestShoeboxRender:
         with pytest.raises(ConfigError):
             RoomSpec(absorption=1.5)
 
+    @pytest.mark.parametrize("dims", [(6.0, float("nan"), 3.0),
+                                      (float("inf"), 5.0, 3.0)])
+    def test_non_finite_dimensions_rejected(self, dims):
+        with pytest.raises(ConfigError):
+            RoomSpec(dims)
+
     def test_rir_channel_count_and_order_growth(self):
+        # The rendered image of a unit impulse is the room impulse response.
         geom = ArrayGeometry()
-        rir0 = room_impulse_response(geom, 30.0, 1.5, RoomSpec(max_order=0))
-        rir2 = room_impulse_response(geom, 30.0, 1.5,
-                                     RoomSpec(absorption=0.3, max_order=2))
+        impulse = (SourceSpec(30.0, 1.5, TimeSignal(np.array([[1.0]]))),)
+
+        def rir(room):
+            spec = SceneSpec(impulse, room=room, min_gap_deg=0.0)
+            return simulate_shoebox(spec, geom).source_images[0]
+
+        rir0 = rir(RoomSpec(max_order=0))
+        rir2 = rir(RoomSpec(absorption=0.3, max_order=2))
         assert rir0.channels == 4
         assert np.linalg.norm(rir2.samples) > np.linalg.norm(rir0.samples)
 

@@ -7,8 +7,7 @@ import pytest
 
 from maskgrid.errors import (DegenerateInputError, FormatError, ShapeError,
                              UnsupportedFormatError)
-from maskgrid.signal import (TimeSignal, load_wav, peak_normalize, save_wav,
-                             sum_signals)
+from maskgrid.signal import TimeSignal, load_wav, peak_normalize, save_wav
 
 
 class TestTimeSignal:
@@ -112,21 +111,3 @@ class TestPeakNormalize:
         with pytest.raises(DegenerateInputError):
             peak_normalize(TimeSignal(np.zeros(16)))
 
-
-class TestSumSignals:
-    def test_sample_wise_sum(self):
-        a = TimeSignal(np.ones((2, 5)))
-        b = TimeSignal(2 * np.ones((2, 5)))
-        np.testing.assert_array_equal(sum_signals([a, b]).samples, 3 * np.ones((2, 5)))
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            sum_signals([TimeSignal(np.zeros((1, 5))), TimeSignal(np.zeros((1, 6)))])
-
-    def test_rate_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            sum_signals([TimeSignal(np.zeros(5), 8000), TimeSignal(np.zeros(5), 16000)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sum_signals([])
