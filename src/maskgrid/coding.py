@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CollisionError, ShapeError
 
 CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
-# (t, k) rows per gather/scatter block in encode_mwslc. A block's three
+# (t, k) rows per gather/scatter block in _place_gaussians. A block's three
 # temporaries stay in a 2 MiB L2 up to 1440 cells; 256 rows spilled and ran
 # 2-3x slower, and fewer rows only add per-block call overhead.
 _ENCODE_BLOCK_ROWS = 32
@@ -249,25 +249,33 @@ def encode_mwsbc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid) -> CodingTens
     return CodingTensor(values, grid, "mwsbc")
 
 
-def encode_mwslc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
-                 sigma_deg: float = 6.0) -> CodingTensor:
-    """Mask-weighted Gaussian coding: max over speakers of mask * bump."""
+def _place_gaussians(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
+                     sigma_deg: float, combine, kind: str) -> CodingTensor:
+    """Fold each speaker's mask * bump into a zero tensor with `combine`."""
     if masks.speakers != truth.count:
         raise ShapeError(f"{masks.speakers} masks for {truth.count} DoAs")
     gauss = _gaussian_rows(truth, grid, sigma_deg)
-    _warn_shared_cells(truth, grid, "mwslc")
     values = np.zeros((masks.frames, masks.bins, grid.theta_count))
     flat = values.reshape(-1, grid.theta_count)
     for i in range(truth.count):
         mask = masks.values[i].reshape(-1)
-        # Masks are >= 0 and Gaussian rows finite and >= 0, so a zero mask
-        # gives a +0 product, which cannot raise the running maximum (itself
-        # >= +0): only the nonzero (t, k) rows are visited.
+        # Gaussian rows are finite and >= 0, so a zero mask gives a zero
+        # product. It leaves the running sum (never -0) unchanged, and the
+        # running maximum too for masks without -0.0: only the nonzero
+        # (t, k) rows are visited.
         rows = np.flatnonzero(mask)
         for start in range(0, rows.size, _ENCODE_BLOCK_ROWS):
             block = rows[start:start + _ENCODE_BLOCK_ROWS]
-            flat[block] = np.maximum(flat[block], mask[block, None] * gauss[i])
-    return CodingTensor(values, grid, "mwslc")
+            flat[block] = combine(flat[block], mask[block, None] * gauss[i])
+    return CodingTensor(values, grid, kind)
+
+
+def encode_mwslc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
+                 sigma_deg: float = 6.0) -> CodingTensor:
+    """Mask-weighted Gaussian coding: max over speakers of mask * bump."""
+    coding = _place_gaussians(masks, truth, grid, sigma_deg, np.maximum, "mwslc")
+    _warn_shared_cells(truth, grid, "mwslc")
+    return coding
 
 
 def encode_mwslc_sum(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
@@ -277,13 +285,7 @@ def encode_mwslc_sum(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
     This is the analytically tractable approximation used by the
     conditioning sweep; the decoder always consumes the max form.
     """
-    if masks.speakers != truth.count:
-        raise ShapeError(f"{masks.speakers} masks for {truth.count} DoAs")
-    gauss = _gaussian_rows(truth, grid, sigma_deg)
-    values = np.zeros((masks.frames, masks.bins, grid.theta_count))
-    for i in range(truth.count):
-        values += masks.values[i][:, :, None] * gauss[i]
-    return CodingTensor(values, grid, "mwslc_sum")
+    return _place_gaussians(masks, truth, grid, sigma_deg, np.add, "mwslc_sum")
 
 
 # Mask-weighted encoders by config name, called as (masks, truth, grid, sigma_deg).

@@ -72,8 +72,6 @@ class ConditioningReport:
     """Sweep rows and the number of speech-active (frame, bin) cells."""
 
     rows: tuple
-    sigma_deg: float
-    span_deg: float
     active_bins: int
 
     def as_table(self):
@@ -135,4 +133,4 @@ def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
             norms_mwslc_max=max_norm if keep_norms else None,
             norms_mwslc_sum=sum_norm if keep_norms else None,
         ))
-    return ConditioningReport(tuple(rows), sigma_deg, span_deg, n_active)
+    return ConditioningReport(tuple(rows), n_active)

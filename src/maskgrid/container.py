@@ -20,34 +20,48 @@ output) and the payload is the flattened concatenation w1, b1, w2, b2.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .coding import CODING_KINDS, CodingTensor, MaskSet, SpatialGrid
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .estimator import EstimatorParams
 
 MAGIC = b"MGT1"
 _KIND_BYTES = 16
 
 
-def _kind_bytes(kind: str) -> bytes:
+def _build(path, make):
+    """make(); the built object's own value or shape check is a file fault."""
+    try:
+        return make()
+    except (ValueError, ShapeError) as err:
+        raise FormatError(f"{path}: {err}") from None
+
+
+def _write(path, kind: str, dims, blocks, span_deg: float = 0.0,
+           theta_count: int = 0, seed: int = 0) -> None:
+    """Pack the header once, then write each block's <f4 payload in turn."""
     raw = kind.encode("ascii")
     if not raw or len(raw) > _KIND_BYTES:
         raise ValueError(f"kind must be 1..{_KIND_BYTES} ASCII bytes, got {kind!r}")
-    return raw.ljust(_KIND_BYTES, b"\x00")
+    # The struct "s" field NUL-pads the kind to _KIND_BYTES.
+    header = struct.pack(f"<4s{_KIND_BYTES}sI{len(dims)}IdII", MAGIC, raw,
+                         len(dims), *dims, float(span_deg), theta_count, seed)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for block in blocks:
+            np.asarray(block, dtype="<f4").tofile(fh)
 
 
 def write_array(path, kind: str, array: np.ndarray, span_deg: float = 0.0,
                 theta_count: int = 0, seed: int = 0) -> None:
     """Write one array under the given kind tag."""
-    arr = np.ascontiguousarray(array, dtype=np.float32)
-    header = MAGIC + _kind_bytes(kind) + struct.pack("<I", arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    header += struct.pack("<dII", float(span_deg), theta_count, seed)
-    Path(path).write_bytes(header + arr.tobytes(order="C"))
+    arr = np.ascontiguousarray(array, dtype="<f4")
+    _write(path, kind, arr.shape, [arr], span_deg, theta_count, seed)
 
 
 def _parse(blob: bytes, name: str):
@@ -55,28 +69,24 @@ def _parse(blob: bytes, name: str):
     if len(blob) < 4 + _KIND_BYTES + 4 or blob[:4] != MAGIC:
         raise FormatError(f"{name}: not a container file")
     kind = blob[4 : 4 + _KIND_BYTES].rstrip(b"\x00").decode("ascii", "replace")
-    pos = 4 + _KIND_BYTES
-    (ndim,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    if ndim > 8 or len(blob) < pos + 4 * ndim + 16:
+    (ndim,) = struct.unpack_from("<I", blob, 4 + _KIND_BYTES)
+    pos = 8 + _KIND_BYTES + 4 * ndim + 16  # payload offset
+    if ndim > 8 or len(blob) < pos:
         raise FormatError(f"{name}: truncated header")
-    dims = struct.unpack_from(f"<{ndim}I", blob, pos)
-    pos += 4 * ndim
-    span, theta, seed = struct.unpack_from("<dII", blob, pos)
-    pos += 16
+    fields = struct.unpack_from(f"<{ndim}IdII", blob, 8 + _KIND_BYTES)
+    dims, (span, theta, seed) = fields[:ndim], fields[ndim:]
     shape = dims
     if kind == "params" and len(dims) == 3:
         # Parameter files store layer sizes, not payload dims; the payload
         # is the concatenation of two weight matrices and two bias vectors.
         f_in, hidden, out = dims
         shape = (f_in * hidden + hidden + hidden * out + out,)
-    count = int(np.prod(shape)) if shape else 1
-    payload = blob[pos:]
-    if len(payload) != 4 * count:
-        raise FormatError(f"{name}: payload holds {len(payload)} bytes, "
+    count = math.prod(shape)
+    if len(blob) - pos != 4 * count:
+        raise FormatError(f"{name}: payload holds {len(blob) - pos} bytes, "
                           f"dims {dims} need {4 * count}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
-    return kind, dims, arr, span, int(theta), int(seed)
+    arr = np.frombuffer(blob, "<f4", count, pos).reshape(shape).astype(np.float64)
+    return kind, dims, arr, span, theta, seed
 
 
 def read_array(path):
@@ -99,10 +109,7 @@ def load_coding(path) -> CodingTensor:
     kind, arr, span, theta, _ = read_array(path)
     if not kind.startswith("coding:") or kind[7:] not in CODING_KINDS:
         raise FormatError(f"{path}: kind {kind!r} is not a coding tensor")
-    if arr.ndim != 3 or arr.shape[2] != theta:
-        raise FormatError(f"{path}: dims {arr.shape} do not match "
-                          f"theta_count {theta}")
-    return CodingTensor(arr, SpatialGrid(theta, span), kind[7:])
+    return _build(path, lambda: CodingTensor(arr, SpatialGrid(theta, span), kind[7:]))
 
 
 def save_masks(path, masks: MaskSet, span_deg: float = 0.0) -> None:
@@ -113,7 +120,7 @@ def load_masks(path) -> MaskSet:
     kind, arr, _, _, _ = read_array(path)
     if kind != "maskset":
         raise FormatError(f"{path}: kind {kind!r} is not a mask set")
-    return MaskSet(np.clip(arr, 0.0, None))
+    return _build(path, lambda: MaskSet(np.clip(arr, 0.0, None)))
 
 
 def save_params(path, params: EstimatorParams) -> None:
@@ -122,13 +129,9 @@ def save_params(path, params: EstimatorParams) -> None:
     The header dims are (input_dim, hidden_dim, output_dim) rather than the
     flat payload length, which the reader reconstructs.
     """
-    payload = np.concatenate([params.w1.ravel(), params.b1,
-                              params.w2.ravel(), params.b2]).astype(np.float32)
-    header = MAGIC + _kind_bytes("params") + struct.pack("<I", 3)
-    header += struct.pack("<3I", params.input_dim, params.hidden_dim,
-                          params.output_dim)
-    header += struct.pack("<dII", 0.0, 0, params.seed)
-    Path(path).write_bytes(header + payload.tobytes(order="C"))
+    _write(path, "params",
+           (params.input_dim, params.hidden_dim, params.output_dim),
+           [params.w1, params.b1, params.w2, params.b2], seed=params.seed)
 
 
 def load_params(path) -> EstimatorParams:
@@ -140,5 +143,5 @@ def load_params(path) -> EstimatorParams:
     f_in, hidden, out = dims
     w1, b1, w2, b2 = np.split(flat, np.cumsum([f_in * hidden, hidden,
                                                 hidden * out]))
-    return EstimatorParams(w1.reshape(f_in, hidden), b1,
-                           w2.reshape(hidden, out), b2, seed)
+    return _build(path, lambda: EstimatorParams(
+        w1.reshape(f_in, hidden), b1, w2.reshape(hidden, out), b2, seed))

@@ -38,11 +38,10 @@ class FrameLikelihood:
 
 @dataclass(frozen=True)
 class Detection:
-    """A per-frame peak: frame index, cell-center angle, value at the peak."""
+    """A per-frame peak: frame index and cell-center angle."""
 
     frame: int
     angle_deg: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def peak_search(fl: FrameLikelihood, eps_theta: float,
     report[wraps, last_start] = False
     report[wraps, 0] = True
     frames, cells = np.nonzero(report)
-    return [Detection(t, grid.angle_of(g), float(v[t, g]))
+    return [Detection(t, grid.angle_of(g))
             for t, g in zip(frames.tolist(), cells.tolist())]
 
 

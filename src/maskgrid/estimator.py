@@ -361,12 +361,12 @@ def corrupt_oracle(coding: CodingTensor, noise_std: float = 0.0,
             acc = np.zeros_like(values)
             for off in range(-blur_cells, blur_cells + 1):
                 acc += np.roll(values, off, axis=2)
-            values = acc / width
+            values = np.divide(acc, width, out=acc)
     if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        noise = np.clip(rng.normal(0.0, noise_std, values.shape),
-                        -5.0 * noise_std, 5.0 * noise_std)
-        values = values + noise
+        noise = np.random.default_rng(seed).normal(0.0, noise_std, values.shape)
+        np.clip(noise, -5.0 * noise_std, 5.0 * noise_std, out=noise)
+        values = np.add(values, noise, out=noise)
     if noise_std > 0 or blur_cells > 0:
-        values = np.clip(values, 0.0, 1.0)
+        # values is a fresh array here, never coding.values.
+        np.clip(values, 0.0, 1.0, out=values)
     return CodingTensor(values, coding.grid, coding.kind)

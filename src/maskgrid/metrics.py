@@ -131,8 +131,7 @@ class DoaMae:
     incomplete: bool
 
 
-def doa_mae_known_count(estimates, truth: DoaSet,
-                        span_deg: float | None = None) -> DoaMae:
+def doa_mae_known_count(estimates, truth: DoaSet) -> DoaMae:
     """Wrapped mean absolute DoA error assuming the speaker count is known.
 
     Takes the |truth| best-supported estimates and minimizes the mean
@@ -140,7 +139,6 @@ def doa_mae_known_count(estimates, truth: DoaSet,
     than speakers the mean runs over the available pairs and the result is
     flagged incomplete.
     """
-    span = truth.span_deg if span_deg is None else span_deg
     angles = _estimate_angles(estimates)[: truth.count]
     if angles.size == 0:
         return DoaMae(float("nan"), 0, True)
@@ -148,7 +146,7 @@ def doa_mae_known_count(estimates, truth: DoaSet,
     n_pairs = min(angles.size, ref.size)
     best = np.inf
     for pairs in _pairings(ref.size, angles.size):
-        err = np.mean([wrapped_distance(angles[e], ref[r], span)
+        err = np.mean([wrapped_distance(angles[e], ref[r], truth.span_deg)
                        for r, e in pairs])
         best = min(best, float(err))
     return DoaMae(best, n_pairs, angles.size < ref.size)

@@ -9,7 +9,7 @@ from maskgrid.beamform import (CovarianceSet, interference_covariance, mvdr,
                                mvdr_weights, separate, solve_hermitian)
 from maskgrid.coding import MaskSet
 from maskgrid.errors import DegenerateInputError, NumericError, ShapeError
-from maskgrid.scene import ArrayGeometry, steering_matrix
+from maskgrid.scene import steering_matrix
 from maskgrid.stft import Spectrogram
 
 

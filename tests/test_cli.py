@@ -2,13 +2,14 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from maskgrid import coding
 from maskgrid.cli import main
-from maskgrid.container import load_coding, load_params, read_array
+from maskgrid.container import load_coding, load_params
 from maskgrid.signal import TimeSignal, save_wav
 
 
@@ -279,6 +280,19 @@ class TestErrorPaths:
         ini = _fast_ini(tmp_path)
         assert main(["encode", "--config", ini,
                      "--out", str(tmp_path / "empty")]) == 4
+
+    def test_malformed_coding_header_exit_4(self, tmp_path, capsys):
+        # A NaN span in coding.bin is a file fault, not a config error.
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        for command in ("simulate", "encode"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 0
+        blob = bytearray((out / "coding.bin").read_bytes())
+        blob[36:44] = struct.pack("<d", float("nan"))  # after 3 dims
+        (out / "coding.bin").write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["decode", "--config", ini, "--out", str(out)]) == 4
+        assert "span must be in" in capsys.readouterr().err
 
     def test_missing_config_file_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),

@@ -29,6 +29,24 @@ def _oracle_encode_mwslc(masks, truth, grid, sigma_deg=6.0):
     return values
 
 
+def _oracle_encode_mwslc_sum(masks, truth, grid, sigma_deg=6.0):
+    """Reference sum-form coding: one full-size product per speaker, kept as
+    the test oracle."""
+    if masks.speakers != truth.count:
+        raise ShapeError(f"{masks.speakers} masks for {truth.count} DoAs")
+    gauss = _gaussian_rows(truth, grid, sigma_deg)
+    values = np.zeros((masks.frames, masks.bins, grid.theta_count))
+    for i in range(truth.count):
+        values += masks.values[i][:, :, None] * gauss[i]
+    return CodingTensor(values, grid, "mwslc_sum")
+
+
+def _assert_sum_matches_oracle(masks, truth, grid, sigma_deg=6.0):
+    got = encode_mwslc_sum(masks, truth, grid, sigma_deg).values
+    expected = _oracle_encode_mwslc_sum(masks, truth, grid, sigma_deg).values
+    assert got.tobytes() == expected.tobytes()
+
+
 def _assert_encoder_matches_oracle(masks, truth, grid, sigma_deg=6.0):
     got = encode_mwslc(masks, truth, grid, sigma_deg).values
     expected = _oracle_encode_mwslc(masks, truth, grid, sigma_deg)
@@ -306,6 +324,44 @@ class TestMwslcOracleIdentity:
         truth = DoaSet(np.array(tenths[:masks.speakers]) / 10.0)
         _assert_encoder_matches_oracle(masks, truth, SpatialGrid(theta), sigma)
 
+
+
+class TestMwslcSumOracleIdentity:
+    """The sum form shares the max form's block loop and stays bitwise equal
+    to the full per-speaker sum."""
+
+    @pytest.mark.parametrize("theta", [90, 180, 360, 720, 1440])
+    def test_real_scene(self, two_speaker_scene, theta):
+        bundle = two_speaker_scene
+        _assert_sum_matches_oracle(bundle.masks, bundle.truth,
+                                   SpatialGrid(theta))
+
+    def test_three_speaker_scene(self, three_speaker_scene):
+        bundle = three_speaker_scene
+        _assert_sum_matches_oracle(bundle.masks, bundle.truth,
+                                   SpatialGrid(360), 40.0)
+
+    @pytest.mark.parametrize("rows", [1, _ENCODE_BLOCK_ROWS,
+                                      _ENCODE_BLOCK_ROWS + 1])
+    def test_row_counts_around_the_block_size(self, rng, rows):
+        masks = MaskSet(rng.uniform(0.0, 1.0, (2, rows, 1)))
+        _assert_sum_matches_oracle(masks, DoaSet(np.array([40.0, 41.0])),
+                                   SpatialGrid(360), 20.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6),
+                                        st.integers(1, 70)),
+                  elements=st.one_of(st.just(0.0), st.just(-0.0),
+                                     st.floats(-1.0, 1.0, allow_subnormal=True))),
+           st.lists(st.integers(0, 3599), min_size=4, max_size=4, unique=True),
+           st.sampled_from([90, 360, 1440]),
+           st.sampled_from([0.5, 6.0, 40.0]))
+    def test_matches_oracle_on_sparse_masks(self, values, tenths, theta, sigma):
+        # No sign premise: the running sum starts at +0 and never becomes
+        # -0, so a skipped +-0 product could not have changed it.
+        masks = MaskSet(values)
+        truth = DoaSet(np.array(tenths[:masks.speakers]) / 10.0)
+        _assert_sum_matches_oracle(masks, truth, SpatialGrid(theta), sigma)
 
 class TestHelpers:
     def test_frame_activity(self):

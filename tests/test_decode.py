@@ -82,8 +82,7 @@ def _oracle_peak_search(fl, eps_theta, delta_theta_deg=6.0):
                 visited.add(prv)
                 prv = (run[0] - 1) % theta
             low = min(run)
-            detections.append(Detection(int(t), grid.angle_of(low),
-                                        float(v[t, low])))
+            detections.append(Detection(int(t), grid.angle_of(low)))
     detections.sort(key=lambda d: (d.frame, d.angle_deg))
     return detections
 
@@ -125,7 +124,7 @@ class TestPeakSearch:
         fl = _likelihood([_bump(50.0)])
         detections = peak_search(fl, 0.3)
         assert len(detections) == 1
-        assert detections[0] == Detection(0, 50.0, 1.0)
+        assert detections[0] == Detection(0, 50.0)
 
     def test_two_separated_bumps(self):
         fl = _likelihood([np.maximum(_bump(50.0), _bump(120.0, height=0.8))])
@@ -206,7 +205,7 @@ class TestPeakSearchOracle:
     def test_whole_circle_plateau(self, theta):
         fl = _likelihood([[0.5] * theta], theta)
         assert peak_search(fl, 0.3) == _oracle_peak_search(fl, 0.3) == \
-            [Detection(0, 0.0, 0.5)]
+            [Detection(0, 0.0)]
 
     @settings(max_examples=400, deadline=None)
     @given(_plateau_likelihoods(), st.sampled_from([1.0, 6.0, 30.0, 200.0]),
@@ -293,7 +292,7 @@ class TestAverageLinkageOracle:
 
 class TestClusterDoas:
     def _detections(self, frame_angles):
-        return [Detection(t, a, 1.0) for t, a in frame_angles]
+        return [Detection(t, a) for t, a in frame_angles]
 
     def test_two_well_separated_clusters(self):
         detections = self._detections(
@@ -348,8 +347,8 @@ class TestSampleMasks:
         theta = 360
         values = rng.uniform(0, 1, (4, 3, theta))
         coding = CodingTensor(values, SpatialGrid(theta), "mwslc")
-        detections = [Detection(t, 50.0, 1.0) for t in range(3)] + \
-            [Detection(t, 120.0, 1.0) for t in range(3)]
+        detections = [Detection(t, 50.0) for t in range(3)] + \
+            [Detection(t, 120.0) for t in range(3)]
         estimates = cluster_doas(detections)
         masks = sample_masks(coding, estimates)
         assert masks.speakers == 2

@@ -48,6 +48,32 @@ def _oracle_backward(params, feats, target):
     return Gradients(gw1, gb1, gw2, gb2), loss
 
 
+def _oracle_corrupt_oracle(coding, noise_std=0.0, blur_cells=0, seed=0):
+    """Reference corruption with fresh temporaries, kept as the test oracle."""
+    if noise_std < 0 or blur_cells < 0:
+        raise ValueError("noise_std and blur_cells must be non-negative")
+    values = coding.values
+    theta = coding.grid.theta_count
+    if blur_cells > 0:
+        width = 2 * blur_cells + 1
+        if width >= theta:
+            values = np.broadcast_to(values.mean(axis=2, keepdims=True),
+                                     values.shape).copy()
+        else:
+            acc = np.zeros_like(values)
+            for off in range(-blur_cells, blur_cells + 1):
+                acc += np.roll(values, off, axis=2)
+            values = acc / width
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        noise = np.clip(rng.normal(0.0, noise_std, values.shape),
+                        -5.0 * noise_std, 5.0 * noise_std)
+        values = values + noise
+    if noise_std > 0 or blur_cells > 0:
+        values = np.clip(values, 0.0, 1.0)
+    return CodingTensor(values, coding.grid, coding.kind)
+
+
 def _toy_problem(rng, t=3, k=4, f=5, hidden=6, theta=8):
     feats = rng.standard_normal((t, k, f))
     target = CodingTensor(rng.uniform(0, 1, (t, k, theta)),
@@ -367,3 +393,29 @@ class TestCorruptOracle:
         coding = CodingTensor(np.zeros((1, 1, 8)), SpatialGrid(8), "mwslc")
         with pytest.raises(ValueError):
             corrupt_oracle(coding, -0.1, 0)
+
+
+class TestCorruptOracleIdentity:
+    """The in-place corruption is bitwise equal to the fresh-temporary one."""
+
+    @pytest.mark.parametrize("noise, blur", [(0.05, 0), (0.15, 0), (0.05, 2),
+                                             (0.15, 2), (0.15, 400)])
+    def test_real_scene(self, two_speaker_scene, noise, blur):
+        # The first 16 frames keep the real values at a quarter of the size.
+        full = two_speaker_scene.coding
+        coding = CodingTensor(full.values[:16], full.grid, full.kind)
+        before = coding.values.tobytes()
+        got = corrupt_oracle(coding, noise, blur, seed=3)
+        expected = _oracle_corrupt_oracle(coding, noise, blur, seed=3)
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert coding.values.tobytes() == before
+
+    @pytest.mark.parametrize("blur", [0, 1, 3])
+    def test_blur_only_leaves_input_untouched(self, rng, blur):
+        coding = CodingTensor(rng.uniform(0, 1, (4, 3, 12)), SpatialGrid(12),
+                              "mwslc")
+        before = coding.values.copy()
+        got = corrupt_oracle(coding, 0.0, blur)
+        expected = _oracle_corrupt_oracle(coding, 0.0, blur)
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert coding.values.tobytes() == before.tobytes()
