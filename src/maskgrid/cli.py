@@ -299,7 +299,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    train_cfg = cfg.train_config()
+    train_cfg, hidden_dim = cfg.train_config(), cfg.hidden_dim
     pairs = []
     total = cfg.train_scene_count + cfg.val_scene_count
     for i in range(total):
@@ -310,7 +310,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         pairs.append((estimator.features(mixture_spec), target))
     split = cfg.train_scene_count
     params, history = estimator.train(pairs[:split], pairs[split:], train_cfg,
-                                      hidden_dim=cfg.hidden_dim)
+                                      hidden_dim=hidden_dim)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     container.save_params(out_dir / "params.bin", params)

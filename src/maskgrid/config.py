@@ -20,78 +20,6 @@ from .estimator import TrainConfig
 from .scene import ArrayGeometry, RoomSpec, linear_array
 from .stft import StftConfig
 
-DEFAULTS = {
-    "scene": {
-        "sample_rate_hz": "16000",
-        "duration_s": "1.0",
-        "doas_deg": "50,120",
-        "distances_m": "2.0,2.2",
-        "source_kinds": "harmonic-complex,modulated-noise",
-        "pitches_hz": "210,140",
-        "channels": "4",
-        "spacing_m": "0.05",
-        "min_gap_deg": "15",
-        "room": "none",
-        "room_dims_m": "6,5,3",
-        "absorption": "0.5",
-        "max_order": "2",
-    },
-    "stft": {
-        "win_ms": "32",
-        "hop_ms": "16",
-    },
-    "grid": {
-        "theta_count": "720",
-        "span_deg": "360",
-    },
-    "coding": {
-        "sigma_deg": "6",
-        "eps_m_db": "-35",
-        "kind": "mwslc",
-    },
-    "conditioning": {
-        "theta_counts": "90,180,360,720,1440",
-    },
-    "decode": {
-        "eps_theta": "0.1",
-        "delta_theta_deg": "6",
-        "min_support_frac": "0.05",
-        "eps_theta_candidates": "0.05,0.1,0.15,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-        "calibration_scene_count": "10",
-    },
-    "beamform": {
-        # The solver default keeps the light 1e-6 loading; the pipeline
-        # default is heavier because plane-wave steering at desk distances
-        # self-cancels the target under near-field mismatch otherwise.
-        "loading_eps": "1e-2",
-    },
-    "metrics": {
-        "tolerance_deg": "10",
-    },
-    "train": {
-        "learning_rate": "0.001",
-        "decay_factor": "0.63",
-        "decay_every_epochs": "10",
-        "epochs": "100",
-        "batch_size": "5",
-        "patience": "10",
-        "hidden_dim": "64",
-        "target_kind": "mwslc",
-        "scene_count": "8",
-        "val_scene_count": "2",
-    },
-    "estimate": {
-        "mode": "oracle",
-        "noise_std": "0.0",
-        "blur_cells": "0",
-        "params_path": "",
-    },
-    "run": {
-        "seed": "0",
-    },
-}
-
-
 _EXPECTED = {float: "a number", int: "an integer"}
 
 
@@ -107,229 +35,157 @@ def _parse(section, key, raw, conv):
     return value
 
 
+def _one_of(*choices):
+    return (lambda value: value in choices,
+            f"{', '.join(choices[:-1])} or {choices[-1]}")
+
+
+_AT_LEAST_1 = (lambda n: n >= 1, "at least 1")
+
+
+class _Key:
+    """One config key: its default string, item type, and accepted values.
+
+    Each read parses raw[section][key] afresh, so a bad value fails only
+    where it is read. items=True reads a comma-separated list; ok is
+    (predicate, "what it expects"), applied to the value or each item.
+    """
+
+    def __init__(self, section, key, default, conv=float, items=False,
+                 ok=None):
+        self.section, self.key, self.default = section, key, default
+        self.conv, self.items, self.ok = conv, items, ok
+
+    def __get__(self, cfg, owner=None):
+        if cfg is None:
+            return self
+        section, key = self.section, self.key
+        if self.items:
+            values = cfg.list_of(section, key, self.conv)
+        else:
+            values = (_parse(section, key, cfg.raw[section][key], self.conv),)
+        if self.ok is not None:
+            accepts, expected = self.ok
+            for value in values:
+                if not accepts(value):
+                    raise ConfigError(f"{section}.{key}: expected {expected}, "
+                                      f"got {value!r}")
+        return values if self.items else values[0]
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of one effective configuration."""
+    """Typed view of one effective configuration.
+
+    Every key is one _Key below; keys read only by a builder have a
+    leading underscore.
+    """
 
     raw: dict
 
-    def _get(self, section: str, key: str) -> str:
-        return self.raw[section][key]
-
-    def float_of(self, section, key):
-        return _parse(section, key, self._get(section, key), float)
-
-    def int_of(self, section, key):
-        return _parse(section, key, self._get(section, key), int)
+    sample_rate_hz = _Key("scene", "sample_rate_hz", "16000", int,
+                          ok=_AT_LEAST_1)
+    duration_s = _Key("scene", "duration_s", "1.0")
+    doas_deg = _Key("scene", "doas_deg", "50,120", items=True)
+    distances_m = _Key("scene", "distances_m", "2.0,2.2", items=True)
+    source_kinds = _Key("scene", "source_kinds",
+                        "harmonic-complex,modulated-noise", str, items=True)
+    pitches_hz = _Key("scene", "pitches_hz", "210,140", items=True)
+    channels = _Key("scene", "channels", "4", int)
+    spacing_m = _Key("scene", "spacing_m", "0.05")
+    min_gap_deg = _Key("scene", "min_gap_deg", "15")
+    room_kind = _Key("scene", "room", "none", str,
+                     ok=_one_of("none", "shoebox"))
+    _room_dims_m = _Key("scene", "room_dims_m", "6,5,3", items=True)
+    _absorption = _Key("scene", "absorption", "0.5",
+                       ok=(lambda a: 0.0 <= a <= 1.0, "a value in [0, 1]"))
+    _max_order = _Key("scene", "max_order", "2", int,
+                      ok=(lambda n: n >= 0, "at least 0"))
+    _win_ms = _Key("stft", "win_ms", "32")
+    _hop_ms = _Key("stft", "hop_ms", "16")
+    theta_count = _Key("grid", "theta_count", "720", int)
+    span_deg = _Key("grid", "span_deg", "360")
+    sigma_deg = _Key("coding", "sigma_deg", "6")
+    eps_m_db = _Key("coding", "eps_m_db", "-35")
+    coding_kind = _Key("coding", "kind", "mwslc", str, ok=_one_of(*ENCODERS))
+    conditioning_theta_counts = _Key("conditioning", "theta_counts",
+                                     "90,180,360,720,1440", int, items=True)
+    eps_theta = _Key("decode", "eps_theta", "0.1")
+    delta_theta_deg = _Key("decode", "delta_theta_deg", "6")
+    min_support_frac = _Key("decode", "min_support_frac", "0.05")
+    eps_theta_candidates = _Key(
+        "decode", "eps_theta_candidates",
+        "0.05,0.1,0.15,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", items=True,
+        ok=(lambda e: 0.0 < e < 1.0, "a value in (0, 1)"))
+    calibration_scene_count = _Key("decode", "calibration_scene_count", "10",
+                                   int, ok=_AT_LEAST_1)
+    # The solver default keeps the light 1e-6 loading; the pipeline default
+    # is heavier because plane-wave steering at desk distances self-cancels
+    # the target under near-field mismatch otherwise.
+    loading_eps = _Key("beamform", "loading_eps", "1e-2")
+    tolerance_deg = _Key("metrics", "tolerance_deg", "10")
+    _learning_rate = _Key("train", "learning_rate", "0.001")
+    _decay_factor = _Key("train", "decay_factor", "0.63")
+    _decay_every_epochs = _Key("train", "decay_every_epochs", "10", int)
+    _epochs = _Key("train", "epochs", "100", int)
+    _batch_size = _Key("train", "batch_size", "5", int)
+    _patience = _Key("train", "patience", "10", int)
+    hidden_dim = _Key("train", "hidden_dim", "64", int, ok=_AT_LEAST_1)
+    _target_kind = _Key("train", "target_kind", "mwslc", str,
+                        ok=_one_of("mwsbc", "mwslc"))
+    train_scene_count = _Key("train", "scene_count", "8", int, ok=_AT_LEAST_1)
+    val_scene_count = _Key("train", "val_scene_count", "2", int,
+                           ok=_AT_LEAST_1)
+    estimate_mode = _Key("estimate", "mode", "oracle", str,
+                         ok=_one_of("oracle", "corrupt", "model"))
+    noise_std = _Key("estimate", "noise_std", "0.0")
+    blur_cells = _Key("estimate", "blur_cells", "0", int)
+    params_path = _Key("estimate", "params_path", "", str)
+    # The MGT1 container header stores the seed as a uint32.
+    seed = _Key("run", "seed", "0", int,
+                ok=(lambda n: 0 <= n <= 0xFFFFFFFF,
+                    "an integer in [0, 4294967295]"))
 
     def list_of(self, section, key, conv=float) -> tuple:
         """Non-empty comma-separated items, each parsed under section.key."""
-        items = (s.strip() for s in self._get(section, key).split(","))
+        items = (s.strip() for s in self.raw[section][key].split(","))
         values = tuple(_parse(section, key, s, conv) for s in items if s)
         if not values:
             raise ConfigError(f"{section}.{key}: expected at least one value")
         return values
 
-    # scene
-    @property
-    def sample_rate_hz(self) -> int:
-        return self.int_of("scene", "sample_rate_hz")
-
-    @property
-    def duration_s(self) -> float:
-        return self.float_of("scene", "duration_s")
-
-    @property
-    def doas_deg(self) -> tuple:
-        return self.list_of("scene", "doas_deg")
-
-    @property
-    def distances_m(self) -> tuple:
-        return self.list_of("scene", "distances_m")
-
-    @property
-    def source_kinds(self) -> tuple:
-        return self.list_of("scene", "source_kinds", str)
-
-    @property
-    def pitches_hz(self) -> tuple:
-        return self.list_of("scene", "pitches_hz")
-
-    @property
-    def channels(self) -> int:
-        return self.int_of("scene", "channels")
-
-    @property
-    def spacing_m(self) -> float:
-        return self.float_of("scene", "spacing_m")
-
-    @property
-    def min_gap_deg(self) -> float:
-        return self.float_of("scene", "min_gap_deg")
-
-    @property
-    def room_kind(self) -> str:
-        value = self._get("scene", "room")
-        if value not in ("none", "shoebox"):
-            raise ConfigError(f"scene.room: expected none or shoebox, got {value!r}")
-        return value
-
     def room_spec(self) -> RoomSpec | None:
         if self.room_kind == "none":
             return None
-        dims = self.list_of("scene", "room_dims_m")
-        absorption = self.float_of("scene", "absorption")
-        max_order = self.int_of("scene", "max_order")
-        if len(dims) != 3 or not all(0 < d < math.inf for d in dims):
+        dims = self._room_dims_m
+        if len(dims) != 3 or not all(d > 0 for d in dims):
             raise ConfigError(f"scene.room_dims_m: expected 3 finite positive "
                               f"values, got {dims}")
-        if not 0.0 <= absorption <= 1.0:
-            raise ConfigError(f"scene.absorption: expected a value in [0, 1], "
-                              f"got {absorption}")
-        if max_order < 0:
-            raise ConfigError(f"scene.max_order: expected at least 0, got "
-                              f"{max_order}")
-        return RoomSpec(dims, absorption, max_order)
+        return RoomSpec(dims, self._absorption, self._max_order)
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry(linear_array(self.channels, self.spacing_m))
 
-    # stft
     def stft_config(self) -> StftConfig:
         fs = self.sample_rate_hz
-        win = int(round(self.float_of("stft", "win_ms") * fs / 1000.0))
-        hop = int(round(self.float_of("stft", "hop_ms") * fs / 1000.0))
+        win = int(round(self._win_ms * fs / 1000.0))
+        hop = int(round(self._hop_ms * fs / 1000.0))
         return StftConfig(win, hop)
-
-    # grid / coding
-    @property
-    def theta_count(self) -> int:
-        return self.int_of("grid", "theta_count")
-
-    @property
-    def span_deg(self) -> float:
-        return self.float_of("grid", "span_deg")
 
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.theta_count, self.span_deg)
 
-    @property
-    def sigma_deg(self) -> float:
-        return self.float_of("coding", "sigma_deg")
-
-    @property
-    def eps_m_db(self) -> float:
-        return self.float_of("coding", "eps_m_db")
-
-    @property
-    def coding_kind(self) -> str:
-        value = self._get("coding", "kind")
-        if value not in ENCODERS:
-            raise ConfigError(f"coding.kind: expected mwsbc, mwslc or "
-                              f"mwslc_sum, got {value!r}")
-        return value
-
-    @property
-    def conditioning_theta_counts(self) -> tuple:
-        return self.list_of("conditioning", "theta_counts", int)
-
-    # decode
-    @property
-    def eps_theta(self) -> float:
-        return self.float_of("decode", "eps_theta")
-
-    @property
-    def delta_theta_deg(self) -> float:
-        return self.float_of("decode", "delta_theta_deg")
-
-    @property
-    def min_support_frac(self) -> float:
-        return self.float_of("decode", "min_support_frac")
-
-    @property
-    def eps_theta_candidates(self) -> tuple:
-        section, key = "decode", "eps_theta_candidates"
-        values = self.list_of(section, key)
-        for value in values:
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{section}.{key}: thresholds must lie in "
-                                  f"(0, 1), got {value!r}")
-        return values
-
-    @property
-    def calibration_scene_count(self) -> int:
-        count = self.int_of("decode", "calibration_scene_count")
-        if count < 1:
-            raise ConfigError(f"decode.calibration_scene_count: expected at "
-                              f"least 1, got {count}")
-        return count
-
-    # beamform / metrics
-    @property
-    def loading_eps(self) -> float:
-        return self.float_of("beamform", "loading_eps")
-
-    @property
-    def tolerance_deg(self) -> float:
-        return self.float_of("metrics", "tolerance_deg")
-
-    # train / estimate
     def train_config(self) -> TrainConfig:
-        target_kind = self._get("train", "target_kind")
-        if target_kind not in ("mwsbc", "mwslc"):
-            raise ConfigError(f"train.target_kind: expected mwsbc or mwslc, "
-                              f"got {target_kind!r}")
         return TrainConfig(
-            learning_rate=self.float_of("train", "learning_rate"),
-            decay_factor=self.float_of("train", "decay_factor"),
-            decay_every_epochs=self.int_of("train", "decay_every_epochs"),
-            epochs=self.int_of("train", "epochs"),
-            batch_size=self.int_of("train", "batch_size"),
-            target_kind=target_kind,
-            patience=self.int_of("train", "patience"),
+            target_kind=self._target_kind,
+            learning_rate=self._learning_rate,
+            decay_factor=self._decay_factor,
+            decay_every_epochs=self._decay_every_epochs,
+            epochs=self._epochs,
+            batch_size=self._batch_size,
+            patience=self._patience,
             seed=self.seed,
         )
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.int_of("train", "hidden_dim")
-
-    @property
-    def train_scene_count(self) -> int:
-        return self.int_of("train", "scene_count")
-
-    @property
-    def val_scene_count(self) -> int:
-        return self.int_of("train", "val_scene_count")
-
-    @property
-    def estimate_mode(self) -> str:
-        value = self._get("estimate", "mode")
-        if value not in ("oracle", "corrupt", "model"):
-            raise ConfigError(f"estimate.mode: expected oracle, corrupt or "
-                              f"model, got {value!r}")
-        return value
-
-    @property
-    def noise_std(self) -> float:
-        return self.float_of("estimate", "noise_std")
-
-    @property
-    def blur_cells(self) -> int:
-        return self.int_of("estimate", "blur_cells")
-
-    @property
-    def params_path(self) -> str:
-        return self._get("estimate", "params_path")
-
-    @property
-    def seed(self) -> int:
-        # The MGT1 container header stores the seed as a uint32.
-        seed = self.int_of("run", "seed")
-        if not 0 <= seed <= 0xFFFFFFFF:
-            raise ConfigError(f"run.seed: expected an integer in "
-                              f"[0, 4294967295], got {seed}")
-        return seed
 
     def lines(self) -> list:
         """Canonical section.key=value lines, sorted."""
@@ -343,6 +199,13 @@ class RunConfig:
     def hash(self) -> str:
         digest = hashlib.sha256("\n".join(self.lines()).encode()).hexdigest()
         return digest[:12]
+
+
+# Built from the declarations above, in their order: {section: {key: default}}.
+DEFAULTS: dict = {}
+for _key in vars(RunConfig).values():
+    if isinstance(_key, _Key):
+        DEFAULTS.setdefault(_key.section, {})[_key.key] = _key.default
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

@@ -60,7 +60,7 @@ def _write(path, kind: str, dims, blocks, span_deg: float = 0.0,
 def write_array(path, kind: str, array: np.ndarray, span_deg: float = 0.0,
                 theta_count: int = 0, seed: int = 0) -> None:
     """Write one array under the given kind tag."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    arr = np.asarray(array, dtype="<f4", order="C")
     _write(path, kind, arr.shape, [arr], span_deg, theta_count, seed)
 
 

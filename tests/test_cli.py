@@ -401,6 +401,11 @@ class TestStagedCommandsShareStages:
         assert main(["eval", "--config", ini, "--out", str(out)]) == 4
 
 
+# A 90-cell, 1-epoch, 0.5 s training config; the [train] section stays open.
+_TRAIN_INI = ("[scene]\nduration_s = 0.5\n[grid]\ntheta_count = 90\n"
+              "[train]\nepochs = 1\n")
+
+
 class TestListConfigKeys:
     @pytest.mark.parametrize("command, text, key", [
         ("simulate", "[scene]\ndistances_m = 2.0,far\n", "scene.distances_m"),
@@ -427,10 +432,23 @@ class TestListConfigKeys:
         ("simulate", "[scene]\nduration_s = nan\n", "scene.duration_s"),
         ("simulate", "[scene]\nspacing_m = nan\n", "scene.spacing_m"),
         ("pipeline", "[coding]\nsigma_deg = nan\n", "coding.sigma_deg"),
+        # Counts below 1 that used to train an empty model, end in numpy's
+        # or the splitter's message, or fail in the source synthesizer.
+        ("train", _TRAIN_INI + "hidden_dim = 0\nscene_count = 1\n"
+         "val_scene_count = 1\n", "train.hidden_dim"),
+        ("train", _TRAIN_INI + "hidden_dim = -1\nscene_count = 1\n"
+         "val_scene_count = 1\n", "train.hidden_dim"),
+        ("train", _TRAIN_INI + "hidden_dim = 4\nscene_count = 0\n"
+         "val_scene_count = 1\n", "train.scene_count"),
+        ("train", _TRAIN_INI + "hidden_dim = 4\nscene_count = 1\n"
+         "val_scene_count = 0\n", "train.val_scene_count"),
+        ("simulate", "[scene]\nsample_rate_hz = 0\n", "scene.sample_rate_hz"),
     ], ids=["distances_m", "pitches_hz", "room_dims_m", "theta_counts",
             "empty_distances_m", "empty_source_kinds", "room_dims_m_count",
             "absorption_range", "max_order_negative", "seed_negative",
-            "seed_above_uint32", "duration_nan", "spacing_nan", "sigma_nan"])
+            "seed_above_uint32", "duration_nan", "spacing_nan", "sigma_nan",
+            "hidden_dim_zero", "hidden_dim_negative", "scene_count_zero",
+            "val_scene_count_zero", "sample_rate_zero"])
     def test_bad_list_exit_2_names_key(self, tmp_path, capsys, command,
                                        text, key):
         ini = tmp_path / "bad.ini"

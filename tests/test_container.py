@@ -36,6 +36,19 @@ class TestWriteRead:
         assert arr[0] != value
         assert arr[0] == pytest.approx(value, rel=1e-7)
 
+    @pytest.mark.parametrize("value", [np.float64(0.1), np.float64(2.5),
+                                       np.array(-3.0), 7],
+                             ids=["scalar", "exact", "0d_array", "int"])
+    def test_scalar_round_trips_as_0d(self, tmp_path, value):
+        # The header records ndim 0 and no dims; the payload is one float32.
+        path = tmp_path / "s.bin"
+        write_array(path, "x", value, 360.0, 7, 4294967295)
+        assert path.stat().st_size == 4 + 16 + 4 + 16 + 4
+        kind, arr, span, theta, seed = read_array(path)
+        assert arr.shape == ()
+        assert arr == np.float32(value)
+        assert (kind, span, theta, seed) == ("x", 360.0, 7, 4294967295)
+
     def test_bad_magic_rejected(self, tmp_path, rng):
         path = tmp_path / "bad.bin"
         write_array(path, "x", _f4_exact(rng, (2, 2)))

@@ -67,11 +67,11 @@ def scratch(tmp_path_factory):
 
 class TestWriterMatchesFormerBytes:
     @pytest.mark.parametrize("array", [
-        np.float64(0.1), np.array([0.1, -2.5, np.nan, np.inf]),
+        np.array([0.1, -2.5, np.nan, np.inf]),
         np.zeros((0, 3)), np.arange(24.0).reshape(2, 3, 4)[:, ::2, ::-1],
         np.arange(12, dtype=np.float32).reshape(3, 4).T,
         np.arange(6).reshape(2, 3), [[0.25, 0.5]]],
-        ids=["scalar", "special", "empty", "strided", "f4_transposed", "int",
+        ids=["special", "empty", "strided", "f4_transposed", "int",
              "list"])
     def test_write_array(self, tmp_path, array):
         def write(path):
@@ -105,7 +105,9 @@ class TestWriterMatchesFormerBytes:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     @settings(max_examples=60, deadline=None)
-    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=4, min_side=0,
+    # The former writer widened 0-d arrays to shape (1,), so it is the byte
+    # oracle only from ndim 1; test_container.py round-trips 0-d arrays.
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0,
                                            max_side=5)),
            st.text("abc:_", min_size=1, max_size=16),
            st.floats(allow_nan=False), st.integers(0, 2**32 - 1),
