@@ -24,8 +24,7 @@ from . import beamform, coding, conditioning, container, decode, estimator
 from . import metrics, scene, stft
 from ._version import __version__
 from .config import RunConfig, load_config
-from .errors import (CollisionError, ConfigError, DegenerateInputError,
-                     FormatError, NumericError)
+from .errors import ConfigError, FormatError, NumericError
 from .signal import TimeSignal, load_wav, save_wav
 
 # Command-line flags that each override one config key.
@@ -81,6 +80,8 @@ def _cycle(values, i):
 
 def _build_scene(cfg: RunConfig, doas=None, seed: int | None = None):
     """Scene spec and render from the config; doas/seed may be overridden."""
+    if round(cfg.duration_s * cfg.sample_rate_hz) < 1:
+        raise ConfigError(f"scene.duration_s: {cfg.duration_s} s holds no sample")
     seed = cfg.seed if seed is None else seed
     doas = cfg.doas_deg if doas is None else tuple(doas)
     sources = []
@@ -208,19 +209,45 @@ def _save_scene(cfg: RunConfig, rendered, out_dir: Path) -> None:
     }, _meta(cfg))
 
 
+def _checked(value, schema, where: str):
+    """value matched to schema: float (finite; an int is accepted), int,
+    [item schema] or {key: schema}; a mismatch is a FormatError."""
+    if isinstance(schema, dict) and type(value) is dict:
+        return {k: _checked(value.get(k), s, f"{where}.{k}")
+                for k, s in schema.items()}
+    if isinstance(schema, list) and type(value) is list:
+        return [_checked(v, schema[0], f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    if (schema in (int, float) and type(value) in (int, schema)
+            and abs(value) < 1e300):
+        return schema(value)
+    name = getattr(schema, "__name__", type(schema).__name__)
+    raise FormatError(f"{where}: expected {name}, got {value!r:.40}")
+
+
+def _read_json(path: Path, schema: dict, build):
+    """build(fields) of the JSON artifact at path, typed by schema; bad JSON,
+    a missing or mistyped field, or a value build rejects is a FormatError."""
+    try:
+        data = json.loads(path.read_bytes().decode("utf-8", "replace"))
+        return build(_checked(data, schema, str(path)))
+    except (json.JSONDecodeError, ConfigError) as err:
+        raise FormatError(f"{path}: {err}") from None
+
+
 def _load_truth(out_dir: Path) -> coding.DoaSet:
-    with open(out_dir / "truth.json") as fh:
-        data = json.load(fh)
-    return coding.DoaSet(np.array(data["doas_deg"]), data["span_deg"])
+    return _read_json(
+        out_dir / "truth.json", {"doas_deg": [float], "span_deg": float},
+        lambda d: coding.DoaSet(np.array(d["doas_deg"]), d["span_deg"]))
 
 
 def _load_doas(out_dir: Path) -> decode.DoaEstimates:
-    with open(out_dir / "doas.json") as fh:
-        data = json.load(fh)
-    clusters = tuple(
-        decode.DoaCluster(c["center_deg"], c["support"])
-        for c in data["clusters"])
-    return decode.DoaEstimates(clusters, data["span_deg"])
+    return _read_json(
+        out_dir / "doas.json",
+        {"clusters": [{"center_deg": float, "support": int}], "span_deg": float},
+        lambda d: decode.DoaEstimates(tuple(
+            decode.DoaCluster(c["center_deg"], c["support"])
+            for c in d["clusters"]), d["span_deg"]))
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
@@ -417,10 +444,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, CollisionError, ValueError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (NumericError, DegenerateInputError) as err:
+    except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
     except (FormatError, OSError) as err:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, ShapeError
+from .errors import CollisionError, ConfigError, ShapeError
 
 CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
 # (t, k) rows per gather/scatter block in _place_gaussians. A block's three
@@ -42,9 +42,9 @@ class SpatialGrid:
 
     def __post_init__(self):
         if self.theta_count < 2:
-            raise ValueError(f"need at least 2 cells, got {self.theta_count}")
+            raise ConfigError(f"need at least 2 cells, got {self.theta_count}")
         if not 0.0 < self.span_deg <= 360.0:
-            raise ValueError(f"span must be in (0, 360], got {self.span_deg}")
+            raise ConfigError(f"span must be in (0, 360], got {self.span_deg}")
 
     @property
     def cell_width_deg(self) -> float:
@@ -72,13 +72,13 @@ class DoaSet:
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.angles_deg, dtype=np.float64))
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("need a 1-D, non-empty set of angles")
+            raise ShapeError("need a 1-D, non-empty set of angles")
         if np.any(arr < 0) or np.any(arr >= self.span_deg):
-            raise ValueError(f"angles must lie in [0, {self.span_deg}), got {arr}")
+            raise ConfigError(f"angles must lie in [0, {self.span_deg}), got {arr}")
         for i in range(arr.size):
             for j in range(i + 1, arr.size):
                 if wrapped_distance(arr[i], arr[j], self.span_deg) == 0.0:
-                    raise ValueError(f"duplicate DoA at {arr[i]} deg")
+                    raise ConfigError(f"duplicate DoA at {arr[i]} deg")
         object.__setattr__(self, "angles_deg", arr)
 
     @property
@@ -132,7 +132,7 @@ class CodingTensor:
             raise ShapeError(
                 f"last axis {arr.shape[2]} does not match grid {self.grid.theta_count}")
         if self.kind not in CODING_KINDS:
-            raise ValueError(f"unknown coding kind {self.kind!r}")
+            raise ConfigError(f"unknown coding kind {self.kind!r}")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -190,7 +190,7 @@ def snap_to_grid(truth: DoaSet, grid: SpatialGrid) -> np.ndarray:
 def _gaussian_rows(truth: DoaSet, grid: SpatialGrid, sigma_deg: float) -> np.ndarray:
     """Per-speaker Gaussian over cell centers, exp(-d^2 / sigma^2); (I, cells)."""
     if sigma_deg <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma_deg}")
+        raise ConfigError(f"sigma must be positive, got {sigma_deg}")
     d = wrapped_distance(truth.angles_deg[:, None], grid.centers()[None, :],
                          grid.span_deg)
     return np.exp(-(d / sigma_deg) ** 2)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coding import (CodingTensor, DoaSet, MaskSet, SpatialGrid, encode_mwsbc,
                      encode_mwslc, encode_mwslc_sum)
-from .errors import CollisionError
+from .errors import CollisionError, ConfigError
 
 SWEEP_COLUMNS = ("theta_count", "mean_mwsbc", "mean_mwslc_max",
                  "mean_mwslc_sum", "limit", "rel_gap")
@@ -42,7 +42,7 @@ def mwslc_norm_limit(masks: MaskSet, sigma_deg: float,
     sum-form encoding converges to this as the grid is refined.
     """
     if sigma_deg <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma_deg}")
+        raise ConfigError(f"sigma must be positive, got {sigma_deg}")
     return math.sqrt(math.pi) * (2.0 * sigma_deg / span_deg) * masks.values.sum(axis=0)
 
 
@@ -98,9 +98,9 @@ def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
     """
     counts = list(theta_counts)
     if counts != sorted(counts):
-        raise ValueError(f"theta counts must ascend, got {counts}")
+        raise ConfigError(f"theta counts must ascend, got {counts}")
     if counts and counts[0] < 2 * truth.count:
-        raise ValueError(
+        raise ConfigError(
             f"coarsest grid {counts[0]} has fewer than 2 cells per speaker")
 
     active = masks.values.sum(axis=0) > 0

@@ -21,6 +21,7 @@ from .scene import ArrayGeometry, RoomSpec, linear_array
 from .stft import StftConfig
 
 _EXPECTED = {float: "a number", int: "an integer"}
+_OPEN_UNIT = (lambda value: 0.0 < value < 1.0, "a value in (0, 1)")
 
 
 def _parse(section, key, raw, conv):
@@ -40,7 +41,8 @@ def _one_of(*choices):
             f"{', '.join(choices[:-1])} or {choices[-1]}")
 
 
-_AT_LEAST_1 = (lambda n: n >= 1, "at least 1")
+def _at_least(low):
+    return (lambda value: value >= low, f"at least {low}")
 
 
 class _Key:
@@ -84,14 +86,14 @@ class RunConfig:
     raw: dict
 
     sample_rate_hz = _Key("scene", "sample_rate_hz", "16000", int,
-                          ok=_AT_LEAST_1)
+                          ok=_at_least(1))
     duration_s = _Key("scene", "duration_s", "1.0")
     doas_deg = _Key("scene", "doas_deg", "50,120", items=True)
     distances_m = _Key("scene", "distances_m", "2.0,2.2", items=True)
     source_kinds = _Key("scene", "source_kinds",
                         "harmonic-complex,modulated-noise", str, items=True)
     pitches_hz = _Key("scene", "pitches_hz", "210,140", items=True)
-    channels = _Key("scene", "channels", "4", int)
+    channels = _Key("scene", "channels", "4", int, ok=_at_least(2))
     spacing_m = _Key("scene", "spacing_m", "0.05")
     min_gap_deg = _Key("scene", "min_gap_deg", "15")
     room_kind = _Key("scene", "room", "none", str,
@@ -99,12 +101,12 @@ class RunConfig:
     _room_dims_m = _Key("scene", "room_dims_m", "6,5,3", items=True)
     _absorption = _Key("scene", "absorption", "0.5",
                        ok=(lambda a: 0.0 <= a <= 1.0, "a value in [0, 1]"))
-    _max_order = _Key("scene", "max_order", "2", int,
-                      ok=(lambda n: n >= 0, "at least 0"))
+    _max_order = _Key("scene", "max_order", "2", int, ok=_at_least(0))
     _win_ms = _Key("stft", "win_ms", "32")
     _hop_ms = _Key("stft", "hop_ms", "16")
-    theta_count = _Key("grid", "theta_count", "720", int)
-    span_deg = _Key("grid", "span_deg", "360")
+    theta_count = _Key("grid", "theta_count", "720", int, ok=_at_least(2))
+    span_deg = _Key("grid", "span_deg", "360",
+                    ok=(lambda s: 0.0 < s <= 360.0, "a value in (0, 360]"))
     sigma_deg = _Key("coding", "sigma_deg", "6")
     eps_m_db = _Key("coding", "eps_m_db", "-35")
     coding_kind = _Key("coding", "kind", "mwslc", str, ok=_one_of(*ENCODERS))
@@ -116,26 +118,28 @@ class RunConfig:
     eps_theta_candidates = _Key(
         "decode", "eps_theta_candidates",
         "0.05,0.1,0.15,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", items=True,
-        ok=(lambda e: 0.0 < e < 1.0, "a value in (0, 1)"))
+        ok=_OPEN_UNIT)
     calibration_scene_count = _Key("decode", "calibration_scene_count", "10",
-                                   int, ok=_AT_LEAST_1)
+                                   int, ok=_at_least(1))
     # The solver default keeps the light 1e-6 loading; the pipeline default
     # is heavier because plane-wave steering at desk distances self-cancels
     # the target under near-field mismatch otherwise.
     loading_eps = _Key("beamform", "loading_eps", "1e-2")
     tolerance_deg = _Key("metrics", "tolerance_deg", "10")
-    _learning_rate = _Key("train", "learning_rate", "0.001")
-    _decay_factor = _Key("train", "decay_factor", "0.63")
-    _decay_every_epochs = _Key("train", "decay_every_epochs", "10", int)
-    _epochs = _Key("train", "epochs", "100", int)
-    _batch_size = _Key("train", "batch_size", "5", int)
-    _patience = _Key("train", "patience", "10", int)
-    hidden_dim = _Key("train", "hidden_dim", "64", int, ok=_AT_LEAST_1)
+    _learning_rate = _Key("train", "learning_rate", "0.001",
+                          ok=(lambda r: r > 0.0, "a positive number"))
+    _decay_factor = _Key("train", "decay_factor", "0.63", ok=_OPEN_UNIT)
+    _decay_every_epochs = _Key("train", "decay_every_epochs", "10", int,
+                               ok=_at_least(1))
+    _epochs = _Key("train", "epochs", "100", int, ok=_at_least(1))
+    _batch_size = _Key("train", "batch_size", "5", int, ok=_at_least(1))
+    _patience = _Key("train", "patience", "10", int, ok=_at_least(1))
+    hidden_dim = _Key("train", "hidden_dim", "64", int, ok=_at_least(1))
     _target_kind = _Key("train", "target_kind", "mwslc", str,
                         ok=_one_of("mwsbc", "mwslc"))
-    train_scene_count = _Key("train", "scene_count", "8", int, ok=_AT_LEAST_1)
+    train_scene_count = _Key("train", "scene_count", "8", int, ok=_at_least(1))
     val_scene_count = _Key("train", "val_scene_count", "2", int,
-                           ok=_AT_LEAST_1)
+                           ok=_at_least(1))
     estimate_mode = _Key("estimate", "mode", "oracle", str,
                          ok=_one_of("oracle", "corrupt", "model"))
     noise_std = _Key("estimate", "noise_std", "0.0")
@@ -170,7 +174,10 @@ class RunConfig:
         fs = self.sample_rate_hz
         win = int(round(self._win_ms * fs / 1000.0))
         hop = int(round(self._hop_ms * fs / 1000.0))
-        return StftConfig(win, hop)
+        try:
+            return StftConfig(win, hop)
+        except ConfigError as err:
+            raise ConfigError(f"stft.win_ms/stft.hop_ms: {err}") from None
 
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.theta_count, self.span_deg)
@@ -216,15 +223,14 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         overrides: {(section, key): value-string} applied last.
 
     Raises:
-        ConfigError: unknown section or key, or unreadable file.
+        ConfigError: unknown section or key, or a file that is not UTF-8 INI.
     """
     raw = {section: dict(keys) for section, keys in DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        text = Path(path).read_text()
         try:
-            parser.read_string(text, source=str(path))
-        except configparser.Error as err:
+            parser.read_string(Path(path).read_text(), source=str(path))
+        except (configparser.Error, UnicodeDecodeError) as err:
             raise ConfigError(f"{path}: {err}") from None
         for section in parser.sections():
             if section not in raw:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .coding import CODING_KINDS, CodingTensor, MaskSet, SpatialGrid
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError
 from .estimator import EstimatorParams
 
 MAGIC = b"MGT1"
@@ -38,7 +38,7 @@ def _build(path, make):
     """make(); the built object's own value or shape check is a file fault."""
     try:
         return make()
-    except (ValueError, ShapeError) as err:
+    except ConfigError as err:
         raise FormatError(f"{path}: {err}") from None
 
 
@@ -47,7 +47,7 @@ def _write(path, kind: str, dims, blocks, span_deg: float = 0.0,
     """Pack the header once, then write each block's <f4 payload in turn."""
     raw = kind.encode("ascii")
     if not raw or len(raw) > _KIND_BYTES:
-        raise ValueError(f"kind must be 1..{_KIND_BYTES} ASCII bytes, got {kind!r}")
+        raise ConfigError(f"kind must be 1..{_KIND_BYTES} ASCII bytes, got {kind!r}")
     # The struct "s" field NUL-pads the kind to _KIND_BYTES.
     header = struct.pack(f"<4s{_KIND_BYTES}sI{len(dims)}IdII", MAGIC, raw,
                          len(dims), *dims, float(span_deg), theta_count, seed)

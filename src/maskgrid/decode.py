@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import CodingTensor, MaskSet, SpatialGrid, wrapped_distance
+from .errors import ConfigError, ShapeError
 from .metrics import doa_precision_recall
 
 
@@ -27,7 +28,7 @@ class FrameLikelihood:
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.grid.theta_count:
-            raise ValueError(f"expected (frames, {self.grid.theta_count}), "
+            raise ShapeError(f"expected (frames, {self.grid.theta_count}), "
                              f"got {arr.shape}")
         object.__setattr__(self, "values", arr)
 
@@ -80,9 +81,9 @@ def peak_search(fl: FrameLikelihood, eps_theta: float,
     lowest-index cell.
     """
     if not 0.0 < eps_theta < 1.0:
-        raise ValueError(f"eps_theta must be in (0, 1), got {eps_theta}")
+        raise ConfigError(f"eps_theta must be in (0, 1), got {eps_theta}")
     if delta_theta_deg <= 0:
-        raise ValueError(f"delta_theta must be positive, got {delta_theta_deg}")
+        raise ConfigError(f"delta_theta must be positive, got {delta_theta_deg}")
     v = fl.values
     grid = fl.grid
     theta = grid.theta_count
@@ -246,16 +247,16 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
     threshold.
 
     Raises:
-        ValueError: no candidates, or no validation scenes.
+        ConfigError: no candidates, or no validation scenes.
     """
     if not candidates:
-        raise ValueError("need at least one threshold candidate")
+        raise ConfigError("need at least one threshold candidate")
     scenes = []
     for coding, truth in validation_scenes:
         scenes.append((freq_average(coding), truth))
         del coding  # free the tensor before the next scene is built
     if not scenes:
-        raise ValueError("need at least one validation scene")
+        raise ConfigError("need at least one validation scene")
     rows = []
     best = None
     for eps in sorted(candidates):

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: configuration problems exit 2,
-numerical failures exit 3, file/format problems exit 4.
+Every error has one of three roots, which alone picks the CLI exit code:
+ConfigError 2, NumericError 3, FormatError 4. Anything else is a bug.
 """
 
 
@@ -9,12 +9,16 @@ class MaskGridError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(MaskGridError):
+class ConfigError(MaskGridError, ValueError):
     """Invalid configuration, scene spec, or inconsistent user input."""
 
 
 class ShapeError(ConfigError):
     """Array dimensions of two inputs do not match."""
+
+
+class CollisionError(ConfigError):
+    """Two speakers snap to the same grid cell; the grid is too coarse."""
 
 
 class FormatError(MaskGridError):
@@ -25,16 +29,12 @@ class UnsupportedFormatError(FormatError):
     """File parsed correctly but uses an encoding we do not handle."""
 
 
-class DegenerateInputError(MaskGridError):
-    """Operation undefined for this input (all-zero signal, empty reference)."""
-
-
-class CollisionError(MaskGridError):
-    """Two speakers snap to the same grid cell; the grid is too coarse."""
-
-
 class NumericError(MaskGridError):
     """Numerical failure: singular matrix, non-finite loss, divergence."""
+
+
+class DegenerateInputError(NumericError):
+    """Operation undefined for this input (all-zero signal, empty reference)."""
 
 
 class TrainingError(NumericError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import CodingTensor, SpatialGrid
-from .errors import ShapeError, TrainingError
+from .errors import ConfigError, ShapeError, TrainingError
 from .stft import Spectrogram
 
 FEATURE_NORM_EPS = 1e-8
@@ -88,7 +88,7 @@ class EstimatorParams:
             raise ShapeError(f"hidden dims differ: {w1.shape[1]} vs {w2.shape[0]}")
         for a in (w1, b1, w2, b2):
             if not np.all(np.isfinite(a)):
-                raise ValueError("parameters must be finite")
+                raise ConfigError("parameters must be finite")
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "w2", w2)
@@ -222,13 +222,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {self.decay_factor}")
+            raise ConfigError(f"decay factor must be in (0, 1), got {self.decay_factor}")
         if min(self.epochs, self.batch_size, self.patience,
                self.decay_every_epochs) < 1:
-            raise ValueError("epochs, batch size, patience, decay interval "
-                             "must be at least 1")
+            raise ConfigError("epochs, batch size, patience, decay interval "
+                              "must be at least 1")
 
     def rate_at(self, epoch: int) -> float:
         return self.learning_rate * self.decay_factor ** (epoch // self.decay_every_epochs)
@@ -349,7 +349,7 @@ def corrupt_oracle(coding: CodingTensor, noise_std: float = 0.0,
     [0, 1]. Identity when both knobs are zero.
     """
     if noise_std < 0 or blur_cells < 0:
-        raise ValueError("noise_std and blur_cells must be non-negative")
+        raise ConfigError("noise_std and blur_cells must be non-negative")
     values = coding.values
     theta = coding.grid.theta_count
     if blur_cells > 0:

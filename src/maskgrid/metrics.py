@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import DoaSet, wrapped_distance
-from .errors import DegenerateInputError, ShapeError
+from .errors import ConfigError, DegenerateInputError, ShapeError
 from .signal import TimeSignal
 
 SI_SDR_CAP_DB = 100.0
@@ -97,7 +97,7 @@ def permute_align(estimates, references) -> Alignment:
     is factorial).
     """
     if not references:
-        raise ValueError("references must be non-empty")
+        raise ConfigError("references must be non-empty")
     n_est, n_ref = len(estimates), len(references)
     scores = np.full((n_ref, n_est), -SI_SDR_CAP_DB)
     for r, e in itertools.product(range(n_ref), range(n_est)):

@@ -304,7 +304,7 @@ def synth_source(kind: str, duration_s: float, pitch_hz: float = 200.0,
     noise under the same kind of envelope. Peak-normalized.
     """
     if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+        raise ConfigError(f"duration must be positive, got {duration_s}")
     n = int(round(duration_s * sample_rate_hz))
     rng = np.random.default_rng(seed)
     t = np.arange(n) / sample_rate_hz
@@ -320,11 +320,11 @@ def synth_source(kind: str, duration_s: float, pitch_hz: float = 200.0,
     envelope = np.maximum(np.interp(t, ctrl_t, ctrl), 0.0)
 
     if kind == "harmonic-complex":
-        if pitch_hz <= 0:
-            raise ValueError(f"pitch must be positive, got {pitch_hz}")
+        if pitch_hz * duration_s < 1.0:
+            raise ConfigError(f"pitch {pitch_hz} Hz completes no period in {duration_s} s")
         n_partials = int(0.45 * sample_rate_hz / pitch_hz)
         if n_partials < 1:
-            raise ValueError(f"pitch {pitch_hz} Hz leaves no partial below Nyquist")
+            raise ConfigError(f"pitch {pitch_hz} Hz leaves no partial below Nyquist")
         x = np.zeros(n)
         for p in range(1, n_partials + 1):
             phase = rng.uniform(0, 2 * np.pi)
@@ -334,5 +334,5 @@ def synth_source(kind: str, duration_s: float, pitch_hz: float = 200.0,
     elif kind == "modulated-noise":
         x = rng.standard_normal(n) * envelope
     else:
-        raise ValueError(f"unknown source kind {kind!r}")
+        raise ConfigError(f"unknown source kind {kind!r}")
     return peak_normalize(TimeSignal(x[np.newaxis, :], sample_rate_hz))

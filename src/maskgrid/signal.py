@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    FormatError,
-    ShapeError,
-    UnsupportedFormatError,
-)
+from .errors import (ConfigError, DegenerateInputError, FormatError,
+                     ShapeError, UnsupportedFormatError)
 
 DEFAULT_SAMPLE_RATE = 16000
 
@@ -46,7 +42,7 @@ class TimeSignal:
         if arr.shape[0] < 1:
             raise ShapeError("need at least one channel")
         if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+            raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -89,8 +85,8 @@ def load_wav(path) -> TimeSignal:
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
-            if size < 16:
-                raise FormatError(f"{path}: fmt chunk too short ({size} bytes)")
+            if len(body) < 16:
+                raise FormatError(f"{path}: fmt chunk too short ({len(body)} bytes)")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif cid == b"data":
             if len(body) < size:
@@ -137,7 +133,7 @@ def save_wav(signal: TimeSignal, path, encoding: str = "float32") -> None:
         scaled = np.round(signal.samples.T * _PCM16_SCALE)
         frames = np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
     else:
-        raise ValueError(f"unknown encoding {encoding!r}; use 'float32' or 'pcm16'")
+        raise ConfigError(f"unknown encoding {encoding!r}; use 'float32' or 'pcm16'")
 
     n_channels = signal.channels
     byte_rate = signal.sample_rate_hz * n_channels * bits // 8

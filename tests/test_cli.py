@@ -6,9 +6,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskgrid import coding
 from maskgrid.cli import main
+from maskgrid.config import DEFAULTS
 from maskgrid.container import load_coding, load_params
 from maskgrid.signal import TimeSignal, save_wav
 
@@ -443,12 +446,32 @@ class TestListConfigKeys:
         ("train", _TRAIN_INI + "hidden_dim = 4\nscene_count = 1\n"
          "val_scene_count = 0\n", "train.val_scene_count"),
         ("simulate", "[scene]\nsample_rate_hz = 0\n", "scene.sample_rate_hz"),
+        # Ranges that the grid, the STFT framing, TrainConfig or numpy used
+        # to reject without naming the key.
+        ("pipeline", "[grid]\ntheta_count = 1\n", "grid.theta_count"),
+        ("pipeline", "[grid]\nspan_deg = 400\n", "grid.span_deg"),
+        ("pipeline", "[stft]\nwin_ms = 31\n", "stft.win_ms"),
+        ("pipeline", "[stft]\nhop_ms = 0\n", "stft.hop_ms"),
+        ("train", _TRAIN_INI + "learning_rate = 0\n", "train.learning_rate"),
+        ("train", _TRAIN_INI + "decay_factor = 1\n", "train.decay_factor"),
+        ("train", _TRAIN_INI + "decay_every_epochs = 0\n",
+         "train.decay_every_epochs"),
+        ("train", _TRAIN_INI.replace("epochs = 1", "epochs = 0"),
+         "train.epochs"),
+        ("train", _TRAIN_INI + "batch_size = 0\n", "train.batch_size"),
+        ("train", _TRAIN_INI + "patience = -1\n", "train.patience"),
+        ("simulate", "[scene]\nchannels = -1\n", "scene.channels"),
+        ("simulate", "[scene]\nduration_s = 1e-9\n", "scene.duration_s"),
     ], ids=["distances_m", "pitches_hz", "room_dims_m", "theta_counts",
             "empty_distances_m", "empty_source_kinds", "room_dims_m_count",
             "absorption_range", "max_order_negative", "seed_negative",
             "seed_above_uint32", "duration_nan", "spacing_nan", "sigma_nan",
             "hidden_dim_zero", "hidden_dim_negative", "scene_count_zero",
-            "val_scene_count_zero", "sample_rate_zero"])
+            "val_scene_count_zero", "sample_rate_zero", "theta_count_one",
+            "span_above_360", "win_not_divided_by_hop", "hop_zero",
+            "learning_rate_zero", "decay_factor_one",
+            "decay_every_epochs_zero", "epochs_zero", "batch_size_zero",
+            "patience_negative", "channels_negative", "duration_no_sample"])
     def test_bad_list_exit_2_names_key(self, tmp_path, capsys, command,
                                        text, key):
         ini = tmp_path / "bad.ini"
@@ -456,3 +479,102 @@ class TestListConfigKeys:
         assert main([command, "--config", str(ini),
                      "--out", str(tmp_path / "x")]) == 2
         assert key in capsys.readouterr().err
+
+
+def _simulated(tmp_path):
+    """A simulated 0.5 s scene's artifact directory and its config."""
+    ini = _fast_ini(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", ini, "--out", str(out)]) == 0
+    return ini, out
+
+
+class TestMalformedInputs:
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes("[scene]\n# Schätzung\nduration_s = 0.5\n"
+                        .encode("latin-1"))
+        assert main(["simulate", "--config", str(ini),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "latin1.ini" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"doas_deg": [400.0], "span_deg": 360}',
+        '{"doas_deg": [50.0], "span_deg": "360"}', '{"doas_deg": []}',
+        '{"doas_deg": [50.0, NaN], "span_deg": 360}',
+        '{"doas_deg": [true], "span_deg": 360}', "\xff\xfe"],
+        ids=["not_json", "list", "angle_outside_span", "span_string",
+             "missing_span", "nan_angle", "bool_angle", "not_utf8"])
+    def test_malformed_truth_exit_4(self, tmp_path, capsys, text):
+        ini, out = _simulated(tmp_path)
+        (out / "truth.json").write_bytes(text.encode("latin-1"))
+        capsys.readouterr()
+        for command in ("encode", "eval"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 4
+            assert "truth.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[]", "{not json", '{"clusters": {}, "span_deg": 360}',
+        '{"clusters": [{"center_deg": 50.0}], "span_deg": 360}',
+        '{"clusters": [{"center_deg": 50.0, "support": 2.5}], '
+        '"span_deg": 360}',
+        '{"clusters": [{"center_deg": 1e400, "support": 3}], "span_deg": 360}'],
+        ids=["list", "not_json", "clusters_object", "missing_support",
+             "float_support", "infinite_center"])
+    def test_malformed_doas_exit_4(self, tmp_path, capsys, text):
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
+        (out / "doas.json").write_text(text)
+        capsys.readouterr()
+        for command in ("beamform", "eval"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 4
+            assert "doas.json" in capsys.readouterr().err
+
+    def test_truncated_wav_fmt_chunk_exit_4(self, tmp_path, capsys):
+        ini, out = _simulated(tmp_path)
+        path = out / "src01_image.wav"
+        path.write_bytes(path.read_bytes()[:24])  # 4 of the 16 fmt bytes
+        capsys.readouterr()
+        assert main(["encode", "--config", ini, "--out", str(out)]) == 4
+        assert "fmt chunk too short" in capsys.readouterr().err
+
+
+# Each key is read by the command below; the others only pass it through.
+_KEY_COMMANDS = {("decode", "eps_theta_candidates"): "calibrate",
+                 ("decode", "calibration_scene_count"): "calibrate",
+                 ("conditioning", "theta_counts"): "conditioning"}
+_EDGE_VALUES = ("-1", "0", "1", "2", "0.5", "1e-9", "wide", "none",
+                "shoebox", "mwsbc", "corrupt", "model")
+# A 0.3 s scene at 90 cells, one calibration scene, a 1-epoch train.
+_TINY = {"scene": {"duration_s": "0.3"}, "grid": {"theta_count": "90"},
+         "conditioning": {"theta_counts": "90,180"},
+         "decode": {"calibration_scene_count": "1",
+                    "eps_theta_candidates": "0.1,0.3"},
+         "train": {"epochs": "1", "hidden_dim": "4", "scene_count": "1",
+                   "val_scene_count": "1", "batch_size": "1"}}
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep")
+
+
+class TestExitCodeContract:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(key=st.sampled_from([(s, k) for s in DEFAULTS for k in DEFAULTS[s]]),
+           value=st.sampled_from(_EDGE_VALUES))
+    def test_any_edge_value_ends_in_a_documented_exit_code(
+            self, sweep_dir, key, value):
+        # No exception may escape main: bad input ends in exit 2, 3 or 4.
+        section, name = key
+        raw = {s: dict(keys) for s, keys in _TINY.items()}
+        raw.setdefault(section, {})[name] = value
+        ini = sweep_dir / "edge.ini"
+        ini.write_text("".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for s, keys in raw.items()))
+        command = ("train" if section == "train"
+                   else _KEY_COMMANDS.get(key, "pipeline"))
+        assert main([command, "--config", str(ini),
+                     "--out", str(sweep_dir / "out")]) in (0, 2, 3, 4)

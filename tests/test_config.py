@@ -634,6 +634,17 @@ OLD_KEYS = [(section, key) for section in OLD_DEFAULTS
 # on to a later failure that named no key, or to none at all.
 AT_LEAST_1 = {("scene", "sample_rate_hz"), ("train", "hidden_dim"),
               ("train", "scene_count"), ("train", "val_scene_count")}
+# Keys whose range is now checked by name; the former config rejected the
+# same values only in the builder that reads them, naming no key.
+NAMED_BY_BUILDER = {
+    ("scene", "channels"): "geometry", ("grid", "theta_count"): "grid",
+    ("grid", "span_deg"): "grid",
+    **{("train", name): "train_config" for name in (
+        "learning_rate", "decay_factor", "decay_every_epochs", "epochs",
+        "batch_size", "patience")}}
+# Keys that stft_config() turns into samples; its errors now name the keys.
+STFT_KEYS = {("scene", "sample_rate_hz"), ("stft", "win_ms"),
+             ("stft", "hop_ms")}
 _SMALL_INT = st.integers(-10**4, 10**4).map(str)
 _NEAR_0 = st.integers(-2, 2).map(str)  # the bounds checks sit at 0 and 1
 _SMALL_FLOAT = st.floats(-1e4, 1e4).map(repr)
@@ -676,8 +687,17 @@ def _outcome(cfg, name):
 
 
 def _allowed(key, value, old, new):
-    """The two intended differences from the former config."""
+    """The intended differences from the former config."""
     section, name = key
+    if key in STFT_KEYS and old[:2] == ("raises", ConfigError):
+        if new == ("raises", ConfigError, "stft.win_ms/stft.hop_ms: " + old[2]):
+            return True
+    if key in NAMED_BY_BUILDER:
+        raw = {s: dict(keys) for s, keys in OLD_DEFAULTS.items()}
+        raw[section][name] = value
+        rejected = _outcome(OldRunConfig(raw), NAMED_BY_BUILDER[key])
+        return (rejected[0] == "raises" and new[:2] == ("raises", ConfigError)
+                and new[2].startswith(f"{section}.{name}: "))
     if key == ("decode", "eps_theta_candidates"):
         prefix = "decode.eps_theta_candidates: "
         return (old[:2] == new[:2] == ("raises", ConfigError)

@@ -1,9 +1,13 @@
 """Waveform container and WAV round-trip tests."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskgrid.errors import (DegenerateInputError, FormatError, ShapeError,
                              UnsupportedFormatError)
@@ -89,6 +93,81 @@ class TestWavRoundTrip:
         path.write_bytes(header + frames)
         with pytest.raises(UnsupportedFormatError):
             load_wav(path)
+
+
+    def test_truncated_fmt_chunk_raises(self, tmp_path):
+        # The chunk declares 16 bytes but the file ends 4 bytes into it.
+        path = tmp_path / "short_fmt.wav"
+        path.write_bytes(struct.pack("<4sI4s4sI", b"RIFF", 28, b"WAVE",
+                                     b"fmt ", 16) + b"\x01\x00\x01\x00")
+        with pytest.raises(FormatError, match="fmt chunk too short"):
+            load_wav(path)
+
+
+def _valid_wavs():
+    """One small valid file's bytes per encoding, one and two channels."""
+    signal = TimeSignal(np.linspace(-0.5, 0.5, 16).reshape(2, 8), 8000)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, sig, encoding in (("float32", signal, "float32"),
+                                    ("pcm16", signal.channel(1), "pcm16")):
+            path = Path(tmp) / f"{name}.wav"
+            save_wav(sig, path, encoding)
+            out[name] = path.read_bytes()
+    return out
+
+
+VALID_WAVS = _valid_wavs()
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav")
+
+
+def _assert_returns_or_raises_format_error(path, blob):
+    path.write_bytes(blob)
+    try:
+        load_wav(path)
+    except FormatError:
+        pass
+
+
+class TestFuzzedWavs:
+    """load_wav returns or raises FormatError on any bytes, never more."""
+
+    def test_valid_files_load(self, scratch):
+        for name, blob in VALID_WAVS.items():
+            (scratch / "valid.wav").write_bytes(blob)
+            assert load_wav(scratch / "valid.wav").length == 8, name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=80),
+                     st.binary(max_size=80).map(lambda b: b"RIFF" + b),
+                     st.binary(max_size=60).map(
+                         lambda b: VALID_WAVS["pcm16"][:12] + b)))
+    def test_any_byte_string(self, scratch, blob):
+        _assert_returns_or_raises_format_error(scratch / "any.wav", blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(VALID_WAVS)), st.data())
+    def test_truncated_or_extended(self, scratch, name, data):
+        blob = VALID_WAVS[name]
+        cut = data.draw(st.integers(0, len(blob)), label="cut")
+        tail = data.draw(st.binary(max_size=40), label="tail")
+        _assert_returns_or_raises_format_error(scratch / "cut.wav",
+                                               blob[:cut] + tail)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(VALID_WAVS)), st.data())
+    def test_overwritten_bytes(self, scratch, name, data):
+        # Chunk ids and sizes, format fields and samples alike.
+        blob = VALID_WAVS[name]
+        start = data.draw(st.integers(0, len(blob) - 1), label="start")
+        patch = data.draw(st.binary(min_size=1, max_size=8), label="patch")
+        patched = (blob[:start] + patch + blob[start + len(patch):])[:len(blob)]
+        _assert_returns_or_raises_format_error(scratch / "patched.wav",
+                                               patched)
 
 
 class TestPeakNormalize:
