@@ -137,6 +137,10 @@ def separate(mixture: Spectrogram, masks: MaskSet, doas_deg,
              loading_eps: float = DEFAULT_LOADING_EPS) -> list:
     """Full MVDR chain: covariances from masks, steering from DoAs, filter.
 
+    A bin with no interference left has R = 0, e.g. where a lone speaker's
+    mask is 1 in every frame. It gets the identity instead, which makes
+    the scale-invariant MVDR filter delay-and-sum there.
+
     Raises:
         DegenerateInputError: no DoAs, so there is no speaker to separate.
     """
@@ -145,6 +149,8 @@ def separate(mixture: Spectrogram, masks: MaskSet, doas_deg,
         raise DegenerateInputError("no speaker directions to beamform toward "
                                    "(did the decoder find no speakers?)")
     cov = interference_covariance(mixture, masks, loading_eps)
+    empty = np.trace(cov.values, axis1=2, axis2=3).real == 0.0
+    cov.values[empty] = np.eye(mixture.values.shape[0])
     steering = np.stack([
         steering_matrix(geometry, float(a), mixture.config, mixture.sample_rate_hz)
         for a in doas_deg])

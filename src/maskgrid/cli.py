@@ -209,40 +209,14 @@ def _save_scene(cfg: RunConfig, rendered, out_dir: Path) -> None:
     }, _meta(cfg))
 
 
-def _checked(value, schema, where: str):
-    """value matched to schema: float (finite; an int is accepted), int,
-    [item schema] or {key: schema}; a mismatch is a FormatError."""
-    if isinstance(schema, dict) and type(value) is dict:
-        return {k: _checked(value.get(k), s, f"{where}.{k}")
-                for k, s in schema.items()}
-    if isinstance(schema, list) and type(value) is list:
-        return [_checked(v, schema[0], f"{where}[{i}]")
-                for i, v in enumerate(value)]
-    if (schema in (int, float) and type(value) in (int, schema)
-            and abs(value) < 1e300):
-        return schema(value)
-    name = getattr(schema, "__name__", type(schema).__name__)
-    raise FormatError(f"{where}: expected {name}, got {value!r:.40}")
-
-
-def _read_json(path: Path, schema: dict, build):
-    """build(fields) of the JSON artifact at path, typed by schema; bad JSON,
-    a missing or mistyped field, or a value build rejects is a FormatError."""
-    try:
-        data = json.loads(path.read_bytes().decode("utf-8", "replace"))
-        return build(_checked(data, schema, str(path)))
-    except (json.JSONDecodeError, ConfigError) as err:
-        raise FormatError(f"{path}: {err}") from None
-
-
 def _load_truth(out_dir: Path) -> coding.DoaSet:
-    return _read_json(
+    return container.load_json(
         out_dir / "truth.json", {"doas_deg": [float], "span_deg": float},
         lambda d: coding.DoaSet(np.array(d["doas_deg"]), d["span_deg"]))
 
 
 def _load_doas(out_dir: Path) -> decode.DoaEstimates:
-    return _read_json(
+    return container.load_json(
         out_dir / "doas.json",
         {"clusters": [{"center_deg": float, "support": int}], "span_deg": float},
         lambda d: decode.DoaEstimates(tuple(
@@ -385,6 +359,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig, args) -> int:
+    cfg.grid()  # a bad grid or STFT key must exit before the first write
+    cfg.stft_config()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, rendered = _build_scene(cfg)

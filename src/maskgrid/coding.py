@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CollisionError, ConfigError, ShapeError
 
 CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
-# (t, k) rows per gather/scatter block in _place_gaussians. A block's three
+# (t, k) rows per gather/scatter block in _place. A block's three
 # temporaries stay in a 2 MiB L2 up to 1440 cells; 256 rows spilled and ran
 # 2-3x slower, and fewer rows only add per-block call overhead.
 _ENCODE_BLOCK_ROWS = 32
@@ -209,12 +209,8 @@ def encode_sbc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid) -> Coding
 
     activity: boolean (speakers, frames) from frame_activity or ground truth.
     """
-    cells = snap_to_grid(truth, grid)
-    frames = activity.shape[1]
-    values = np.zeros((frames, 1, grid.theta_count))
-    for i, g in enumerate(cells):
-        values[activity[i], 0, g] = 1.0
-    return CodingTensor(values, grid, "sbc")
+    one_hot = np.eye(grid.theta_count)[snap_to_grid(truth, grid)]
+    return _place(MaskSet(activity[:, :, None]), one_hot, grid, np.maximum, "sbc")
 
 
 def encode_slc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid,
@@ -222,12 +218,7 @@ def encode_slc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid,
     """Gaussian spatial-only coding: per-frame max of unit bumps at DoAs."""
     gauss = _gaussian_rows(truth, grid, sigma_deg)
     _warn_shared_cells(truth, grid, "slc")
-    frames = activity.shape[1]
-    values = np.zeros((frames, 1, grid.theta_count))
-    for i in range(truth.count):
-        rows = np.where(activity[i])[0]
-        values[rows, 0, :] = np.maximum(values[rows, 0, :], gauss[i])
-    return CodingTensor(values, grid, "slc")
+    return _place(MaskSet(activity[:, :, None]), gauss, grid, np.maximum, "slc")
 
 
 def encode_mwsbc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid) -> CodingTensor:
@@ -249,31 +240,31 @@ def encode_mwsbc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid) -> CodingTens
     return CodingTensor(values, grid, "mwsbc")
 
 
-def _place_gaussians(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
-                     sigma_deg: float, combine, kind: str) -> CodingTensor:
-    """Fold each speaker's mask * bump into a zero tensor with `combine`."""
-    if masks.speakers != truth.count:
-        raise ShapeError(f"{masks.speakers} masks for {truth.count} DoAs")
-    gauss = _gaussian_rows(truth, grid, sigma_deg)
+def _place(masks: MaskSet, rows: np.ndarray, grid: SpatialGrid, combine,
+           kind: str) -> CodingTensor:
+    """Fold each speaker's mask * its (cells,) row into a zero tensor with
+    `combine`."""
+    if masks.speakers != rows.shape[0]:
+        raise ShapeError(f"{masks.speakers} masks for {rows.shape[0]} DoAs")
     values = np.zeros((masks.frames, masks.bins, grid.theta_count))
     flat = values.reshape(-1, grid.theta_count)
-    for i in range(truth.count):
-        mask = masks.values[i].reshape(-1)
-        # Gaussian rows are finite and >= 0, so a zero mask gives a zero
-        # product. It leaves the running sum (never -0) unchanged, and the
-        # running maximum too for masks without -0.0: only the nonzero
-        # (t, k) rows are visited.
-        rows = np.flatnonzero(mask)
-        for start in range(0, rows.size, _ENCODE_BLOCK_ROWS):
-            block = rows[start:start + _ENCODE_BLOCK_ROWS]
-            flat[block] = combine(flat[block], mask[block, None] * gauss[i])
+    for mask, row in zip(masks.values.reshape(masks.speakers, -1), rows):
+        # Rows are finite and >= 0, so a zero mask gives a zero product. It
+        # leaves the running sum (never -0) unchanged, and the running
+        # maximum too for masks without -0.0: only the nonzero (t, k) rows
+        # are visited.
+        nonzero = np.flatnonzero(mask)
+        for start in range(0, nonzero.size, _ENCODE_BLOCK_ROWS):
+            block = nonzero[start:start + _ENCODE_BLOCK_ROWS]
+            flat[block] = combine(flat[block], mask[block, None] * row)
     return CodingTensor(values, grid, kind)
 
 
 def encode_mwslc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
                  sigma_deg: float = 6.0) -> CodingTensor:
     """Mask-weighted Gaussian coding: max over speakers of mask * bump."""
-    coding = _place_gaussians(masks, truth, grid, sigma_deg, np.maximum, "mwslc")
+    coding = _place(masks, _gaussian_rows(truth, grid, sigma_deg), grid,
+                    np.maximum, "mwslc")
     _warn_shared_cells(truth, grid, "mwslc")
     return coding
 
@@ -285,7 +276,8 @@ def encode_mwslc_sum(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
     This is the analytically tractable approximation used by the
     conditioning sweep; the decoder always consumes the max form.
     """
-    return _place_gaussians(masks, truth, grid, sigma_deg, np.add, "mwslc_sum")
+    return _place(masks, _gaussian_rows(truth, grid, sigma_deg), grid, np.add,
+                  "mwslc_sum")
 
 
 # Mask-weighted encoders by config name, called as (masks, truth, grid, sigma_deg).

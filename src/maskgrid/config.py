@@ -124,7 +124,7 @@ class RunConfig:
     # The solver default keeps the light 1e-6 loading; the pipeline default
     # is heavier because plane-wave steering at desk distances self-cancels
     # the target under near-field mismatch otherwise.
-    loading_eps = _Key("beamform", "loading_eps", "1e-2")
+    loading_eps = _Key("beamform", "loading_eps", "1e-2", ok=_at_least(0))
     tolerance_deg = _Key("metrics", "tolerance_deg", "10")
     _learning_rate = _Key("train", "learning_rate", "0.001",
                           ok=(lambda r: r > 0.0, "a positive number"))

@@ -16,10 +16,14 @@ Payloads are 32-bit floats, so round-tripping float64 data quantizes it;
 the format targets interchange, not lossless archival. Kind "params" is
 the one special case: its dims are the three layer sizes (input, hidden,
 output) and the payload is the flattened concatenation w1, b1, w2, b2.
+
+The JSON artifacts (truth.json, doas.json) are read by load_json under the
+same rule: every fault in a file's bytes is a FormatError.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from pathlib import Path
@@ -145,3 +149,31 @@ def load_params(path) -> EstimatorParams:
                                                 hidden * out]))
     return _build(path, lambda: EstimatorParams(
         w1.reshape(f_in, hidden), b1, w2.reshape(hidden, out), b2, seed))
+
+
+def _checked(value, schema, where: str):
+    """value matched to schema: float (finite; an int is accepted), int,
+    [item schema] or {key: schema}; a mismatch is a FormatError."""
+    if isinstance(schema, dict) and type(value) is dict:
+        return {k: _checked(value.get(k), s, f"{where}.{k}")
+                for k, s in schema.items()}
+    if isinstance(schema, list) and type(value) is list:
+        return [_checked(v, schema[0], f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    if (schema in (int, float) and type(value) in (int, schema)
+            and abs(value) < 1e300):
+        return schema(value)
+    name = getattr(schema, "__name__", type(schema).__name__)
+    raise FormatError(f"{where}: expected {name}, got {value!r:.40}")
+
+
+def load_json(path, schema, build):
+    """build(fields) of the JSON artifact at path, typed by schema; bad or
+    too deeply nested JSON, a missing or mistyped field, or a value build
+    rejects is a FormatError."""
+    try:
+        data = json.loads(Path(path).read_bytes().decode("utf-8", "replace"))
+        fields = _checked(data, schema, str(path))
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise FormatError(f"{path}: {err}") from None
+    return _build(path, lambda: build(fields))

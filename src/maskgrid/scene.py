@@ -26,6 +26,8 @@ SPEED_OF_SOUND = 343.0
 _DELAY_TAPS = 33
 _DELAY_HALF = _DELAY_TAPS // 2
 _DELAY_CUTOFF = 0.9
+_DELAY_TAP_INDEX = np.arange(_DELAY_TAPS) - _DELAY_HALF
+_DELAY_WINDOW = np.hanning(_DELAY_TAPS)
 
 
 def linear_array(channels: int = 4, spacing_m: float = 0.05) -> np.ndarray:
@@ -170,98 +172,74 @@ def steering_matrix(geometry: ArrayGeometry, doa_deg: float, cfg: StftConfig,
 
 def _delay_kernel(frac: float) -> np.ndarray:
     """Windowed-sinc interpolation kernel delaying by frac in [-0.5, 0.5]."""
-    m = np.arange(_DELAY_TAPS) - _DELAY_HALF
-    return _DELAY_CUTOFF * np.sinc(_DELAY_CUTOFF * (m - frac)) * np.hanning(_DELAY_TAPS)
+    return _DELAY_CUTOFF * np.sinc(_DELAY_CUTOFF * (_DELAY_TAP_INDEX - frac)) * _DELAY_WINDOW
 
 
-def _render_images(sources, mic_positions, images_per_source, speed, fs):
-    """Sum of fractional-delay filtered copies per mic.
-
-    images_per_source: per source, a list of (position (3,), gain) tuples.
-    Returns per-source image arrays of common shape (C, L).
-    """
-    c = mic_positions.shape[0]
-    max_delay = 0.0
-    for spec, images in zip(sources, images_per_source):
-        for pos, _ in images:
-            r = np.linalg.norm(pos - mic_positions, axis=1)
-            max_delay = max(max_delay, float(r.max()) / speed * fs)
-    longest = max(s.signal.length for s in sources)
-    lead = _DELAY_TAPS
-    out_len = longest + lead + int(math.ceil(max_delay)) + _DELAY_TAPS
-
-    rendered = []
-    for spec, images in zip(sources, images_per_source):
-        x = spec.signal.samples[0]
-        out = np.zeros((c, out_len))
-        for pos, gain in images:
-            if gain == 0.0:
-                continue
-            for mic in range(c):
-                r = float(np.linalg.norm(pos - mic_positions[mic]))
-                delay = r / speed * fs
-                n0 = int(round(delay))
-                kernel = _delay_kernel(delay - n0) * (gain / r)
-                start = lead + n0 - _DELAY_HALF
-                seg = np.convolve(x, kernel)
-                out[mic, start : start + seg.size] += seg
-        rendered.append(out)
-    return rendered
-
-
-def _check_rates(spec: SceneSpec) -> int:
-    rates = {s.signal.sample_rate_hz for s in spec.sources}
-    if len(rates) != 1:
-        raise ConfigError(f"sources have mixed sample rates: {sorted(rates)}")
-    return rates.pop()
-
-
-def _finish(spec: SceneSpec, geometry: ArrayGeometry, images, fs) -> RenderedScene:
-    rendered = _render_images(spec.sources, geometry.mic_positions, images,
-                              geometry.speed_of_sound, fs)
-    mixture = np.sum(rendered, axis=0)
-    return RenderedScene(
-        mixture=TimeSignal(mixture, fs),
-        source_images=tuple(TimeSignal(r, fs) for r in rendered),
-        dry_sources=tuple(s.signal for s in spec.sources),
-        truth=spec.truth,
-    )
-
-
-def simulate_anechoic(spec: SceneSpec, geometry: ArrayGeometry) -> RenderedScene:
-    """Free-field render: direct path only, spherical 1/r attenuation."""
-    fs = _check_rates(spec)
-    ref = geometry.mic_positions[geometry.reference_mic]
-    images = [[(ref + s.distance_m * unit_vector(s.doa_deg), 1.0)]
-              for s in spec.sources]
-    return _finish(spec, geometry, images, fs)
-
-
-def _shoebox_images(src, lo, hi, beta, max_order):
-    """Image positions and gains for a shoebox room given in array coordinates.
-
-    The direct path is passed through untouched so an order-0 room render is
-    bit-identical to the free-field one.
-    """
+def _image_sources(src: np.ndarray, room: RoomSpec | None) -> list:
+    """(position, gain) of each image of a source at src, in array
+    coordinates: the direct path (src itself, so an order-0 room renders
+    bit-identically to no room) and, in a room, every nonzero-gain image up
+    to room.max_order."""
+    if room is None:
+        return [(src, 1.0)]
+    lo = -room.origin
+    hi = np.asarray(room.dimensions_m) - room.origin
     dims = hi - lo
+    beta = math.sqrt(1.0 - room.absorption)
     images = []
-    span = range(-max_order, max_order + 1)
+    span = range(-room.max_order, room.max_order + 1)
     for p in itertools.product((0, 1), repeat=3):
         for r in itertools.product(span, repeat=3):
             hits = sum(abs(r[a] - p[a]) + abs(r[a]) for a in range(3))
-            if hits > max_order:
+            gain = beta ** hits  # 1.0 for the direct path (hits == 0)
+            if hits > room.max_order or gain == 0.0:
                 continue
-            if hits == 0:
-                images.append((src.copy(), 1.0))
-                continue
-            gain = beta ** hits
-            if gain == 0.0:
-                continue
-            pos = np.array([
+            pos = src if hits == 0 else np.array([
                 (1 - 2 * p[a]) * (src[a] - lo[a]) + 2 * r[a] * dims[a] + lo[a]
                 for a in range(3)])
             images.append((pos, gain))
     return images
+
+
+def _render(spec: SceneSpec, geometry: ArrayGeometry,
+            room: RoomSpec | None) -> RenderedScene:
+    """Sum of fractional-delay filtered copies of each source per mic, one
+    per (image, mic) path with gain / distance; the output holds the
+    longest source plus the longest path delay."""
+    rates = {s.signal.sample_rate_hz for s in spec.sources}
+    if len(rates) != 1:
+        raise ConfigError(f"sources have mixed sample rates: {sorted(rates)}")
+    fs = rates.pop()
+    mics = geometry.mic_positions
+    ref = mics[geometry.reference_mic]
+    paths = []  # per source: (mic, delay in samples, gain / r) of each path
+    for s in spec.sources:
+        src = ref + s.distance_m * unit_vector(s.doa_deg)
+        paths.append([])
+        for pos, gain in _image_sources(src, room):
+            for mic in range(geometry.channels):
+                r = float(np.linalg.norm(pos - mics[mic]))
+                paths[-1].append((mic, r / geometry.speed_of_sound * fs, gain / r))
+    max_delay = max(delay for per in paths for _, delay, _ in per)
+    out_len = (max(s.signal.length for s in spec.sources) + 2 * _DELAY_TAPS
+               + int(math.ceil(max_delay)))
+    rendered = []
+    for s, per in zip(spec.sources, paths):
+        out = np.zeros((geometry.channels, out_len))
+        for mic, delay, scale in per:
+            n0 = int(round(delay))
+            seg = np.convolve(s.signal.samples[0], _delay_kernel(delay - n0) * scale)
+            start = _DELAY_TAPS + n0 - _DELAY_HALF  # a filter length of lead
+            out[mic, start : start + seg.size] += seg
+        rendered.append(out)
+    return RenderedScene(TimeSignal(np.sum(rendered, axis=0), fs),
+                         tuple(TimeSignal(r, fs) for r in rendered),
+                         tuple(s.signal for s in spec.sources), spec.truth)
+
+
+def simulate_anechoic(spec: SceneSpec, geometry: ArrayGeometry) -> RenderedScene:
+    """Free-field render: direct path only, spherical 1/r attenuation."""
+    return _render(spec, geometry, None)
 
 
 def simulate_shoebox(spec: SceneSpec, geometry: ArrayGeometry) -> RenderedScene:
@@ -275,23 +253,19 @@ def simulate_shoebox(spec: SceneSpec, geometry: ArrayGeometry) -> RenderedScene:
     """
     if spec.room is None:
         raise ConfigError("simulate_shoebox needs a room in the scene spec")
-    fs = _check_rates(spec)
     room = spec.room
     lo = -room.origin
     hi = np.asarray(room.dimensions_m) - room.origin
     for mic in geometry.mic_positions:
         if np.any(mic <= lo) or np.any(mic >= hi):
             raise ConfigError(f"mic at {mic} lies outside the room")
-    beta = math.sqrt(1.0 - room.absorption)
     ref = geometry.mic_positions[geometry.reference_mic]
-    images = []
     for s in spec.sources:
         pos = ref + s.distance_m * unit_vector(s.doa_deg)
         if np.any(pos <= lo) or np.any(pos >= hi):
             raise ConfigError(f"source at {s.doa_deg} deg / {s.distance_m} m "
                               "lies outside the room")
-        images.append(_shoebox_images(pos, lo, hi, beta, room.max_order))
-    return _finish(spec, geometry, images, fs)
+    return _render(spec, geometry, room)
 
 
 def synth_source(kind: str, duration_s: float, pitch_hz: float = 200.0,

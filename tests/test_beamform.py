@@ -155,6 +155,17 @@ class TestMvdrAndSeparate:
             mix = TimeSignal(bundle.rendered.mixture.samples[0:1, :n], 16000)
             assert si_sdr(est, ref) > si_sdr(mix, ref)
 
+    def test_bin_without_interference_is_delay_and_sum(self, two_speaker_scene):
+        # A lone speaker whose mask is 1 in every frame leaves R = 0 in
+        # every bin: separate steers delay-and-sum, w = d / C.
+        bundle = two_speaker_scene
+        spec = bundle.mixture_spec
+        masks = MaskSet(np.ones((1, spec.frames, spec.bins)))
+        (got,) = separate(spec, masks, [50.0], bundle.geometry)
+        d = steering_matrix(bundle.geometry, 50.0, spec.config)
+        want = np.einsum("ctk,kc->tk", spec.values, np.conj(d)) / spec.channels
+        np.testing.assert_allclose(got.values[0], want, rtol=1e-12, atol=1e-12)
+
     def test_steering_shape_mismatch_rejected(self, two_speaker_scene):
         bundle = two_speaker_scene
         cov = interference_covariance(bundle.mixture_spec, bundle.masks)

@@ -171,6 +171,29 @@ class TestPipeline:
         assert main(["pipeline", "--config", ini, "--eps-theta", "0.95",
                      "--out", str(out)]) == 3
 
+    @pytest.mark.parametrize("flags, extra", [
+        (["--theta-count", "1"], ""), ([], "[stft]\nwin_ms = 31\n")],
+        ids=["theta_count", "win_ms"])
+    def test_bad_grid_or_stft_exit_2_before_any_write(self, tmp_path, flags,
+                                                       extra):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", _fast_ini(tmp_path, extra),
+                     "--out", str(out), *flags]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("doa", ["90", "0", "1e-9"])
+    def test_one_speaker_separates(self, tmp_path, doa):
+        # The lone speaker's mask fills whole bins, whose interference
+        # covariance is 0; those bins fall back to delay-and-sum.
+        ini = tmp_path / "one.ini"
+        ini.write_text(f"[scene]\nduration_s = 0.5\ndoas_deg = {doa}\n"
+                       "[grid]\ntheta_count = 360\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(ini), "--out", str(out)]) == 0
+        _, rows = _read_report(out / "report.csv")
+        assert float(rows[0]["doa_mae_deg"]) <= 1.0
+        assert float(rows[0]["recall"]) == 1.0
+
     def test_corrupt_mode(self, tmp_path):
         ini = _fast_ini(tmp_path, "[estimate]\nmode = corrupt\n"
                                   "noise_std = 0.02\n")
@@ -502,9 +525,10 @@ class TestMalformedInputs:
         "{not json", "[]", '{"doas_deg": [400.0], "span_deg": 360}',
         '{"doas_deg": [50.0], "span_deg": "360"}', '{"doas_deg": []}',
         '{"doas_deg": [50.0, NaN], "span_deg": 360}',
-        '{"doas_deg": [true], "span_deg": 360}', "\xff\xfe"],
+        '{"doas_deg": [true], "span_deg": 360}', "\xff\xfe", "[" * 100000],
         ids=["not_json", "list", "angle_outside_span", "span_string",
-             "missing_span", "nan_angle", "bool_angle", "not_utf8"])
+             "missing_span", "nan_angle", "bool_angle", "not_utf8",
+             "deep_nesting"])
     def test_malformed_truth_exit_4(self, tmp_path, capsys, text):
         ini, out = _simulated(tmp_path)
         (out / "truth.json").write_bytes(text.encode("latin-1"))
@@ -518,9 +542,10 @@ class TestMalformedInputs:
         '{"clusters": [{"center_deg": 50.0}], "span_deg": 360}',
         '{"clusters": [{"center_deg": 50.0, "support": 2.5}], '
         '"span_deg": 360}',
-        '{"clusters": [{"center_deg": 1e400, "support": 3}], "span_deg": 360}'],
+        '{"clusters": [{"center_deg": 1e400, "support": 3}], "span_deg": 360}',
+        "[" * 100000],
         ids=["list", "not_json", "clusters_object", "missing_support",
-             "float_support", "infinite_center"])
+             "float_support", "infinite_center", "deep_nesting"])
     def test_malformed_doas_exit_4(self, tmp_path, capsys, text):
         ini = _fast_ini(tmp_path)
         out = tmp_path / "run"

@@ -1,13 +1,16 @@
 """Mask computation and angular-grid encoding tests."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maskgrid.coding import (_ENCODE_BLOCK_ROWS, CodingTensor, DoaSet, MaskSet,
-                             SpatialGrid, _gaussian_rows, compute_irm,
+                             SpatialGrid, _gaussian_rows, _warn_shared_cells,
+                             compute_irm,
                              encode_mwsbc, encode_mwslc, encode_mwslc_sum,
                              encode_sbc, encode_slc, frame_activity,
                              snap_to_grid, wrapped_distance)
@@ -39,6 +42,30 @@ def _oracle_encode_mwslc_sum(masks, truth, grid, sigma_deg=6.0):
     for i in range(truth.count):
         values += masks.values[i][:, :, None] * gauss[i]
     return CodingTensor(values, grid, "mwslc_sum")
+
+
+def _oracle_encode_sbc(truth, activity, grid):
+    """The former per-speaker column write, verbatim; kept as the test
+    oracle."""
+    cells = snap_to_grid(truth, grid)
+    frames = activity.shape[1]
+    values = np.zeros((frames, 1, grid.theta_count))
+    for i, g in enumerate(cells):
+        values[activity[i], 0, g] = 1.0
+    return CodingTensor(values, grid, "sbc")
+
+
+def _oracle_encode_slc(truth, activity, grid, sigma_deg=6.0):
+    """The former per-speaker row maximum, verbatim; kept as the test
+    oracle."""
+    gauss = _gaussian_rows(truth, grid, sigma_deg)
+    _warn_shared_cells(truth, grid, "slc")
+    frames = activity.shape[1]
+    values = np.zeros((frames, 1, grid.theta_count))
+    for i in range(truth.count):
+        rows = np.where(activity[i])[0]
+        values[rows, 0, :] = np.maximum(values[rows, 0, :], gauss[i])
+    return CodingTensor(values, grid, "slc")
 
 
 def _assert_sum_matches_oracle(masks, truth, grid, sigma_deg=6.0):
@@ -196,6 +223,49 @@ class TestSpatialOnlyEncodings:
         truth = DoaSet(np.array([50.0, 52.0]))
         with pytest.warns(UserWarning):
             encode_slc(truth, np.ones((2, 1), dtype=bool), grid)
+
+
+@st.composite
+def _spatial_problems(draw):
+    """(truth, activity, grid, sigma): 1-4 speakers on a grid coarse enough
+    that two often share a cell, over enough frames to span several row
+    blocks."""
+    grid = SpatialGrid(draw(st.sampled_from([2, 4, 7, 36, 360])))
+    angles = draw(st.lists(st.floats(0.0, 359.0), min_size=1, max_size=4,
+                           unique=True))
+    frames = draw(st.integers(1, 3 * _ENCODE_BLOCK_ROWS))
+    activity = draw(arrays(bool, (len(angles), frames)))
+    return (DoaSet(np.array(angles)), activity, grid,
+            draw(st.floats(0.5, 90.0)))
+
+
+# 50 and 52 deg share cell 5 of 36 in every frame.
+_SHARED_CELL = (DoaSet(np.array([50.0, 52.0])), np.ones((2, 3), dtype=bool),
+                SpatialGrid(36), 6.0)
+
+
+class TestSpatialOnlyMatchesFormerLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_spatial_problems())
+    @example(problem=_SHARED_CELL)
+    def test_sbc(self, problem):
+        truth, activity, grid, _ = problem
+        got = encode_sbc(truth, activity, grid)
+        want = _oracle_encode_sbc(truth, activity, grid)
+        assert got.kind == want.kind
+        np.testing.assert_array_equal(got.values, want.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_spatial_problems())
+    @example(problem=_SHARED_CELL)
+    def test_slc(self, problem):
+        truth, activity, grid, sigma = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # shared cells warn in both
+            got = encode_slc(truth, activity, grid, sigma)
+            want = _oracle_encode_slc(truth, activity, grid, sigma)
+        assert got.kind == want.kind
+        np.testing.assert_array_equal(got.values, want.values)
 
 
 class TestMaskWeightedEncodings:

@@ -166,6 +166,7 @@ class TestValidation:
         ("coding", "sigma_deg", "nan"), ("coding", "sigma_deg", "-inf"),
         ("train", "hidden_dim", "0"), ("train", "hidden_dim", "-1"),
         ("train", "val_scene_count", "0"), ("scene", "sample_rate_hz", "0"),
+        ("beamform", "loading_eps", "-1"),
     ])
     def test_out_of_range_number_names_key(self, section, key, value):
         cfg = load_config(overrides={(section, key): value})
@@ -702,6 +703,10 @@ def _allowed(key, value, old, new):
         prefix = "decode.eps_theta_candidates: "
         return (old[:2] == new[:2] == ("raises", ConfigError)
                 and old[2].startswith(prefix) and new[2].startswith(prefix))
+    if key == ("beamform", "loading_eps"):
+        return old[0] == "value" and old[1] < 0.0 and new == (
+            "raises", ConfigError,
+            f"beamform.loading_eps: expected at least 0, got {old[1]!r}")
     if key in AT_LEAST_1:
         try:
             count = int(value)

@@ -1,12 +1,18 @@
 """Scene geometry, steering, and image-source render tests."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maskgrid.errors import ConfigError
-from maskgrid.scene import (ArrayGeometry, RoomSpec, SceneSpec, SourceSpec,
-                            linear_array, simulate_anechoic, simulate_shoebox,
-                            steering_matrix, synth_source, unit_vector)
+from maskgrid.scene import (ArrayGeometry, RenderedScene, RoomSpec, SceneSpec,
+                            SourceSpec, linear_array, simulate_anechoic,
+                            simulate_shoebox, steering_matrix, synth_source,
+                            unit_vector)
 from maskgrid.signal import TimeSignal
 from maskgrid.stft import StftConfig
 
@@ -237,3 +243,166 @@ class TestSynthSource:
     def test_pitch_above_nyquist_rejected(self):
         with pytest.raises(ValueError):
             synth_source("harmonic-complex", 0.25, 16000.0)
+
+
+# The former renderer, verbatim: two passes over separate anechoic and
+# shoebox image lists. Kept only as the test oracle.
+_DELAY_TAPS = 33
+_DELAY_HALF = _DELAY_TAPS // 2
+_DELAY_CUTOFF = 0.9
+
+
+def _oracle_delay_kernel(frac: float) -> np.ndarray:
+    m = np.arange(_DELAY_TAPS) - _DELAY_HALF
+    return _DELAY_CUTOFF * np.sinc(_DELAY_CUTOFF * (m - frac)) * np.hanning(_DELAY_TAPS)
+
+
+def _oracle_render_images(sources, mic_positions, images_per_source, speed, fs):
+    c = mic_positions.shape[0]
+    max_delay = 0.0
+    for spec, images in zip(sources, images_per_source):
+        for pos, _ in images:
+            r = np.linalg.norm(pos - mic_positions, axis=1)
+            max_delay = max(max_delay, float(r.max()) / speed * fs)
+    longest = max(s.signal.length for s in sources)
+    lead = _DELAY_TAPS
+    out_len = longest + lead + int(math.ceil(max_delay)) + _DELAY_TAPS
+
+    rendered = []
+    for spec, images in zip(sources, images_per_source):
+        x = spec.signal.samples[0]
+        out = np.zeros((c, out_len))
+        for pos, gain in images:
+            if gain == 0.0:
+                continue
+            for mic in range(c):
+                r = float(np.linalg.norm(pos - mic_positions[mic]))
+                delay = r / speed * fs
+                n0 = int(round(delay))
+                kernel = _oracle_delay_kernel(delay - n0) * (gain / r)
+                start = lead + n0 - _DELAY_HALF
+                seg = np.convolve(x, kernel)
+                out[mic, start : start + seg.size] += seg
+        rendered.append(out)
+    return rendered
+
+
+def _oracle_check_rates(spec):
+    rates = {s.signal.sample_rate_hz for s in spec.sources}
+    if len(rates) != 1:
+        raise ConfigError(f"sources have mixed sample rates: {sorted(rates)}")
+    return rates.pop()
+
+
+def _oracle_finish(spec, geometry, images, fs):
+    rendered = _oracle_render_images(spec.sources, geometry.mic_positions,
+                                     images, geometry.speed_of_sound, fs)
+    mixture = np.sum(rendered, axis=0)
+    return RenderedScene(
+        mixture=TimeSignal(mixture, fs),
+        source_images=tuple(TimeSignal(r, fs) for r in rendered),
+        dry_sources=tuple(s.signal for s in spec.sources),
+        truth=spec.truth,
+    )
+
+
+def _oracle_simulate_anechoic(spec, geometry):
+    fs = _oracle_check_rates(spec)
+    ref = geometry.mic_positions[geometry.reference_mic]
+    images = [[(ref + s.distance_m * unit_vector(s.doa_deg), 1.0)]
+              for s in spec.sources]
+    return _oracle_finish(spec, geometry, images, fs)
+
+
+def _oracle_shoebox_images(src, lo, hi, beta, max_order):
+    dims = hi - lo
+    images = []
+    span = range(-max_order, max_order + 1)
+    for p in itertools.product((0, 1), repeat=3):
+        for r in itertools.product(span, repeat=3):
+            hits = sum(abs(r[a] - p[a]) + abs(r[a]) for a in range(3))
+            if hits > max_order:
+                continue
+            if hits == 0:
+                images.append((src.copy(), 1.0))
+                continue
+            gain = beta ** hits
+            if gain == 0.0:
+                continue
+            pos = np.array([
+                (1 - 2 * p[a]) * (src[a] - lo[a]) + 2 * r[a] * dims[a] + lo[a]
+                for a in range(3)])
+            images.append((pos, gain))
+    return images
+
+
+def _oracle_simulate_shoebox(spec, geometry):
+    if spec.room is None:
+        raise ConfigError("simulate_shoebox needs a room in the scene spec")
+    fs = _oracle_check_rates(spec)
+    room = spec.room
+    lo = -room.origin
+    hi = np.asarray(room.dimensions_m) - room.origin
+    for mic in geometry.mic_positions:
+        if np.any(mic <= lo) or np.any(mic >= hi):
+            raise ConfigError(f"mic at {mic} lies outside the room")
+    beta = math.sqrt(1.0 - room.absorption)
+    ref = geometry.mic_positions[geometry.reference_mic]
+    images = []
+    for s in spec.sources:
+        pos = ref + s.distance_m * unit_vector(s.doa_deg)
+        if np.any(pos <= lo) or np.any(pos >= hi):
+            raise ConfigError(f"source at {s.doa_deg} deg / {s.distance_m} m "
+                              "lies outside the room")
+        images.append(_oracle_shoebox_images(pos, lo, hi, beta, room.max_order))
+    return _oracle_finish(spec, geometry, images, fs)
+
+
+@st.composite
+def _scenes(draw):
+    """A 1-3 source scene of 20 ms noise bursts that fits any drawn room,
+    with its array; the room is None (anechoic) or a shoebox of order 0-3
+    with the array at its center or near it."""
+    count = draw(st.integers(1, 3))
+    doas = draw(st.lists(st.integers(0, 17), min_size=count, max_size=count,
+                         unique=True))
+    offset = draw(st.floats(0.0, 19.0))
+    sources = tuple(
+        SourceSpec(20.0 * d + offset, draw(st.floats(0.3, 1.5)),
+                   synth_source("modulated-noise", 0.02,
+                                seed=draw(st.integers(0, 2**16))))
+        for d in doas)
+    room = draw(st.none() | st.builds(
+        RoomSpec, st.tuples(st.floats(4.0, 8.0), st.floats(4.0, 7.0),
+                            st.floats(2.5, 4.0)),
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), st.integers(0, 3),
+        st.none() | st.tuples(st.floats(1.9, 2.1), st.floats(1.9, 2.1),
+                              st.floats(0.5, 2.0))))
+    geometry = ArrayGeometry(linear_array(draw(st.integers(2, 4)),
+                                          draw(st.floats(0.02, 0.1))))
+    return SceneSpec(sources, room=room), geometry
+
+
+# An off-center array where (D - o) + o != D in x and y, so wall images
+# must use hi - lo, as the former renderer did, not the room dimensions.
+_OFF_CENTER = (_scene([30.0, 150.0], [1.0, 1.2], duration_s=0.02, room=RoomSpec(
+    (6.2, 6.3, 3.0), 0.3, 2, (2.02, 1.94, 1.3))), ArrayGeometry())
+
+
+class TestRenderMatchesFormerRenderer:
+    @settings(max_examples=40, deadline=None)
+    @given(scene=_scenes())
+    @example(scene=_OFF_CENTER)
+    def test_mixture_and_image_bytes(self, scene):
+        spec, geometry = scene
+        if spec.room is None:
+            got = simulate_anechoic(spec, geometry)
+            want = _oracle_simulate_anechoic(spec, geometry)
+        else:
+            got = simulate_shoebox(spec, geometry)
+            want = _oracle_simulate_shoebox(spec, geometry)
+        assert got.mixture.samples.tobytes() == want.mixture.samples.tobytes()
+        assert len(got.source_images) == len(want.source_images)
+        for a, b in zip(got.source_images, want.source_images):
+            assert a.samples.shape == b.samples.shape
+            assert a.samples.tobytes() == b.samples.tobytes()
