@@ -130,17 +130,23 @@ def _oracle_parts(cfg: RunConfig, rendered):
             _encode(cfg, cfg.coding_kind, masks, rendered.truth))
 
 
-def _estimated_coding(cfg: RunConfig, mixture_spec, masks, truth):
-    """Coding per estimate.mode; only oracle and corrupt encode the masks."""
-    mode = cfg.estimate_mode
-    if mode == "model":
-        if not cfg.params_path:
-            raise ConfigError("estimate.params_path is required for mode=model")
-        params = container.load_params(cfg.params_path)
+def _model_params(cfg: RunConfig):
+    """The estimator parameters for estimate.mode = model, else None."""
+    if cfg.estimate_mode != "model":
+        return None
+    if not cfg.params_path:
+        raise ConfigError("estimate.params_path is required for mode=model")
+    return container.load_params(cfg.params_path)
+
+
+def _estimated_coding(cfg: RunConfig, mixture_spec, masks, truth, params):
+    """Coding per estimate.mode; only oracle and corrupt encode the masks.
+    `params` is _model_params(cfg)."""
+    if params is not None:
         return estimator.forward(params, estimator.features(mixture_spec),
                                  cfg.grid())
     oracle = _encode(cfg, cfg.coding_kind, masks, truth)
-    if mode == "corrupt":
+    if cfg.estimate_mode == "corrupt":
         return estimator.corrupt_oracle(oracle, cfg.noise_std,
                                         cfg.blur_cells, cfg.seed)
     return oracle
@@ -269,15 +275,21 @@ def cmd_conditioning(cfg: RunConfig, args) -> int:
 
 
 def _calibration_scene(cfg: RunConfig, index: int):
-    """Oracle coding and truth of varied scene `index`."""
+    """Frame likelihood of the oracle coding, and truth, of varied scene
+    `index`; the coding is frequency-averaged a block of frames at a time,
+    so its full tensor is never held."""
     _, rendered = _varied_scene(cfg, index)
     _, masks = _source_masks(cfg, rendered.source_images)
-    return _encode(cfg, cfg.coding_kind, masks, rendered.truth), rendered.truth
+    grid = cfg.grid()
+    likelihood = coding.encode_reduced(
+        cfg.coding_kind, masks, rendered.truth, grid, cfg.sigma_deg,
+        lambda block: decode.freq_average(block).values)
+    return decode.FrameLikelihood(likelihood, grid), rendered.truth
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    # A generator, so each scene's tensor is built only when the previous
-    # one has been reduced to its frame likelihood.
+    # A generator, so each scene is rendered only when the previous one has
+    # been reduced to its frame likelihood.
     scenes = (_calibration_scene(cfg, i)
               for i in range(cfg.calibration_scene_count))
     result = decode.calibrate_threshold(
@@ -359,8 +371,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig, args) -> int:
-    cfg.grid()  # a bad grid or STFT key must exit before the first write
+    # A bad grid, STFT or model key must exit before the first write.
+    cfg.grid()
     cfg.stft_config()
+    params = _model_params(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, rendered = _build_scene(cfg)
@@ -368,7 +382,8 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     _, masks = _source_masks(cfg, rendered.source_images)
     container.save_masks(out_dir / "masks.bin", masks, rendered.truth.span_deg)
     mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
-    tensor = _estimated_coding(cfg, mixture_spec, masks, rendered.truth)
+    tensor = _estimated_coding(cfg, mixture_spec, masks, rendered.truth,
+                               params)
     container.save_coding(out_dir / "coding.bin", tensor)
     estimates, sampled = _decode(cfg, tensor, out_dir)
     separated = _separate(cfg, mixture_spec, sampled, estimates, out_dir)

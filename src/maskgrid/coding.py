@@ -21,6 +21,13 @@ CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
 # temporaries stay in a 2 MiB L2 up to 1440 cells; 256 rows spilled and ran
 # 2-3x slower, and fewer rows only add per-block call overhead.
 _ENCODE_BLOCK_ROWS = 32
+# Frames per block in encode_reduced. On the conditioning benchmark (62
+# frames, 257 bins, up to 1440 cells; median of 3 runs) 4 frames gave a
+# 60 MiB peak RSS at 0.50 s per sweep, against 241 MiB and 0.75 s for the
+# full tensors. 8 frames ran as fast at 77 MiB; 16 and 32 frames ran
+# 0.66-0.70 s at 112-158 MiB; 1-2 frames saved 9-12 MiB more but ran
+# 0.52-0.59 s, paying the per-block call overhead more often.
+_ENCODE_BLOCK_FRAMES = 4
 
 
 def wrapped_distance(a, b, span_deg: float = 360.0):
@@ -286,3 +293,30 @@ ENCODERS = {
     "mwslc": encode_mwslc,
     "mwslc_sum": encode_mwslc_sum,
 }
+
+
+def encode_reduced(kind: str, masks: MaskSet, truth: DoaSet,
+                   grid: SpatialGrid, sigma_deg: float, reduce) -> np.ndarray:
+    """reduce(ENCODERS[kind](masks, ...)), computed a block of frames at a
+    time, so the full (frames, bins, cells) tensor is never held.
+
+    reduce maps a CodingTensor of n frames to an array of n rows, each
+    depending on its own frame only (a sum or mean over bins or cells).
+    Each block is ENCODERS[kind] on frames t0 .. t0 + n of the masks, which
+    are bit-identical to those rows of the full encoding, so the result is
+    bit-identical to reducing the full tensor. The encoder's checks (speaker
+    count, nearest-cell collision, sigma) and its shared-cell warning run
+    once, on a 0-frame encode before the first block.
+    """
+    encode = ENCODERS[kind]
+    empty = reduce(encode(MaskSet(masks.values[:, :0]), truth, grid, sigma_deg))
+    out = np.empty((masks.frames,) + empty.shape[1:])
+    for t0 in range(0, masks.frames, _ENCODE_BLOCK_FRAMES):
+        block = MaskSet(masks.values[:, t0:t0 + _ENCODE_BLOCK_FRAMES])
+        with warnings.catch_warnings():
+            # The only UserWarning an encoder gives is the shared-cell one,
+            # already given by the 0-frame encode.
+            warnings.simplefilter("ignore", UserWarning)
+            out[t0:t0 + block.frames] = reduce(encode(block, truth, grid,
+                                                      sigma_deg))
+    return out

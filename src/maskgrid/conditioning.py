@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import (CodingTensor, DoaSet, MaskSet, SpatialGrid, encode_mwsbc,
-                     encode_mwslc, encode_mwslc_sum)
+from .coding import CodingTensor, DoaSet, MaskSet, SpatialGrid, encode_reduced
 from .errors import CollisionError, ConfigError
 
 SWEEP_COLUMNS = ("theta_count", "mean_mwsbc", "mean_mwslc_max",
@@ -84,10 +83,16 @@ def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
                 keep_norms: bool = False) -> ConditioningReport:
     """Gradient norms at the zero estimate across grid resolutions.
 
-    Builds the nearest-cell encoding and both Gaussian forms at each
+    Encodes the nearest-cell coding and both Gaussian forms at each
     resolution and averages grad_norm_at_zero over speech-active bins
     (bins where the speaker masks sum to anything nonzero). rel_gap is the
     relative distance of the sum-form mean from the closed-form limit.
+
+    No (frames, bins, cells) tensor is held: coding.encode_reduced encodes
+    a block of frames at a time and reduces each block to its rows of the
+    (frames, bins) norms before the next is built. The sum over cells
+    reduces each (t, k) row on its own, so the norms are bit-identical to
+    those of the full tensor.
 
     Args:
         theta_counts: ascending cell counts, each at least 2 per speaker.
@@ -112,13 +117,16 @@ def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
     for theta in counts:
         grid = SpatialGrid(theta, span_deg)
         try:
-            sbc_norm = grad_norm_at_zero(encode_mwsbc(masks, truth, grid))
+            sbc_norm = encode_reduced("mwsbc", masks, truth, grid, sigma_deg,
+                                      grad_norm_at_zero)
         except CollisionError:
             rows.append(SweepRow(theta, math.nan, math.nan, math.nan,
                                  limit_mean, math.nan, collision=True))
             continue
-        max_norm = grad_norm_at_zero(encode_mwslc(masks, truth, grid, sigma_deg))
-        sum_norm = grad_norm_at_zero(encode_mwslc_sum(masks, truth, grid, sigma_deg))
+        max_norm = encode_reduced("mwslc", masks, truth, grid, sigma_deg,
+                                  grad_norm_at_zero)
+        sum_norm = encode_reduced("mwslc_sum", masks, truth, grid, sigma_deg,
+                                  grad_norm_at_zero)
         if n_active:
             mean_sbc = float(sbc_norm[active].mean())
             mean_max = float(max_norm[active].mean())

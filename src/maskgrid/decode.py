@@ -239,12 +239,17 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
                         min_support_frac: float | None = 0.05) -> CalibrationResult:
     """Exhaustive threshold search maximizing micro-averaged F1.
 
-    validation_scenes: any iterable of (CodingTensor, DoaSet) pairs, consumed
-    once. Each tensor is reduced to its FrameLikelihood on arrival and not
-    kept, so a generator keeps one tensor alive at a time. Every candidate
-    is run through peak search and clustering on every scene; matches
-    within match_tol_deg count as true positives. Ties prefer the lower
-    threshold.
+    validation_scenes: any iterable of (FrameLikelihood or CodingTensor,
+    DoaSet) pairs, consumed once. A tensor is reduced to its FrameLikelihood
+    on arrival and not kept, so a generator of tensors keeps one alive at a
+    time. A generator of likelihoods built block by block
+    (coding.encode_reduced with freq_average) holds no tensor at all and
+    gives the same result: the mean over bins reduces each (frame, cell) on
+    its own, so the likelihoods are bit-identical.
+
+    Every candidate is run through peak search and clustering on every
+    scene; matches within match_tol_deg count as true positives. Ties
+    prefer the lower threshold.
 
     Raises:
         ConfigError: no candidates, or no validation scenes.
@@ -252,9 +257,10 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
     if not candidates:
         raise ConfigError("need at least one threshold candidate")
     scenes = []
-    for coding, truth in validation_scenes:
-        scenes.append((freq_average(coding), truth))
-        del coding  # free the tensor before the next scene is built
+    for likelihood, truth in validation_scenes:
+        if not isinstance(likelihood, FrameLikelihood):
+            likelihood = freq_average(likelihood)  # drops the tensor
+        scenes.append((likelihood, truth))
     if not scenes:
         raise ConfigError("need at least one validation scene")
     rows = []

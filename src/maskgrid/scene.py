@@ -284,14 +284,16 @@ def synth_source(kind: str, duration_s: float, pitch_hz: float = 200.0,
     t = np.arange(n) / sample_rate_hz
 
     # Slow (~8 Hz control rate) half-wave-rectified envelope; redraw in the
-    # unlikely case every control point is clipped to zero.
+    # unlikely case it is zero at every sample. A positive control point is
+    # not enough: between the last sample and a positive end point the
+    # interpolation can stay below zero.
     n_ctrl = max(4, int(round(duration_s * 8)) + 1)
+    ctrl_t = np.linspace(0.0, duration_s, n_ctrl)
     for _ in range(100):
         ctrl = rng.normal(0.5, 0.8, n_ctrl)
-        if np.any(ctrl > 0):
+        envelope = np.maximum(np.interp(t, ctrl_t, ctrl), 0.0)
+        if np.any(envelope > 0):
             break
-    ctrl_t = np.linspace(0.0, duration_s, n_ctrl)
-    envelope = np.maximum(np.interp(t, ctrl_t, ctrl), 0.0)
 
     if kind == "harmonic-complex":
         if pitch_hz * duration_s < 1.0:

@@ -1,9 +1,20 @@
-"""Shared fixtures: fixed desk-scale scenes rendered once per session."""
+"""Shared fixtures: fixed desk-scale scenes rendered once per session.
+
+Also registers the `ci` hypothesis profile: every property test draws the
+same examples on each run (derandomize), with its max_examples unchanged.
+CI selects it with HYPOTHESIS_PROFILE=ci; local runs stay random.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import maskgrid as mg
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class SceneBundle:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskgrid import coding
+from maskgrid import cli, coding, decode
 from maskgrid.cli import main
-from maskgrid.config import DEFAULTS
+from maskgrid.config import DEFAULTS, load_config
 from maskgrid.container import load_coding, load_params
 from maskgrid.signal import TimeSignal, save_wav
 
@@ -172,14 +172,23 @@ class TestPipeline:
                      "--out", str(out)]) == 3
 
     @pytest.mark.parametrize("flags, extra", [
-        (["--theta-count", "1"], ""), ([], "[stft]\nwin_ms = 31\n")],
-        ids=["theta_count", "win_ms"])
+        (["--theta-count", "1"], ""), ([], "[stft]\nwin_ms = 31\n"),
+        ([], "[estimate]\nmode = model\n")],
+        ids=["theta_count", "win_ms", "model_without_params_path"])
     def test_bad_grid_or_stft_exit_2_before_any_write(self, tmp_path, flags,
                                                        extra):
         out = tmp_path / "run"
         assert main(["pipeline", "--config", _fast_ini(tmp_path, extra),
                      "--out", str(out), *flags]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+    def test_missing_params_file_exit_4_before_any_write(self, tmp_path):
+        missing = tmp_path / "missing.bin"
+        out = tmp_path / "run"
+        ini = _fast_ini(tmp_path, "[estimate]\nmode = model\n"
+                                  f"params_path = {missing}\n")
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 4
+        assert not out.exists()
 
     @pytest.mark.parametrize("doa", ["90", "0", "1e-9"])
     def test_one_speaker_separates(self, tmp_path, doa):
@@ -232,6 +241,19 @@ class TestCalibrate:
         best = json.loads((out / "calibration_best.json").read_text())
         assert best["best_eps_theta"] in (0.05, 0.1, 0.3)
         assert 0.0 <= best["best_f1"] <= 1.0
+
+    @pytest.mark.parametrize("kind", sorted(coding.ENCODERS))
+    def test_scene_likelihood_equals_the_full_tensors(self, tmp_path, kind):
+        # calibrate encodes blocks of frames; the full tensor's frequency
+        # average is the reference, bit for bit.
+        cfg = load_config(_fast_ini(tmp_path, f"[coding]\nkind = {kind}\n"))
+        likelihood, truth = cli._calibration_scene(cfg, 1)
+        _, rendered = cli._varied_scene(cfg, 1)
+        _, masks = cli._source_masks(cfg, rendered.source_images)
+        full = decode.freq_average(cli._encode(cfg, kind, masks, rendered.truth))
+        assert likelihood.grid == full.grid
+        assert likelihood.values.tobytes() == full.values.tobytes()
+        assert truth.angles_deg.tobytes() == rendered.truth.angles_deg.tobytes()
 
 
 class TestTrain:

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maskgrid.coding import (_ENCODE_BLOCK_ROWS, CodingTensor, DoaSet, MaskSet,
-                             SpatialGrid, _gaussian_rows, _warn_shared_cells,
-                             compute_irm,
+from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, _ENCODE_BLOCK_ROWS, ENCODERS,
+                             CodingTensor, DoaSet, MaskSet, SpatialGrid,
+                             _gaussian_rows, _warn_shared_cells, compute_irm,
                              encode_mwsbc, encode_mwslc, encode_mwslc_sum,
-                             encode_sbc, encode_slc, frame_activity,
-                             snap_to_grid, wrapped_distance)
-from maskgrid.errors import CollisionError, ShapeError
+                             encode_reduced, encode_sbc, encode_slc,
+                             frame_activity, snap_to_grid, wrapped_distance)
+from maskgrid.errors import CollisionError, ConfigError, ShapeError
 from maskgrid.stft import Spectrogram
 
 
@@ -432,6 +432,159 @@ class TestMwslcSumOracleIdentity:
         masks = MaskSet(values)
         truth = DoaSet(np.array(tenths[:masks.speakers]) / 10.0)
         _assert_sum_matches_oracle(masks, truth, SpatialGrid(theta), sigma)
+
+
+def _joined_blocks(kind, masks, truth, grid, sigma_deg=6.0):
+    """encode_reduced keeping each block's values, after checking that the
+    blocks come in order: a 0-frame encode, then full blocks and a rest."""
+    frames = []
+
+    def keep(block):
+        assert block.kind == kind and block.grid == grid
+        frames.append(block.frames)
+        return block.values
+
+    values = encode_reduced(kind, masks, truth, grid, sigma_deg, keep)
+    assert frames == [0] + [min(_ENCODE_BLOCK_FRAMES, masks.frames - t0)
+                            for t0 in range(0, masks.frames,
+                                            _ENCODE_BLOCK_FRAMES)]
+    return values
+
+
+def _assert_blocks_match_full(kind, masks, truth, grid, sigma_deg=6.0):
+    full = ENCODERS[kind](masks, truth, grid, sigma_deg).values
+    joined = _joined_blocks(kind, masks, truth, grid, sigma_deg)
+    assert joined.shape == full.shape
+    assert joined.tobytes() == full.tobytes()
+
+
+class TestEncodeReduced:
+    """encode_reduced over blocks of frames gives the full encoding, bit for
+    bit, and the encoder's checks and warning behave as in one full encode."""
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    @pytest.mark.parametrize("frames", [
+        0, 1, _ENCODE_BLOCK_FRAMES - 1, _ENCODE_BLOCK_FRAMES,
+        3 * _ENCODE_BLOCK_FRAMES, 3 * _ENCODE_BLOCK_FRAMES + 1])
+    def test_frame_counts_around_the_block_size(self, rng, kind, frames):
+        masks = MaskSet(rng.uniform(0.0, 1.0, (2, frames, 5)))
+        _assert_blocks_match_full(kind, masks, DoaSet(np.array([40.0, 52.0])),
+                                  SpatialGrid(360), 20.0)
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    def test_real_scene(self, two_speaker_scene, kind):
+        bundle = two_speaker_scene
+        _assert_blocks_match_full(kind, bundle.masks, bundle.truth,
+                                  SpatialGrid(1440))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(ENCODERS)),
+           arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(0, 30),
+                                        st.integers(1, 20)),
+                  elements=st.one_of(st.just(0.0),
+                                     st.floats(0.0, 1.0, allow_subnormal=True))),
+           st.lists(st.integers(0, 3599), min_size=3, max_size=3, unique=True),
+           st.sampled_from([90, 360, 1440]),
+           st.sampled_from([0.5, 6.0, 40.0]))
+    def test_matches_full_encoder(self, kind, values, tenths, theta, sigma):
+        masks = MaskSet(np.abs(values))
+        truth = DoaSet(np.array(tenths[:masks.speakers]) / 10.0)
+        grid = SpatialGrid(theta)
+        try:
+            ENCODERS[kind](masks, truth, grid, sigma)
+        except CollisionError:
+            with pytest.raises(CollisionError):
+                _joined_blocks(kind, masks, truth, grid, sigma)
+            return
+        _assert_blocks_match_full(kind, masks, truth, grid, sigma)
+
+    @pytest.mark.parametrize("frames", [0, 1, 2 * _ENCODE_BLOCK_FRAMES + 1])
+    def test_collision_raised_before_the_first_block(self, frames):
+        masks = _unit_masks(2, frames)
+        truth = DoaSet(np.array([6.0, 14.0]))
+        grid = SpatialGrid(36)
+        with pytest.raises(CollisionError) as full:
+            encode_mwsbc(masks, truth, grid)
+        with pytest.raises(CollisionError) as blocked:
+            _joined_blocks("mwsbc", masks, truth, grid)
+        assert str(blocked.value) == str(full.value)
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    @pytest.mark.parametrize("frames", [0, 2 * _ENCODE_BLOCK_FRAMES])
+    def test_speaker_count_checked_before_the_first_block(self, kind, frames):
+        masks = _unit_masks(3, frames)
+        truth = DoaSet(np.array([50.0, 120.0]))
+        grid = SpatialGrid(360)
+        with pytest.raises(ShapeError) as full:
+            ENCODERS[kind](masks, truth, grid, 6.0)
+        with pytest.raises(ShapeError) as blocked:
+            _joined_blocks(kind, masks, truth, grid)
+        assert str(blocked.value) == str(full.value)
+
+    @pytest.mark.parametrize("kind", ["mwslc", "mwslc_sum"])
+    def test_sigma_checked_before_the_first_block(self, kind):
+        with pytest.raises(ConfigError):
+            _joined_blocks(kind, _unit_masks(1, 0), DoaSet(np.array([5.0])),
+                           SpatialGrid(360), 0.0)
+
+    @pytest.mark.parametrize("frames", [0, 1, 3 * _ENCODE_BLOCK_FRAMES + 1])
+    def test_shared_cell_warning_given_once(self, frames):
+        masks = _unit_masks(2, frames, 3)
+        truth = DoaSet(np.array([6.0, 14.0]))
+        grid = SpatialGrid(36)
+        with warnings.catch_warnings(record=True) as full:
+            warnings.simplefilter("always")
+            encode_mwslc(masks, truth, grid)
+        with warnings.catch_warnings(record=True) as blocked:
+            warnings.simplefilter("always")
+            _joined_blocks("mwslc", masks, truth, grid)
+        assert len(full) == len(blocked) == 1
+        assert str(blocked[0].message) == str(full[0].message)
+
+
+class TestWrapAround:
+    """Rotating the DoAs by one cell rotates the encoding by one cell, also
+    across 0 and the span. Angles and cell widths are binary fractions, so
+    the rotated distances, and hence the rows, are exact."""
+
+    @staticmethod
+    def _rotated(truth, grid):
+        return DoaSet((truth.angles_deg + grid.cell_width_deg) % grid.span_deg,
+                      grid.span_deg)
+
+    @staticmethod
+    def _doas(eighths, grid):
+        # Eighths of a degree counted from both ends of the span.
+        top = int(grid.span_deg * 8)
+        return DoaSet(np.array(sorted({e % top for e in eighths})) / 8.0,
+                      grid.span_deg)
+
+    _ends = st.lists(st.one_of(st.integers(0, 40), st.integers(-40, -1)),
+                     min_size=1, max_size=3)
+    _grids = st.sampled_from([SpatialGrid(90), SpatialGrid(720),
+                              SpatialGrid(1440), SpatialGrid(360, 180.0),
+                              SpatialGrid(64, 8.0)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ends, _grids, st.sampled_from([0.5, 6.0, 40.0]))
+    def test_gaussian_rows_rotate_with_the_doas(self, eighths, grid, sigma):
+        truth = self._doas(eighths, grid)
+        rows = _gaussian_rows(truth, grid, sigma)
+        rotated = _gaussian_rows(self._rotated(truth, grid), grid, sigma)
+        np.testing.assert_array_equal(rotated, np.roll(rows, 1, axis=1))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(_ends, _grids, st.integers(0, 2**32 - 1))
+    def test_mwslc_rotates_with_the_doas(self, eighths, grid, seed):
+        truth = self._doas(eighths, grid)
+        masks = MaskSet(np.random.default_rng(seed).uniform(
+            0.0, 1.0, (truth.count, 3, 4)))
+        coding = encode_mwslc(masks, truth, grid).values
+        rotated = encode_mwslc(masks, self._rotated(truth, grid), grid).values
+        np.testing.assert_array_equal(rotated, np.roll(coding, 1, axis=2))
+
 
 class TestHelpers:
     def test_frame_activity(self):

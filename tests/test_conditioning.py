@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from maskgrid.coding import (CodingTensor, DoaSet, MaskSet, SpatialGrid,
-                             encode_mwsbc, encode_mwslc_sum)
+from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
+                             DoaSet, MaskSet, SpatialGrid, encode_mwsbc,
+                             encode_mwslc_sum)
 from maskgrid.conditioning import (SWEEP_COLUMNS, grad_norm_at_zero,
                                    mwslc_norm_limit, theta_sweep)
 
@@ -115,6 +116,31 @@ class TestThetaSweep:
         row = report.rows[0]
         assert row.norms_mwsbc.shape == (62, 257)
         assert row.norms_mwslc_sum.shape == (62, 257)
+
+    @pytest.mark.parametrize("theta", [90, 360, 1440])
+    def test_kept_norms_equal_the_full_tensors(self, two_speaker_scene, theta):
+        # The sweep reduces blocks of frames; the norms of the full tensors
+        # are the reference, bit for bit.
+        bundle = two_speaker_scene
+        row = theta_sweep(bundle.masks, bundle.truth, theta_counts=(theta,),
+                          keep_norms=True).rows[0]
+        grid = SpatialGrid(theta)
+        for kind, norms in (("mwsbc", row.norms_mwsbc),
+                            ("mwslc", row.norms_mwslc_max),
+                            ("mwslc_sum", row.norms_mwslc_sum)):
+            full = grad_norm_at_zero(ENCODERS[kind](bundle.masks, bundle.truth,
+                                                    grid, 6.0))
+            assert norms.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("frames", [0, _ENCODE_BLOCK_FRAMES + 1])
+    def test_frame_counts_around_the_block_size(self, rng, frames):
+        masks = MaskSet(rng.uniform(0.0, 1.0, (2, frames, 3)))
+        truth = DoaSet(np.array([30.0, 200.0]))
+        row = theta_sweep(masks, truth, theta_counts=(90,),
+                          keep_norms=True).rows[0]
+        full = grad_norm_at_zero(encode_mwsbc(masks, truth, SpatialGrid(90)))
+        assert row.norms_mwsbc.shape == (frames, 3)
+        assert row.norms_mwsbc.tobytes() == full.tobytes()
 
     def test_unsorted_counts_rejected(self, two_speaker_scene):
         with pytest.raises(ValueError):

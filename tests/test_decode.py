@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
-from maskgrid.coding import CodingTensor, DoaSet, SpatialGrid, wrapped_distance
+from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, CodingTensor, DoaSet,
+                             SpatialGrid, encode_mwslc, encode_reduced,
+                             wrapped_distance)
 from maskgrid.decode import (Detection, FrameLikelihood, _average_linkage,
                              calibrate_threshold, circular_mean, cluster_doas,
                              freq_average, peak_search, sample_masks)
@@ -226,6 +228,18 @@ class TestCircularMean:
             m = circular_mean(rng.uniform(0, 360, 5))
             assert 0.0 <= m < 360.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([360.0, 180.0, 7.5]), st.data())
+    def test_stays_in_range_near_both_ends(self, span, data):
+        # Angles a hair above 0 and a hair below the span put the mean
+        # direction next to the cut, where the mod can round to the span.
+        near = st.one_of(
+            st.floats(0.0, 1e-3, allow_subnormal=True),
+            st.floats(0.0, 1e-3).map(lambda d: np.nextafter(span - d, 0.0)))
+        angles = np.array(data.draw(st.lists(near, min_size=1, max_size=6)))
+        m = circular_mean(angles, span)
+        assert 0.0 <= m < span
+
 
 class TestAverageLinkage:
     def test_matches_scipy_average_linkage(self, rng):
@@ -420,3 +434,45 @@ class TestCalibrateThreshold:
         from_generator = calibrate_threshold(one_at_a_time(), candidates)
         assert from_generator == from_list
         assert len(consumed) == len(scenes)
+
+    def test_blocked_likelihoods_match_tensors(self, two_speaker_scene,
+                                               three_speaker_scene):
+        # Likelihoods averaged block by block, as the calibrate command
+        # builds them, give the result of the tensors.
+        grid = SpatialGrid(360)
+        bundles = (two_speaker_scene, three_speaker_scene)
+
+        def likelihoods():
+            for bundle in bundles:
+                values = encode_reduced("mwslc", bundle.masks, bundle.truth,
+                                        grid, 6.0,
+                                        lambda c: freq_average(c).values)
+                yield FrameLikelihood(values, grid), bundle.truth
+
+        tensors = [(encode_mwslc(b.masks, b.truth, grid), b.truth)
+                   for b in bundles]
+        for (fl, _), (tensor, _) in zip(likelihoods(), tensors):
+            assert fl.values.tobytes() == freq_average(tensor).values.tobytes()
+        candidates = [0.05, 0.1, 0.3, 0.6]
+        assert (calibrate_threshold(likelihoods(), candidates)
+                == calibrate_threshold(tensors, candidates))
+
+
+class TestFreqAverageByBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3 * _ENCODE_BLOCK_FRAMES + 1), st.integers(1, 40),
+           st.integers(2, 50), st.integers(0, 2**32 - 1))
+    def test_blocks_of_frames_give_the_same_bytes(self, frames, bins, theta,
+                                                  seed):
+        # The mean over bins reduces each (frame, cell) on its own, so any
+        # split into blocks of frames leaves every byte as it was.
+        values = np.random.default_rng(seed).uniform(0.0, 1.0,
+                                                     (frames, bins, theta))
+        grid = SpatialGrid(theta)
+        full = freq_average(CodingTensor(values, grid, "mwslc")).values
+        blocked = np.empty((frames, theta))
+        for t0 in range(0, frames, _ENCODE_BLOCK_FRAMES):
+            block = values[t0:t0 + _ENCODE_BLOCK_FRAMES]
+            blocked[t0:t0 + block.shape[0]] = freq_average(
+                CodingTensor(block, grid, "mwslc")).values
+        assert blocked.tobytes() == full.tobytes()

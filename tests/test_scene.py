@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maskgrid.errors import ConfigError
+from maskgrid.errors import ConfigError, DegenerateInputError
 from maskgrid.scene import (ArrayGeometry, RenderedScene, RoomSpec, SceneSpec,
                             SourceSpec, linear_array, simulate_anechoic,
                             simulate_shoebox, steering_matrix, synth_source,
                             unit_vector)
-from maskgrid.signal import TimeSignal
+from maskgrid.signal import TimeSignal, peak_normalize
 from maskgrid.stft import StftConfig
 
 
@@ -212,6 +212,39 @@ class TestShoeboxRender:
         assert np.linalg.norm(rir2.samples) > np.linalg.norm(rir0.samples)
 
 
+# synth_source("modulated-noise", 0.02, seed=s) raised for these seeds (all
+# of 0 ... 2**16) before the envelope guard tested the samples.
+_ZERO_ENVELOPE_SEEDS = (22, 950, 1499, 10516, 12909, 14942, 23747, 49414)
+
+
+def _former_synth_source(kind, duration_s, pitch_hz=200.0, seed=0,
+                         sample_rate_hz=16000):
+    """The former synth_source without its argument checks: it redrew the
+    envelope only when every control point was <= 0. Kept only as the test
+    oracle."""
+    n = int(round(duration_s * sample_rate_hz))
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / sample_rate_hz
+    n_ctrl = max(4, int(round(duration_s * 8)) + 1)
+    for _ in range(100):
+        ctrl = rng.normal(0.5, 0.8, n_ctrl)
+        if np.any(ctrl > 0):
+            break
+    ctrl_t = np.linspace(0.0, duration_s, n_ctrl)
+    envelope = np.maximum(np.interp(t, ctrl_t, ctrl), 0.0)
+    if kind == "harmonic-complex":
+        n_partials = int(0.45 * sample_rate_hz / pitch_hz)
+        x = np.zeros(n)
+        for p in range(1, n_partials + 1):
+            phase = rng.uniform(0, 2 * np.pi)
+            gain = (0.5 + rng.uniform()) / p
+            x += gain * np.sin(2 * np.pi * p * pitch_hz * t + phase)
+        x *= envelope
+    else:
+        x = rng.standard_normal(n) * envelope
+    return peak_normalize(TimeSignal(x[np.newaxis, :], sample_rate_hz))
+
+
 class TestSynthSource:
     def test_deterministic_per_seed(self):
         a = synth_source("harmonic-complex", 0.3, 210.0, seed=7)
@@ -243,6 +276,32 @@ class TestSynthSource:
     def test_pitch_above_nyquist_rejected(self):
         with pytest.raises(ValueError):
             synth_source("harmonic-complex", 0.25, 16000.0)
+
+    @pytest.mark.parametrize("seed", _ZERO_ENVELOPE_SEEDS)
+    def test_positive_end_point_with_zero_samples_redrawn(self, seed):
+        # The last control point is positive but every sample falls before
+        # the envelope's zero crossing; the former guard let it through.
+        with pytest.raises(DegenerateInputError):
+            _former_synth_source("modulated-noise", 0.02, seed=seed)
+        sig = synth_source("modulated-noise", 0.02, seed=seed)
+        assert np.abs(sig.samples).max() == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["modulated-noise", "harmonic-complex"]),
+           duration_s=st.sampled_from([0.02, 0.05, 0.3]),
+           seed=st.integers(0, 2**16))
+    @example(kind="modulated-noise", duration_s=0.02, seed=22)
+    def test_keeps_former_bytes_where_it_rendered(self, kind, duration_s, seed):
+        try:
+            want = _former_synth_source(kind, duration_s, 210.0, seed)
+        except DegenerateInputError:
+            got = synth_source(kind, duration_s, 210.0, seed)
+            assert np.abs(got.samples).max() == 1.0
+            return
+        got = synth_source(kind, duration_s, 210.0, seed)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
 
 
 # The former renderer, verbatim: two passes over separate anechoic and
@@ -388,11 +447,18 @@ def _scenes(draw):
 _OFF_CENTER = (_scene([30.0, 150.0], [1.0, 1.2], duration_s=0.02, room=RoomSpec(
     (6.2, 6.3, 3.0), 0.3, 2, (2.02, 1.94, 1.3))), ArrayGeometry())
 
+# Every seed whose 20 ms burst the former synth_source could not render.
+_ZERO_ENVELOPE_SCENE = (SceneSpec(tuple(
+    SourceSpec(20.0 * i + 5.0, 1.0,
+               synth_source("modulated-noise", 0.02, seed=seed))
+    for i, seed in enumerate(_ZERO_ENVELOPE_SEEDS))), ArrayGeometry())
+
 
 class TestRenderMatchesFormerRenderer:
     @settings(max_examples=40, deadline=None)
     @given(scene=_scenes())
     @example(scene=_OFF_CENTER)
+    @example(scene=_ZERO_ENVELOPE_SCENE)
     def test_mixture_and_image_bytes(self, scene):
         spec, geometry = scene
         if spec.room is None:
