@@ -80,7 +80,7 @@ class DoaSet:
         arr = np.atleast_1d(np.asarray(self.angles_deg, dtype=np.float64))
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError("need a 1-D, non-empty set of angles")
-        if np.any(arr < 0) or np.any(arr >= self.span_deg):
+        if not np.all((arr >= 0) & (arr < self.span_deg)):  # NaN fails too
             raise ConfigError(f"angles must lie in [0, {self.span_deg}), got {arr}")
         for i in range(arr.size):
             for j in range(i + 1, arr.size):
@@ -169,7 +169,7 @@ def compute_irm(source_specs, eps_m_db: float = -35.0) -> MaskSet:
     mags = []
     shape = None
     for spec in source_specs:
-        v = spec.values[0] if spec.values.ndim == 3 else spec.values
+        v = spec.values[0]
         if shape is None:
             shape = v.shape
         elif v.shape != shape:

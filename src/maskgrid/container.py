@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .coding import CODING_KINDS, CodingTensor, MaskSet, SpatialGrid
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, NumericError
 from .estimator import EstimatorParams
 
 MAGIC = b"MGT1"
@@ -132,10 +132,19 @@ def save_params(path, params: EstimatorParams) -> None:
 
     The header dims are (input_dim, hidden_dim, output_dim) rather than the
     flat payload length, which the reader reconstructs.
+
+    Raises:
+        NumericError: a weight beyond the float32 range, which would be
+            stored as inf; nothing is written.
     """
+    blocks = [params.w1, params.b1, params.w2, params.b2]
+    limit = np.finfo(np.float32).max
+    if not all(np.all(np.abs(b) <= limit) for b in blocks):
+        raise NumericError(f"{path}: a weight exceeds the float32 maximum "
+                           f"{limit:.4g} and would be stored as inf")
     _write(path, "params",
            (params.input_dim, params.hidden_dim, params.output_dim),
-           [params.w1, params.b1, params.w2, params.b2], seed=params.seed)
+           blocks, seed=params.seed)
 
 
 def load_params(path) -> EstimatorParams:

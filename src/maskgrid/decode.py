@@ -15,7 +15,7 @@ import numpy as np
 
 from .coding import CodingTensor, MaskSet, SpatialGrid, wrapped_distance
 from .errors import ConfigError, ShapeError
-from .metrics import doa_precision_recall
+from .metrics import PrecisionRecall, doa_precision_recall
 
 
 @dataclass(frozen=True)
@@ -186,20 +186,18 @@ def cluster_doas(detections, sigma_deg: float = 6.0, span_deg: float = 360.0,
     groups = _average_linkage(angles, span_deg, 2.0 * sigma_deg)
 
     clusters = [(circular_mean(angles[g], span_deg), angles[g]) for g in groups]
-    merged = True
-    while merged and len(clusters) > 1:
-        merged = False
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if wrapped_distance(clusters[i][0], clusters[j][0],
-                                    span_deg) <= 2.0 * sigma_deg:
-                    union = np.concatenate([clusters[i][1], clusters[j][1]])
-                    clusters[i] = (circular_mean(union, span_deg), union)
-                    del clusters[j]
-                    merged = True
-                    break
-            if merged:
-                break
+    # Merge the first row-major pair of centres within 2 sigma until none is
+    # left; that order fixes the member order circular_mean sums over.
+    while len(clusters) > 1:
+        centers = np.array([c[0] for c in clusters])
+        close = np.argwhere(np.triu(wrapped_distance(
+            centers[:, None], centers[None, :], span_deg) <= 2.0 * sigma_deg, 1))
+        if not close.size:
+            break
+        i, j = close[0]
+        union = np.concatenate([clusters[i][1], clusters[j][1]])
+        clusters[i] = (circular_mean(union, span_deg), union)
+        del clusters[j]
 
     if min_support_frac:
         min_support = min_support_frac * len(frames)
@@ -275,12 +273,8 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
             tp += pr.matches
             est_total += pr.estimate_count
             truth_total += pr.truth_count
-        # Every DoaSet is non-empty, so truth_total > 0.
-        precision = tp / est_total if est_total else 0.0
-        recall = tp / truth_total
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall > 0 else 0.0)
-        rows.append(CalibrationRow(eps, precision, recall, f1))
-        if best is None or f1 > best.f1:
+        total = PrecisionRecall.of(tp, est_total, truth_total)
+        rows.append(CalibrationRow(eps, total.precision, total.recall, total.f1))
+        if best is None or total.f1 > best.f1:
             best = rows[-1]
     return CalibrationResult(best.eps_theta, best.f1, tuple(rows))

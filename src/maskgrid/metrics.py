@@ -73,20 +73,23 @@ class Alignment:
         return float(np.mean(self.pair_si_sdr_db))
 
 
-def _pairings(n_ref: int, n_est: int):
-    """Every injective pairing of min(n_ref, n_est) references and estimates,
-    as (reference, estimate) tuples: permutations of the larger side in
-    itertools order, listed along the smaller side. Nothing if a side is
-    empty.
-    """
-    if min(n_ref, n_est) == 0:
-        return
-    if n_est >= n_ref:
-        for perm in itertools.permutations(range(n_est), n_ref):
-            yield tuple(enumerate(perm))
-    else:
-        for perm in itertools.permutations(range(n_ref), n_est):
-            yield tuple(zip(perm, range(n_est)))
+def _best_pairing(scores: np.ndarray):
+    """Injective pairing of the rows (references) and columns (estimates) of
+    scores with the highest mean, as ((r, e), ...) and that mean: the longer
+    side's permutations in itertools order, the first of equal means, and
+    ((), -inf) if a side is empty."""
+    flip = scores.shape[0] > scores.shape[1]
+    short = scores.T if flip else scores
+    if short.shape[0] == 0:
+        return (), -np.inf
+    along = range(short.shape[0])
+    best_pairs, best_mean = (), -np.inf
+    for perm in itertools.permutations(range(short.shape[1]), short.shape[0]):
+        mean = float(np.mean(short[along, perm]))
+        if mean > best_mean:
+            pairs = zip(perm, along) if flip else zip(along, perm)
+            best_mean, best_pairs = mean, tuple(pairs)
+    return best_pairs, best_mean
 
 
 def permute_align(estimates, references) -> Alignment:
@@ -103,12 +106,7 @@ def permute_align(estimates, references) -> Alignment:
     for r, e in itertools.product(range(n_ref), range(n_est)):
         scores[r, e] = si_sdr(estimates[e], references[r])
 
-    best_pairs, best_mean = (), -np.inf
-    for pairs in _pairings(n_ref, n_est):
-        mean = float(np.mean([scores[r, e] for r, e in pairs]))
-        if mean > best_mean:
-            best_mean, best_pairs = mean, pairs
-    matched = dict(best_pairs)
+    matched = dict(_best_pairing(scores)[0])
     assignment = tuple(matched.get(r) for r in range(n_ref))
     pair_scores = tuple(
         float(scores[r, a]) if a is not None else -SI_SDR_CAP_DB
@@ -116,12 +114,13 @@ def permute_align(estimates, references) -> Alignment:
     return Alignment(assignment, pair_scores)
 
 
-def _estimate_angles(estimates) -> np.ndarray:
-    """Accept DoaEstimates-like objects (ordered by support) or plain angles."""
-    centers = getattr(estimates, "centers_deg", None)
-    if centers is not None:
-        return np.asarray(centers, dtype=np.float64)
-    return np.atleast_1d(np.asarray(estimates, dtype=np.float64))
+def _distances(estimates, truth: DoaSet) -> np.ndarray:
+    """(n_ref, n_est) wrapped distances from each truth to each estimate, of
+    DoaEstimates-like objects (ordered by support) or plain angles."""
+    angles = np.atleast_1d(np.asarray(
+        getattr(estimates, "centers_deg", estimates), dtype=np.float64))
+    return wrapped_distance(angles[None, :], truth.angles_deg[:, None],
+                            truth.span_deg)
 
 
 @dataclass(frozen=True)
@@ -139,17 +138,12 @@ def doa_mae_known_count(estimates, truth: DoaSet) -> DoaMae:
     than speakers the mean runs over the available pairs and the result is
     flagged incomplete.
     """
-    angles = _estimate_angles(estimates)[: truth.count]
-    if angles.size == 0:
+    dist = _distances(estimates, truth)[:, : truth.count]
+    used = dist.shape[1]
+    if used == 0:
         return DoaMae(float("nan"), 0, True)
-    ref = truth.angles_deg
-    n_pairs = min(angles.size, ref.size)
-    best = np.inf
-    for pairs in _pairings(ref.size, angles.size):
-        err = np.mean([wrapped_distance(angles[e], ref[r], truth.span_deg)
-                       for r, e in pairs])
-        best = min(best, float(err))
-    return DoaMae(best, n_pairs, angles.size < ref.size)
+    # Negation is exact, so the best mean of -d is minus the least mean of d.
+    return DoaMae(-_best_pairing(-dist)[1], used, used < truth.count)
 
 
 @dataclass(frozen=True)
@@ -162,41 +156,37 @@ class PrecisionRecall:
     truth_count: int
     empty_estimates: bool = False
 
+    @classmethod
+    def of(cls, matches: int, n_est: int, n_ref: int) -> "PrecisionRecall":
+        """Scores of matches among n_est estimates and n_ref >= 1 truths;
+        no estimates give precision 0 with a flag."""
+        precision = matches / n_est if n_est else 0.0
+        recall = matches / n_ref
+        f1 = (2 * precision * recall / (precision + recall)
+              if precision + recall > 0 else 0.0)
+        return cls(precision, recall, f1, matches, n_est, n_ref,
+                   empty_estimates=(n_est == 0))
+
 
 def doa_precision_recall(estimates, truth: DoaSet,
                          tolerance_deg: float = 10.0) -> PrecisionRecall:
     """Greedy DoA matching for an unknown speaker count.
 
     Pairs are claimed in ascending wrapped distance, each side used once,
-    and count as matches when within tolerance_deg. Empty estimates against
-    non-empty truth give precision 0 with a flag; two empty sets are a
-    perfect (vacuous) score.
+    and count as matches when within tolerance_deg; equal distances are
+    claimed estimate by estimate, then truth by truth. Empty estimates give
+    precision 0 with a flag.
     """
-    angles = _estimate_angles(estimates)
-    ref = truth.angles_deg
-    n_est, n_ref = angles.size, ref.size
-    if n_est == 0 and n_ref == 0:
-        return PrecisionRecall(1.0, 1.0, 1.0, 0, 0, 0)
-    pairs = sorted(
-        ((wrapped_distance(angles[e], ref[r], truth.span_deg), e, r)
-         for e in range(n_est) for r in range(n_ref)),
-        key=lambda p: p[0])
+    dist = _distances(estimates, truth).T  # (n_est, n_ref)
     used_e, used_r = set(), set()
-    matches = 0
-    for dist, e, r in pairs:
-        if dist > tolerance_deg:
+    for e, r in zip(*np.unravel_index(np.argsort(dist, axis=None, kind="stable"),
+                                      dist.shape)):
+        if dist[e, r] > tolerance_deg:
             break
-        if e in used_e or r in used_r:
-            continue
-        used_e.add(e)
-        used_r.add(r)
-        matches += 1
-    precision = matches / n_est if n_est else 0.0
-    recall = matches / n_ref if n_ref else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall > 0 else 0.0)
-    return PrecisionRecall(precision, recall, f1, matches, n_est, n_ref,
-                           empty_estimates=(n_est == 0))
+        if e not in used_e and r not in used_r:
+            used_e.add(e)
+            used_r.add(r)
+    return PrecisionRecall.of(len(used_e), dist.shape[0], truth.count)
 
 
 @dataclass(frozen=True)

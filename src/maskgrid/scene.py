@@ -118,12 +118,9 @@ class SceneSpec:
 
     def __post_init__(self):
         sources = tuple(self.sources)
-        if not sources:
-            raise ConfigError("scene needs at least one source")
-        angles = [s.doa_deg for s in sources]
-        for a in angles:
-            if not 0 <= a < self.span_deg:
-                raise ConfigError(f"DoA {a} outside [0, {self.span_deg})")
+        object.__setattr__(self, "sources", sources)
+        # DoaSet checks the angles: non-empty, in [0, span) and distinct.
+        angles = self.truth.angles_deg.tolist()
         for i in range(len(angles)):
             for j in range(i + 1, len(angles)):
                 gap = wrapped_distance(angles[i], angles[j], self.span_deg)
@@ -131,7 +128,6 @@ class SceneSpec:
                     raise ConfigError(
                         f"sources at {angles[i]} and {angles[j]} deg are "
                         f"{gap:.2f} deg apart; minimum is {self.min_gap_deg}")
-        object.__setattr__(self, "sources", sources)
 
     @property
     def truth(self) -> DoaSet:

@@ -20,6 +20,7 @@ DEFAULT_SAMPLE_RATE = 16000
 # Symmetric 16-bit scale: +1.0 clips to 32767, so the round-trip error is
 # bounded by 2^-15 at the positive rail and 2^-16 elsewhere.
 _PCM16_SCALE = 32768.0
+_F32_EXPONENT = 0x7F800000
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ def load_wav(path) -> TimeSignal:
     scaled by 1/32768 into [-1, 1); float samples pass through unchanged.
 
     Raises:
-        FormatError: malformed or truncated file.
+        FormatError: malformed or truncated file, or a non-finite float
+            sample.
         UnsupportedFormatError: valid WAV with an encoding we do not read.
     """
     with open(path, "rb") as fh:
@@ -106,6 +108,10 @@ def load_wav(path) -> TimeSignal:
         samples = raw.astype(np.float64) / _PCM16_SCALE
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
+        # All exponent bits set is inf or NaN. Testing the bits, not the
+        # floats, keeps a signaling NaN from raising an invalid-value warning.
+        if np.any((raw.view("<u4") & _F32_EXPONENT) == _F32_EXPONENT):
+            raise FormatError(f"{path}: non-finite float sample")
         samples = raw.astype(np.float64)
     else:
         raise UnsupportedFormatError(

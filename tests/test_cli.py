@@ -269,6 +269,16 @@ class TestTrain:
         assert len(rows) == 2
         assert rows[0]["epoch"] == "0"
 
+    def test_weights_beyond_float32_exit_3_before_any_write(self, tmp_path,
+                                                            capsys):
+        # The float64 weights stay finite, but params.bin would hold inf.
+        ini = _fast_ini(tmp_path, "learning_rate = 1e300\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", ini, "--theta-count", "90",
+                     "--out", str(out)]) == 3
+        assert "float32" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_model_mode_uses_trained_params(self, tmp_path):
         ini = _fast_ini(tmp_path)
         out = tmp_path / "run"

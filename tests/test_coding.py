@@ -143,6 +143,13 @@ class TestDoaSet:
         with pytest.raises(ValueError):
             DoaSet(np.array([10.0, 10.0]))
 
+    @pytest.mark.parametrize("angles", [[np.nan, 10.0], [10.0, np.inf],
+                                        [-np.inf], [10.0, 360.0], [-0.5], []])
+    def test_rejects_non_finite_out_of_span_and_empty(self, angles):
+        # NaN compared false with both bounds, so DoaSet([nan, 10]) was built.
+        with pytest.raises(ConfigError):
+            DoaSet(np.array(angles))
+
 
 class TestMaskSet:
     def test_rejects_wrong_rank(self):

@@ -7,7 +7,7 @@ from maskgrid.coding import CodingTensor, MaskSet, SpatialGrid
 from maskgrid.container import (MAGIC, load_coding, load_masks, load_params,
                                 read_array, save_coding, save_masks,
                                 save_params, write_array)
-from maskgrid.errors import FormatError
+from maskgrid.errors import FormatError, NumericError
 from maskgrid.estimator import EstimatorParams, init_params
 
 
@@ -172,6 +172,25 @@ class TestParams:
         write_array(path, "maskset", np.zeros((1, 1, 2)))
         with pytest.raises(FormatError):
             load_params(path)
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_weight_beyond_float32_not_written(self, tmp_path, value):
+        # Cast to <f4 it would be stored as inf, which load_params rejects.
+        p = self._quantized_params()
+        w2 = p.w2.copy()
+        w2[1, 2] = value
+        path = tmp_path / "params.bin"
+        with pytest.raises(NumericError, match="float32"):
+            save_params(path, EstimatorParams(p.w1, p.b1, w2, p.b2, p.seed))
+        assert not path.exists()
+
+    def test_float32_maximum_round_trips(self, tmp_path):
+        p = self._quantized_params()
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "params.bin"
+        save_params(path, EstimatorParams(p.w1, np.full_like(p.b1, top), p.w2,
+                                          p.b2))
+        assert np.all(load_params(path).b1 == top)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "params.bin"

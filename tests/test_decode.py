@@ -1,6 +1,7 @@
 """Peak search, clustering, and threshold calibration tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from scipy.spatial.distance import squareform
 from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, CodingTensor, DoaSet,
                              SpatialGrid, encode_mwslc, encode_reduced,
                              wrapped_distance)
-from maskgrid.decode import (Detection, FrameLikelihood, _average_linkage,
-                             calibrate_threshold, circular_mean, cluster_doas,
-                             freq_average, peak_search, sample_masks)
+from maskgrid import decode
+from maskgrid.decode import (CalibrationResult, CalibrationRow, Detection,
+                             DoaCluster, DoaEstimates, FrameLikelihood,
+                             _average_linkage, calibrate_threshold,
+                             circular_mean, cluster_doas, freq_average,
+                             peak_search, sample_masks)
+from maskgrid.metrics import doa_precision_recall
 from maskgrid.estimator import corrupt_oracle
 
 
@@ -476,3 +481,144 @@ class TestFreqAverageByBlocks:
             blocked[t0:t0 + block.shape[0]] = freq_average(
                 CodingTensor(block, grid, "mwslc")).values
         assert blocked.tobytes() == full.tobytes()
+
+
+# The former centre-merge pass and threshold sweep, verbatim but for their
+# names. The linkage is looked up on the module so a test can replace it
+# for both; the sweep calls today's doa_precision_recall, which
+# tests/test_metrics.py checks against its former code.
+def _former_cluster_doas(detections, sigma_deg=6.0, span_deg=360.0,
+                         min_support_frac=0.05):
+    if not detections:
+        return DoaEstimates((), span_deg)
+    angles = np.array([d.angle_deg for d in detections])
+    frames = {d.frame for d in detections}
+    groups = decode._average_linkage(angles, span_deg, 2.0 * sigma_deg)
+
+    clusters = [(circular_mean(angles[g], span_deg), angles[g]) for g in groups]
+    merged = True
+    while merged and len(clusters) > 1:
+        merged = False
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                if wrapped_distance(clusters[i][0], clusters[j][0],
+                                    span_deg) <= 2.0 * sigma_deg:
+                    union = np.concatenate([clusters[i][1], clusters[j][1]])
+                    clusters[i] = (circular_mean(union, span_deg), union)
+                    del clusters[j]
+                    merged = True
+                    break
+            if merged:
+                break
+
+    if min_support_frac:
+        min_support = min_support_frac * len(frames)
+        clusters = [c for c in clusters if c[1].size >= min_support]
+    clusters.sort(key=lambda c: (-c[1].size, c[0]))
+    return DoaEstimates(
+        tuple(DoaCluster(center, int(members.size))
+              for center, members in clusters),
+        span_deg)
+
+
+def _former_calibrate_threshold(validation_scenes, candidates,
+                                delta_theta_deg=6.0, sigma_deg=6.0,
+                                match_tol_deg=10.0, min_support_frac=0.05):
+    scenes = []
+    for likelihood, truth in validation_scenes:
+        if not isinstance(likelihood, FrameLikelihood):
+            likelihood = freq_average(likelihood)
+        scenes.append((likelihood, truth))
+    rows = []
+    best = None
+    for eps in sorted(candidates):
+        tp = est_total = truth_total = 0
+        for fl, truth in scenes:
+            detections = peak_search(fl, eps, delta_theta_deg)
+            estimates = _former_cluster_doas(detections, sigma_deg,
+                                             truth.span_deg, min_support_frac)
+            pr = doa_precision_recall(estimates, truth, match_tol_deg)
+            tp += pr.matches
+            est_total += pr.estimate_count
+            truth_total += pr.truth_count
+        precision = tp / est_total if est_total else 0.0
+        recall = tp / truth_total
+        f1 = (2 * precision * recall / (precision + recall)
+              if precision + recall > 0 else 0.0)
+        rows.append(CalibrationRow(eps, precision, recall, f1))
+        if best is None or f1 > best.f1:
+            best = rows[-1]
+    return CalibrationResult(best.eps_theta, best.f1, tuple(rows))
+
+
+@st.composite
+def _dense_detections(draw):
+    """Detections on half-degree cells inside an arc a few 2-sigma wide,
+    several per cell, with their frame indices."""
+    span = draw(st.sampled_from([360.0, 180.0]))
+    base = draw(st.integers(0, int(span * 2) - 1))
+    cells = draw(st.lists(st.integers(0, 80), min_size=1, max_size=60))
+    frames = draw(st.lists(st.integers(0, 9), min_size=len(cells),
+                           max_size=len(cells)))
+    angles = ((base + np.array(cells)) % int(span * 2)) * 0.5
+    return [Detection(t, a) for t, a in zip(frames, angles.tolist())], span
+
+
+_SIGMAS = st.sampled_from([0.5, 1.0, 3.0, 6.0])
+_SUPPORT_FRACS = st.sampled_from([None, 0.05, 0.3])
+
+
+class TestClusteringMatchesFormerCode:
+    @settings(max_examples=200, deadline=None)
+    @given(_dense_detections(), _SIGMAS, _SUPPORT_FRACS)
+    def test_cluster_doas(self, case, sigma, support):
+        detections, span = case
+        assert (cluster_doas(detections, sigma, span, support)
+                == _former_cluster_doas(detections, sigma, span, support))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dense_detections(), _SIGMAS, _SUPPORT_FRACS, st.data())
+    def test_centre_merges_from_any_partition(self, case, sigma, support,
+                                              data):
+        # Linkage rarely leaves two centres within 2 sigma, so an arbitrary
+        # partition stands in for it; the merge pass then does the work.
+        detections, span = case
+        labels = np.array(data.draw(st.lists(
+            st.integers(0, 7), min_size=len(detections),
+            max_size=len(detections)), label="labels"))
+        groups = [np.flatnonzero(labels == k) for k in dict.fromkeys(labels)]
+        with mock.patch.object(decode, "_average_linkage",
+                               lambda *args: groups):
+            new = cluster_doas(detections, sigma, span, support)
+            old = _former_cluster_doas(detections, sigma, span, support)
+        assert new == old
+
+    def test_centre_merge_after_linkage(self):
+        # Linkage keeps these two runs apart (their mean pairwise distance
+        # rounds above 2 sigma = 2 deg) though their centres are 2 deg
+        # apart; the merge pass joins them.
+        angles = [45.5, 46.5, 47.5, 45.5, 46.0, 47.0, 45.0, 46.5, 44.5, 45.0,
+                  48.0, 47.0, 47.0, 47.5, 47.5, 48.0]
+        detections = [Detection(t, a) for t, a in enumerate(angles)]
+        assert len(_average_linkage(np.array(angles), 180.0, 2.0)) == 2
+        estimates = cluster_doas(detections, 1.0, 180.0)
+        assert estimates.count == 1
+        assert estimates == _former_cluster_doas(detections, 1.0, 180.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 359), min_size=1, max_size=3,
+                             unique=True), min_size=1, max_size=3),
+           st.sampled_from([0.0, 0.1, 0.3]), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.7, 0.9]),
+                    min_size=1, max_size=4))
+    def test_calibrate_threshold(self, scene_doas, noise, seed, candidates):
+        rng = np.random.default_rng(seed)
+        scenes = []
+        for doas in scene_doas:
+            rows = np.zeros((8, 360))
+            for doa in doas:
+                rows = np.maximum(rows, _bump(float(doa), height=0.8))
+            rows = np.clip(rows + rng.normal(0, noise, rows.shape), 0, 1)
+            scenes.append((_likelihood(rows), DoaSet(np.array(doas, float))))
+        assert (calibrate_threshold(scenes, candidates)
+                == _former_calibrate_threshold(scenes, candidates))

@@ -5,13 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maskgrid.coding import DoaSet
+from maskgrid.coding import DoaSet, wrapped_distance
 from maskgrid.decode import DoaCluster, DoaEstimates
 from maskgrid.errors import DegenerateInputError, ShapeError
-from maskgrid.metrics import (SI_SDR_CAP_DB, delta_si_sdr, doa_mae_known_count,
-                              doa_precision_recall, evaluate_scene,
-                              permute_align, si_sdr)
+from maskgrid.metrics import (SI_SDR_CAP_DB, Alignment, DoaMae,
+                              PrecisionRecall, delta_si_sdr,
+                              doa_mae_known_count, doa_precision_recall,
+                              evaluate_scene, permute_align, si_sdr)
 from maskgrid.signal import TimeSignal
 
 
@@ -273,3 +276,157 @@ class TestEvaluateScene:
         assert row["recall"] == 1.0
         assert row["assignment"] == "0 1"
         assert report.per_speaker_si_sdr_db == (SI_SDR_CAP_DB, SI_SDR_CAP_DB)
+
+
+# The former matchers, verbatim but for their names: one pairing generator
+# with a branch per longer side, a search loop each in permute_align and
+# doa_mae_known_count, and a sorted generator of (distance, e, r) triples.
+def _former_estimate_angles(estimates) -> np.ndarray:
+    centers = getattr(estimates, "centers_deg", None)
+    if centers is not None:
+        return np.asarray(centers, dtype=np.float64)
+    return np.atleast_1d(np.asarray(estimates, dtype=np.float64))
+
+
+def _former_pairings(n_ref: int, n_est: int):
+    if min(n_ref, n_est) == 0:
+        return
+    if n_est >= n_ref:
+        for perm in itertools.permutations(range(n_est), n_ref):
+            yield tuple(enumerate(perm))
+    else:
+        for perm in itertools.permutations(range(n_ref), n_est):
+            yield tuple(zip(perm, range(n_est)))
+
+
+def _former_permute_align(estimates, references) -> Alignment:
+    n_est, n_ref = len(estimates), len(references)
+    scores = np.full((n_ref, n_est), -SI_SDR_CAP_DB)
+    for r, e in itertools.product(range(n_ref), range(n_est)):
+        scores[r, e] = si_sdr(estimates[e], references[r])
+
+    best_pairs, best_mean = (), -np.inf
+    for pairs in _former_pairings(n_ref, n_est):
+        mean = float(np.mean([scores[r, e] for r, e in pairs]))
+        if mean > best_mean:
+            best_mean, best_pairs = mean, pairs
+    matched = dict(best_pairs)
+    assignment = tuple(matched.get(r) for r in range(n_ref))
+    pair_scores = tuple(
+        float(scores[r, a]) if a is not None else -SI_SDR_CAP_DB
+        for r, a in enumerate(assignment))
+    return Alignment(assignment, pair_scores)
+
+
+def _former_doa_mae_known_count(estimates, truth: DoaSet) -> DoaMae:
+    angles = _former_estimate_angles(estimates)[: truth.count]
+    if angles.size == 0:
+        return DoaMae(float("nan"), 0, True)
+    ref = truth.angles_deg
+    n_pairs = min(angles.size, ref.size)
+    best = np.inf
+    for pairs in _former_pairings(ref.size, angles.size):
+        err = np.mean([wrapped_distance(angles[e], ref[r], truth.span_deg)
+                       for r, e in pairs])
+        best = min(best, float(err))
+    return DoaMae(best, n_pairs, angles.size < ref.size)
+
+
+def _former_doa_precision_recall(estimates, truth: DoaSet,
+                                 tolerance_deg: float = 10.0) -> PrecisionRecall:
+    angles = _former_estimate_angles(estimates)
+    ref = truth.angles_deg
+    n_est, n_ref = angles.size, ref.size
+    if n_est == 0 and n_ref == 0:
+        return PrecisionRecall(1.0, 1.0, 1.0, 0, 0, 0)
+    pairs = sorted(
+        ((wrapped_distance(angles[e], ref[r], truth.span_deg), e, r)
+         for e in range(n_est) for r in range(n_ref)),
+        key=lambda p: p[0])
+    used_e, used_r = set(), set()
+    matches = 0
+    for dist, e, r in pairs:
+        if dist > tolerance_deg:
+            break
+        if e in used_e or r in used_r:
+            continue
+        used_e.add(e)
+        used_r.add(r)
+        matches += 1
+    precision = matches / n_est if n_est else 0.0
+    recall = matches / n_ref if n_ref else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall > 0 else 0.0)
+    return PrecisionRecall(precision, recall, f1, matches, n_est, n_ref,
+                           empty_estimates=(n_est == 0))
+
+
+# Four fixed signals; drawing with repeats gives equal SI-SDR scores, so
+# ties between pairings are common.
+_SIGNALS = [_sig(np.random.default_rng(seed).standard_normal(64))
+            for seed in range(4)]
+
+
+@st.composite
+def _doa_cases(draw):
+    """(estimate angles, truth, tolerance) on a half-degree lattice, where
+    equal distances and distances exactly at the tolerance are common; some
+    draws use a span below 360."""
+    span = draw(st.sampled_from([360.0, 180.0, 90.0]))
+    cells = int(span * 2)
+    truth_cells = draw(st.lists(st.integers(0, cells - 1), min_size=1,
+                                max_size=4, unique=True))
+    est_cells = draw(st.lists(st.integers(0, cells - 1), max_size=6))
+    tolerance = draw(st.sampled_from([0.0, 0.5, 2.0, 10.0, 45.0]))
+    truth = DoaSet(np.array(truth_cells) * 0.5, span)
+    return np.array(est_cells, dtype=float) * 0.5, truth, tolerance
+
+
+class TestMatchersMatchFormerCode:
+    """One pairing search and one distance matrix give the former bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_doa_cases())
+    def test_mae(self, case):
+        angles, truth, _ = case
+        new = doa_mae_known_count(angles, truth)
+        old = _former_doa_mae_known_count(angles, truth)
+        assert np.array_equal(new.value_deg, old.value_deg, equal_nan=True)
+        assert (new.pairs_used, new.incomplete) == (old.pairs_used,
+                                                    old.incomplete)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_doa_cases())
+    def test_precision_recall(self, case):
+        angles, truth, tolerance = case
+        assert (doa_precision_recall(angles, truth, tolerance)
+                == _former_doa_precision_recall(angles, truth, tolerance))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=4),
+           st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    def test_permute_align(self, est_ids, ref_ids):
+        estimates = [_SIGNALS[i] for i in est_ids]
+        references = [_SIGNALS[i] for i in ref_ids]
+        new = permute_align(estimates, references)
+        old = _former_permute_align(estimates, references)
+        assert new.assignment == old.assignment
+        assert new.pair_si_sdr_db == old.pair_si_sdr_db
+
+    def test_mae_takes_the_least_mean_over_pairings(self):
+        # 10 and 20 against 12 and 19: pairing 10-12, 20-19 gives 1.5 deg,
+        # the crossed pairing 8.5 deg.
+        mae = doa_mae_known_count([10.0, 20.0], DoaSet(np.array([12.0, 19.0])))
+        assert mae == DoaMae(1.5, 2, False)
+
+
+class TestPrecisionRecallOf:
+    def test_formulas(self):
+        pr = PrecisionRecall.of(2, 4, 3)
+        assert (pr.precision, pr.recall) == (0.5, 2 / 3)
+        assert pr.f1 == 2 * 0.5 * (2 / 3) / (0.5 + 2 / 3)
+        assert not pr.empty_estimates
+
+    def test_no_estimates(self):
+        assert PrecisionRecall.of(0, 0, 2) == PrecisionRecall(
+            0.0, 0.0, 0.0, 0, 0, 2, empty_estimates=True)

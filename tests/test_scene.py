@@ -65,6 +65,12 @@ class TestSceneSpec:
         with pytest.raises(ConfigError):
             _scene([50.0, 360.0], [2.0, 2.0])
 
+    @pytest.mark.parametrize("doas", [[math.nan, 120.0], [50.0, math.inf],
+                                      [-math.inf], [-1.0], []])
+    def test_non_finite_out_of_span_and_empty_rejected(self, doas):
+        with pytest.raises(ConfigError):
+            _scene(doas, [2.0] * len(doas))
+
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ConfigError):
             SourceSpec(10.0, 0.0, synth_source("modulated-noise", 0.1))

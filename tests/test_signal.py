@@ -169,6 +169,20 @@ class TestFuzzedWavs:
         _assert_returns_or_raises_format_error(scratch / "patched.wav",
                                                patched)
 
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFFA00000,
+                                      0x7F800000, 0xFF800000],
+                             ids=["nan", "signaling-nan", "negative-nan",
+                                  "inf", "-inf"])
+    def test_non_finite_float_sample_rejected(self, scratch, bits):
+        # Overwrite the second sample of the float32 file; the check must
+        # not go through a cast that warns on a signaling NaN.
+        blob = bytearray(VALID_WAVS["float32"])
+        struct.pack_into("<I", blob, len(blob) - 15 * 4, bits)
+        path = scratch / "non_finite.wav"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite float sample"):
+            load_wav(path)
+
 
 class TestPeakNormalize:
     def test_peak_becomes_one(self):
