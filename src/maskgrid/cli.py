@@ -3,11 +3,11 @@
 Subcommands cover the full flow: scene simulation, oracle or model
 encoding, the conditioning sweep, threshold calibration, estimator
 training, decoding, MVDR separation, and scoring. Each stage is one
-function (`_source_masks`, `_decode`, `_separate`, `_score`): the staged
-subcommands load its inputs from the artifact directory and save its
-outputs, and `pipeline` chains the same functions in memory. Every report
-carries the config hash, seed, and package version; identical configs and
-seeds yield identical output bytes.
+function that writes its own artifacts (`_encode_stage`, `_decode`,
+`_separate`, `_score`): the staged subcommands load its inputs from the
+artifact directory, and `pipeline` chains the same functions in memory.
+Every report carries the config hash, seed, and package version; identical
+configs and seeds yield identical output bytes.
 """
 
 from __future__ import annotations
@@ -139,17 +139,27 @@ def _model_params(cfg: RunConfig):
     return container.load_params(cfg.params_path)
 
 
-def _estimated_coding(cfg: RunConfig, mixture_spec, masks, truth, params):
-    """Coding per estimate.mode; only oracle and corrupt encode the masks.
-    `params` is _model_params(cfg)."""
+def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir):
+    """Mixture STFT and coding per estimate.mode (`params` is
+    _model_params(cfg)); writes masks.bin, coding.bin and encode.json only
+    once all three are built, so a failure leaves none of them."""
+    mixture_spec = stft.analyze(mixture, cfg.stft_config())
+    _, masks = _source_masks(cfg, images)
     if params is not None:
-        return estimator.forward(params, estimator.features(mixture_spec),
-                                 cfg.grid())
-    oracle = _encode(cfg, cfg.coding_kind, masks, truth)
-    if cfg.estimate_mode == "corrupt":
-        return estimator.corrupt_oracle(oracle, cfg.noise_std,
-                                        cfg.blur_cells, cfg.seed)
-    return oracle
+        tensor = estimator.forward(params, estimator.features(mixture_spec),
+                                   cfg.grid())
+    else:
+        tensor = _encode(cfg, cfg.coding_kind, masks, truth)
+        if cfg.estimate_mode == "corrupt":
+            tensor = estimator.corrupt_oracle(tensor, cfg.noise_std,
+                                              cfg.blur_cells, cfg.seed)
+    record = {"kind": tensor.kind, "theta_count": tensor.grid.theta_count,
+              "span_deg": tensor.grid.span_deg, "sigma_deg": cfg.sigma_deg,
+              "eps_m_db": cfg.eps_m_db}
+    container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
+    container.save_coding(out_dir / "coding.bin", tensor)
+    _write_json(out_dir / "encode.json", record, _meta(cfg))
+    return mixture_spec, tensor
 
 
 def _decode(cfg: RunConfig, tensor, out_dir: Path):
@@ -240,22 +250,15 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_encode(cfg: RunConfig, args) -> int:
+    params = _model_params(cfg)
     out_dir = Path(args.out)
     truth = _load_truth(out_dir)
-    _, masks = _source_masks(cfg, [
-        load_wav(out_dir / f"src{i + 1:02d}_image.wav")
-        for i in range(truth.count)])
-    tensor = _encode(cfg, cfg.coding_kind, masks, truth)
-    container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
-    container.save_coding(out_dir / "coding.bin", tensor)
-    grid = tensor.grid
-    _write_json(out_dir / "encode.json", {
-        "kind": cfg.coding_kind, "theta_count": grid.theta_count,
-        "span_deg": grid.span_deg, "sigma_deg": cfg.sigma_deg,
-        "eps_m_db": cfg.eps_m_db,
-    }, _meta(cfg))
-    print(f"{cfg.coding_kind} coding ({tensor.frames} frames, {tensor.bins} "
-          f"bins, {grid.theta_count} cells) -> {out_dir}")
+    images = [load_wav(out_dir / f"src{i + 1:02d}_image.wav")
+              for i in range(truth.count)]
+    _, tensor = _encode_stage(cfg, load_wav(out_dir / "mixture.wav"), images,
+                              truth, params, out_dir)
+    print(f"{tensor.kind} coding ({tensor.frames} frames, {tensor.bins} "
+          f"bins, {tensor.grid.theta_count} cells) -> {out_dir}")
     return 0
 
 
@@ -371,20 +374,18 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_pipeline(cfg: RunConfig, args) -> int:
-    # A bad grid, STFT or model key must exit before the first write.
+    # A bad key that pipeline reads must exit before the first write.
     cfg.grid()
     cfg.stft_config()
+    cfg.sigma_deg, cfg.eps_theta, cfg.delta_theta_deg
     params = _model_params(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, rendered = _build_scene(cfg)
     _save_scene(cfg, rendered, out_dir)
-    _, masks = _source_masks(cfg, rendered.source_images)
-    container.save_masks(out_dir / "masks.bin", masks, rendered.truth.span_deg)
-    mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
-    tensor = _estimated_coding(cfg, mixture_spec, masks, rendered.truth,
-                               params)
-    container.save_coding(out_dir / "coding.bin", tensor)
+    mixture_spec, tensor = _encode_stage(cfg, rendered.mixture,
+                                         rendered.source_images,
+                                         rendered.truth, params, out_dir)
     estimates, sampled = _decode(cfg, tensor, out_dir)
     separated = _separate(cfg, mixture_spec, sampled, estimates, out_dir)
     report, path = _score(cfg, out_dir, estimates, rendered.truth, separated,

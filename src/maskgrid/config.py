@@ -22,6 +22,7 @@ from .stft import StftConfig
 
 _EXPECTED = {float: "a number", int: "an integer"}
 _OPEN_UNIT = (lambda value: 0.0 < value < 1.0, "a value in (0, 1)")
+_POSITIVE = (lambda value: value > 0.0, "a positive number")
 
 
 def _parse(section, key, raw, conv):
@@ -107,13 +108,13 @@ class RunConfig:
     theta_count = _Key("grid", "theta_count", "720", int, ok=_at_least(2))
     span_deg = _Key("grid", "span_deg", "360",
                     ok=(lambda s: 0.0 < s <= 360.0, "a value in (0, 360]"))
-    sigma_deg = _Key("coding", "sigma_deg", "6")
+    sigma_deg = _Key("coding", "sigma_deg", "6", ok=_POSITIVE)
     eps_m_db = _Key("coding", "eps_m_db", "-35")
     coding_kind = _Key("coding", "kind", "mwslc", str, ok=_one_of(*ENCODERS))
     conditioning_theta_counts = _Key("conditioning", "theta_counts",
                                      "90,180,360,720,1440", int, items=True)
-    eps_theta = _Key("decode", "eps_theta", "0.1")
-    delta_theta_deg = _Key("decode", "delta_theta_deg", "6")
+    eps_theta = _Key("decode", "eps_theta", "0.1", ok=_OPEN_UNIT)
+    delta_theta_deg = _Key("decode", "delta_theta_deg", "6", ok=_POSITIVE)
     min_support_frac = _Key("decode", "min_support_frac", "0.05")
     eps_theta_candidates = _Key(
         "decode", "eps_theta_candidates",
@@ -126,8 +127,7 @@ class RunConfig:
     # the target under near-field mismatch otherwise.
     loading_eps = _Key("beamform", "loading_eps", "1e-2", ok=_at_least(0))
     tolerance_deg = _Key("metrics", "tolerance_deg", "10")
-    _learning_rate = _Key("train", "learning_rate", "0.001",
-                          ok=(lambda r: r > 0.0, "a positive number"))
+    _learning_rate = _Key("train", "learning_rate", "0.001", ok=_POSITIVE)
     _decay_factor = _Key("train", "decay_factor", "0.63", ok=_OPEN_UNIT)
     _decay_every_epochs = _Key("train", "decay_every_epochs", "10", int,
                                ok=_at_least(1))

@@ -202,15 +202,26 @@ def _render(spec: SceneSpec, geometry: ArrayGeometry,
     """Sum of fractional-delay filtered copies of each source per mic, one
     per (image, mic) path with gain / distance; the output holds the
     longest source plus the longest path delay."""
+    mics = geometry.mic_positions
+    ref = mics[geometry.reference_mic]
+    positions = [ref + s.distance_m * unit_vector(s.doa_deg)
+                 for s in spec.sources]
+    if room is not None:
+        lo = -room.origin
+        hi = np.asarray(room.dimensions_m) - room.origin
+        for mic in mics:
+            if np.any(mic <= lo) or np.any(mic >= hi):
+                raise ConfigError(f"mic at {mic} lies outside the room")
+        for s, pos in zip(spec.sources, positions):
+            if np.any(pos <= lo) or np.any(pos >= hi):
+                raise ConfigError(f"source at {s.doa_deg} deg / "
+                                  f"{s.distance_m} m lies outside the room")
     rates = {s.signal.sample_rate_hz for s in spec.sources}
     if len(rates) != 1:
         raise ConfigError(f"sources have mixed sample rates: {sorted(rates)}")
     fs = rates.pop()
-    mics = geometry.mic_positions
-    ref = mics[geometry.reference_mic]
     paths = []  # per source: (mic, delay in samples, gain / r) of each path
-    for s in spec.sources:
-        src = ref + s.distance_m * unit_vector(s.doa_deg)
+    for src in positions:
         paths.append([])
         for pos, gain in _image_sources(src, room):
             for mic in range(geometry.channels):
@@ -249,19 +260,7 @@ def simulate_shoebox(spec: SceneSpec, geometry: ArrayGeometry) -> RenderedScene:
     """
     if spec.room is None:
         raise ConfigError("simulate_shoebox needs a room in the scene spec")
-    room = spec.room
-    lo = -room.origin
-    hi = np.asarray(room.dimensions_m) - room.origin
-    for mic in geometry.mic_positions:
-        if np.any(mic <= lo) or np.any(mic >= hi):
-            raise ConfigError(f"mic at {mic} lies outside the room")
-    ref = geometry.mic_positions[geometry.reference_mic]
-    for s in spec.sources:
-        pos = ref + s.distance_m * unit_vector(s.doa_deg)
-        if np.any(pos <= lo) or np.any(pos >= hi):
-            raise ConfigError(f"source at {s.doa_deg} deg / {s.distance_m} m "
-                              "lies outside the room")
-    return _render(spec, geometry, room)
+    return _render(spec, geometry, spec.room)
 
 
 def synth_source(kind: str, duration_s: float, pitch_hz: float = 200.0,

@@ -1,8 +1,10 @@
 """Analysis/synthesis between time domain and the complex time-frequency plane.
 
 Square-root Hann windows are applied on both sides, so the effective window
-is Hann and the pair is perfectly reconstructing at 50% overlap (COLA).
-Defaults correspond to 32 ms windows with 16 ms hop at 16 kHz.
+is Hann and the pair is perfectly reconstructing at any overlap where the
+hop is win / R for an integer R >= 2 (COLA). Overlap is required: without
+it the window is 0 at every frame start, where synthesis cannot recover
+the signal. Defaults correspond to 32 ms windows with 16 ms hop at 16 kHz.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ def sqrt_hann_window(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Framing parameters. hop must divide win_len (50% overlap by default)."""
+    """Framing parameters. hop must divide win_len and be smaller than it,
+    so frames overlap (by 50% by default)."""
 
     win_len_samples: int = 512
     hop_samples: int = 256
@@ -30,9 +33,10 @@ class StftConfig:
     def __post_init__(self):
         if self.win_len_samples <= 0 or self.hop_samples <= 0:
             raise ConfigError("window and hop must be positive")
-        if self.win_len_samples % self.hop_samples != 0:
-            raise ConfigError(
-                f"hop {self.hop_samples} must divide window {self.win_len_samples}")
+        win, hop = self.win_len_samples, self.hop_samples
+        if win % hop != 0 or hop == win:
+            raise ConfigError(f"hop {hop} must divide window {win} and be "
+                              "smaller, so that frames overlap")
 
     @property
     def bins(self) -> int:
@@ -105,7 +109,8 @@ def synthesize(spec: Spectrogram) -> TimeSignal:
 
     Uses the spectrogram's own framing. Output length is (T - 1) * hop + win.
     Boundary samples are compensated by the accumulated window-square
-    envelope where it is nonzero.
+    envelope where it is nonzero; with the overlap StftConfig requires, that
+    is everywhere but the first sample, which stays 0.
 
     Raises:
         ConfigError: the spectrogram's bin count does not match its config.

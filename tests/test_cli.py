@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskgrid import cli, coding, decode
+from maskgrid import cli, coding, decode, estimator
 from maskgrid.cli import main
 from maskgrid.config import DEFAULTS, load_config
-from maskgrid.container import load_coding, load_params
-from maskgrid.signal import TimeSignal, save_wav
+from maskgrid.container import load_coding, load_params, save_params
+from maskgrid.signal import TimeSignal, load_wav, save_wav
+from maskgrid.stft import analyze
 
 
 def _fast_ini(tmp_path, extra=""):
@@ -173,14 +174,33 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flags, extra", [
         (["--theta-count", "1"], ""), ([], "[stft]\nwin_ms = 31\n"),
-        ([], "[estimate]\nmode = model\n")],
-        ids=["theta_count", "win_ms", "model_without_params_path"])
+        ([], "[stft]\nhop_ms = 32\n"), ([], "[estimate]\nmode = model\n")],
+        ids=["theta_count", "win_ms", "hop_equal_to_win",
+             "model_without_params_path"])
     def test_bad_grid_or_stft_exit_2_before_any_write(self, tmp_path, flags,
                                                        extra):
         out = tmp_path / "run"
         assert main(["pipeline", "--config", _fast_ini(tmp_path, extra),
                      "--out", str(out), *flags]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key, value", [
+        ("stft.hop_ms", "32"), ("decode.eps_theta", "1.0"),
+        ("decode.eps_theta", "0"), ("decode.delta_theta_deg", "0"),
+        ("coding.sigma_deg", "0"), ("coding.sigma_deg", "-6")])
+    def test_bad_range_exit_2_names_key_before_any_write(self, tmp_path,
+                                                         capsys, key, value):
+        # These used to be caught by the encoder or the decoder, naming no
+        # key, after pipeline had written the scene and coding.bin; a hop
+        # equal to the window used to run and score the broken output.
+        section, name = key.split(".")
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[scene]\nduration_s = 0.5\n[{section}]\n"
+                       f"{name} = {value}\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(ini), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_params_file_exit_4_before_any_write(self, tmp_path):
         missing = tmp_path / "missing.bin"
@@ -210,6 +230,81 @@ class TestPipeline:
         assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
         _, rows = _read_report(out / "report.csv")
         assert float(rows[0]["recall"]) == 1.0
+
+
+class TestOneEncodeStage:
+    """Staged encode and pipeline run the same encode stage."""
+
+    @pytest.mark.parametrize("extra", [
+        "", "[estimate]\nmode = corrupt\nnoise_std = 0.15\n",
+        "[coding]\nkind = mwsbc\n"], ids=["oracle", "corrupt", "mwsbc"])
+    def test_pipeline_encode_json_equals_staged(self, tmp_path, extra):
+        ini = _fast_ini(tmp_path, extra)
+        staged, piped = tmp_path / "staged", tmp_path / "piped"
+        for command in ("simulate", "encode"):
+            assert main([command, "--config", ini, "--out", str(staged)]) == 0
+        assert main(["pipeline", "--config", ini, "--out", str(piped)]) == 0
+        assert (piped / "encode.json").read_bytes() == \
+            (staged / "encode.json").read_bytes()
+
+    def test_staged_corrupt_is_corrupt_oracle_of_the_wavs(self, tmp_path):
+        ini = _fast_ini(tmp_path, "[estimate]\nmode = corrupt\n"
+                                  "noise_std = 0.15\nblur_cells = 2\n")
+        out = tmp_path / "run"
+        for command in ("simulate", "encode"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 0
+        cfg = load_config(ini)
+        images = [analyze(load_wav(out / f"src{i:02d}_image.wav").channel(0),
+                          cfg.stft_config()) for i in (1, 2)]
+        masks = coding.compute_irm(images, cfg.eps_m_db)
+        truth = coding.DoaSet(np.array([50.0, 120.0]))
+        want = estimator.corrupt_oracle(
+            coding.encode_mwslc(masks, truth, cfg.grid(), cfg.sigma_deg),
+            0.15, 2, cfg.seed)
+        got = load_coding(out / "coding.bin")
+        assert got.kind == "mwslc"
+        assert got.values.tobytes() == \
+            want.values.astype(np.float32).astype(np.float64).tobytes()
+
+    def test_staged_model_mode_never_encodes(self, tmp_path, monkeypatch):
+        params = tmp_path / "params.bin"  # untrained, 8 hidden units
+        save_params(params, estimator.init_params(9, 8, 360, seed=3,
+                                                  output_bias=-1.0))
+        ini = _fast_ini(tmp_path, "[estimate]\nmode = model\n"
+                                  f"params_path = {params}\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", ini, "--out", str(out)]) == 0
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("model mode built an oracle coding")
+
+        for kind in list(coding.ENCODERS):
+            monkeypatch.setitem(coding.ENCODERS, kind, no_encoding)
+        assert main(["encode", "--config", ini, "--out", str(out)]) == 0
+        cfg = load_config(ini)
+        want = estimator.forward(
+            load_params(params),
+            estimator.features(analyze(load_wav(out / "mixture.wav"),
+                                       cfg.stft_config())), cfg.grid())
+        got = load_coding(out / "coding.bin")
+        assert got.kind == "estimated"
+        assert got.values.tobytes() == \
+            want.values.astype(np.float32).astype(np.float64).tobytes()
+        assert json.loads((out / "encode.json").read_text())["kind"] == \
+            "estimated"
+
+    @pytest.mark.parametrize("params_line, code", [
+        ("", 2), ("params_path = {missing}\n", 4)],
+        ids=["no_params_path", "missing_params_file"])
+    def test_staged_model_mode_bad_params_writes_nothing(
+            self, tmp_path, params_line, code):
+        ini = _fast_ini(tmp_path, "[estimate]\nmode = model\n" +
+                        params_line.format(missing=tmp_path / "missing.bin"))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", ini, "--out", str(out)]) == 0
+        assert main(["encode", "--config", ini, "--out", str(out)]) == code
+        for name in ("masks.bin", "coding.bin", "encode.json"):
+            assert not (out / name).exists(), name
 
 
 class TestConditioning:
@@ -517,6 +612,13 @@ class TestListConfigKeys:
         ("train", _TRAIN_INI + "patience = -1\n", "train.patience"),
         ("simulate", "[scene]\nchannels = -1\n", "scene.channels"),
         ("simulate", "[scene]\nduration_s = 1e-9\n", "scene.duration_s"),
+        # Ranges that the decoder or the encoders used to reject without
+        # naming the key, after pipeline had written its first artifacts.
+        ("pipeline", "[decode]\neps_theta = 1.0\n", "decode.eps_theta"),
+        ("pipeline", "[decode]\ndelta_theta_deg = 0\n",
+         "decode.delta_theta_deg"),
+        ("pipeline", "[coding]\nsigma_deg = 0\n", "coding.sigma_deg"),
+        ("calibrate", "[coding]\nsigma_deg = -1\n", "coding.sigma_deg"),
     ], ids=["distances_m", "pitches_hz", "room_dims_m", "theta_counts",
             "empty_distances_m", "empty_source_kinds", "room_dims_m_count",
             "absorption_range", "max_order_negative", "seed_negative",
@@ -526,7 +628,9 @@ class TestListConfigKeys:
             "span_above_360", "win_not_divided_by_hop", "hop_zero",
             "learning_rate_zero", "decay_factor_one",
             "decay_every_epochs_zero", "epochs_zero", "batch_size_zero",
-            "patience_negative", "channels_negative", "duration_no_sample"])
+            "patience_negative", "channels_negative", "duration_no_sample",
+            "eps_theta_one", "delta_theta_zero", "sigma_zero",
+            "calibrate_sigma_negative"])
     def test_bad_list_exit_2_names_key(self, tmp_path, capsys, command,
                                        text, key):
         ini = tmp_path / "bad.ini"

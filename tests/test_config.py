@@ -643,6 +643,14 @@ NAMED_BY_BUILDER = {
     **{("train", name): "train_config" for name in (
         "learning_rate", "decay_factor", "decay_every_epochs", "epochs",
         "batch_size", "patience")}}
+# Keys whose range is now checked by name when read; the former config
+# passed bad values on to the encoders or the decoder, which rejected them
+# naming no key and only after pipeline had written its first artifacts.
+RANGED = {("coding", "sigma_deg"): (lambda v: v > 0.0, "a positive number"),
+          ("decode", "eps_theta"): (lambda v: 0.0 < v < 1.0,
+                                    "a value in (0, 1)"),
+          ("decode", "delta_theta_deg"): (lambda v: v > 0.0,
+                                          "a positive number")}
 # Keys that stft_config() turns into samples; its errors now name the keys.
 STFT_KEYS = {("scene", "sample_rate_hz"), ("stft", "win_ms"),
              ("stft", "hop_ms")}
@@ -707,6 +715,11 @@ def _allowed(key, value, old, new):
         return old[0] == "value" and old[1] < 0.0 and new == (
             "raises", ConfigError,
             f"beamform.loading_eps: expected at least 0, got {old[1]!r}")
+    if key in RANGED:
+        accepts, expected = RANGED[key]
+        return old[0] == "value" and not accepts(old[1]) and new == (
+            "raises", ConfigError,
+            f"{section}.{name}: expected {expected}, got {old[1]!r}")
     if key in AT_LEAST_1:
         try:
             count = int(value)

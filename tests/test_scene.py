@@ -189,6 +189,24 @@ class TestShoeboxRender:
         with pytest.raises(ConfigError):
             simulate_shoebox(_scene([0.0], [1.0], room=room), geom)
 
+    def test_wall_checks_precede_rate_check(self):
+        # Mics are checked first, then sources, then the sample rates.
+        room = RoomSpec(dimensions_m=(3.0, 3.0, 3.0),
+                        array_origin_m=(0.5, 1.5, 1.5))
+        sources = (SourceSpec(0.0, 2.8, synth_source("modulated-noise", 0.02)),
+                   SourceSpec(90.0, 1.0, synth_source(
+                       "modulated-noise", 0.02, sample_rate_hz=8000)))
+        spec = SceneSpec(sources, room=room)
+        with pytest.raises(ConfigError, match="source at 0.0 deg / 2.8 m"):
+            simulate_shoebox(spec, ArrayGeometry())
+        outside = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+        with pytest.raises(ConfigError, match="mic at"):
+            simulate_shoebox(spec, outside)
+        inside = SceneSpec((sources[1], SourceSpec(
+            0.0, 1.0, synth_source("modulated-noise", 0.02))), room=room)
+        with pytest.raises(ConfigError, match="mixed sample rates"):
+            simulate_shoebox(inside, ArrayGeometry())
+
     def test_room_required(self):
         with pytest.raises(ConfigError):
             simulate_shoebox(_scene([0.0], [1.0]), ArrayGeometry())

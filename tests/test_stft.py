@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskgrid.errors import ConfigError, ShapeError
 from maskgrid.signal import TimeSignal
@@ -33,6 +35,12 @@ class TestStftConfig:
     def test_hop_must_divide_window(self):
         with pytest.raises(ConfigError):
             StftConfig(512, 300)
+
+    @pytest.mark.parametrize("win", [2, 8, 512])
+    def test_hop_equal_to_window_rejected(self, win):
+        # Without overlap the sqrt-Hann window is 0 at every frame start.
+        with pytest.raises(ConfigError, match="and be smaller"):
+            StftConfig(win, win)
 
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ConfigError):
@@ -101,6 +109,21 @@ class TestRoundTrip:
         err = np.linalg.norm(out.samples[:, lo:hi] - sig.samples[:, lo:hi])
         ref = np.linalg.norm(sig.samples[:, lo:hi])
         assert err / ref <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(hop=st.integers(1, 64), ratio=st.integers(2, 8),
+           channels=st.integers(1, 3), extra=st.integers(0, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_interior_exact_for_any_overlap(self, hop, ratio, channels, extra,
+                                            seed):
+        # Any hop = win / R with R >= 2 reconstructs [hop, L - hop) of the
+        # framed length L; only the first sample has a zero envelope.
+        win = hop * ratio
+        x = np.random.default_rng(seed).standard_normal((channels, win + extra))
+        out = synthesize(analyze(TimeSignal(x), StftConfig(win, hop)))
+        n = out.length
+        np.testing.assert_allclose(out.samples[:, hop:n - hop],
+                                   x[:, hop:n - hop], rtol=0, atol=1e-12)
 
     def test_output_length(self, rng):
         spec = analyze(TimeSignal(rng.standard_normal(3000)))
