@@ -321,7 +321,10 @@ def cmd_train(cfg: RunConfig, args) -> int:
     for i in range(total):
         _, rendered = _varied_scene(cfg, i)
         _, masks = _source_masks(cfg, rendered.source_images)
-        target = _encode(cfg, train_cfg.target_kind, masks, rendered.truth)
+        # Masks and truth only: each use of the target encodes it a block
+        # of frames at a time, so no scene's (T, K, cells) tensor is held.
+        target = coding.FrameBlocks(train_cfg.target_kind, masks,
+                                    rendered.truth, cfg.grid(), cfg.sigma_deg)
         mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
         pairs.append((estimator.features(mixture_spec), target))
     split = cfg.train_scene_count
@@ -377,7 +380,9 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     # A bad key that pipeline reads must exit before the first write.
     cfg.grid()
     cfg.stft_config()
-    cfg.sigma_deg, cfg.eps_theta, cfg.delta_theta_deg
+    cfg.coding_kind, cfg.sigma_deg, cfg.noise_std, cfg.blur_cells
+    cfg.eps_theta, cfg.delta_theta_deg, cfg.min_support_frac
+    cfg.loading_eps, cfg.tolerance_deg
     params = _model_params(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
 # temporaries stay in a 2 MiB L2 up to 1440 cells; 256 rows spilled and ran
 # 2-3x slower, and fewer rows only add per-block call overhead.
 _ENCODE_BLOCK_ROWS = 32
-# Frames per block in encode_reduced. On the conditioning benchmark (62
+# Frames per FrameBlocks block. On the conditioning benchmark (62
 # frames, 257 bins, up to 1440 cells; median of 3 runs) 4 frames gave a
 # 60 MiB peak RSS at 0.50 s per sweep, against 241 MiB and 0.75 s for the
 # full tensors. 8 frames ran as fast at 77 MiB; 16 and 32 frames ran
@@ -149,6 +149,11 @@ class CodingTensor:
     @property
     def bins(self) -> int:
         return self.values.shape[1]
+
+    def each_block(self, fn) -> None:
+        """fn(0, self): the whole tensor as one block, as FrameBlocks hands
+        out its blocks."""
+        fn(0, self)
 
 
 def compute_irm(source_specs, eps_m_db: float = -35.0) -> MaskSet:
@@ -295,28 +300,60 @@ ENCODERS = {
 }
 
 
+class FrameBlocks:
+    """ENCODERS[kind](masks, truth, grid, sigma_deg) handed out a block of
+    frames at a time, so the full (frames, bins, cells) tensor is never held.
+
+    Each block is ENCODERS[kind] on frames t0 .. t0 + n of the masks, which
+    is bit-identical to those rows of the full encoding. The encoder's
+    checks (speaker count, nearest-cell collision, sigma) and its shared-cell
+    warning run once, here, on the 0-frame encode kept as `empty`.
+    `frames`, `bins`, `grid` and `each_block` are CodingTensor's too, so a
+    consumer of blocks takes either.
+    """
+
+    def __init__(self, kind: str, masks: MaskSet, truth: DoaSet,
+                 grid: SpatialGrid, sigma_deg: float):
+        self._encode = ENCODERS[kind]
+        self._args = (truth, grid, sigma_deg)
+        self.masks, self.grid = masks, grid
+        self.empty = self._encode(MaskSet(masks.values[:, :0]), *self._args)
+
+    @property
+    def frames(self) -> int:
+        return self.masks.frames
+
+    @property
+    def bins(self) -> int:
+        return self.masks.bins
+
+    def each_block(self, fn) -> None:
+        """fn(t0, block) for each CodingTensor block of frames t0 .. t0 +
+        block.frames, in order; a block is free once fn returns."""
+        for t0 in range(0, self.frames, _ENCODE_BLOCK_FRAMES):
+            block = MaskSet(self.masks.values[:, t0:t0 + _ENCODE_BLOCK_FRAMES])
+            with warnings.catch_warnings():
+                # The only UserWarning an encoder gives is the shared-cell
+                # one, already given by the 0-frame encode.
+                warnings.simplefilter("ignore", UserWarning)
+                fn(t0, self._encode(block, *self._args))
+
+
 def encode_reduced(kind: str, masks: MaskSet, truth: DoaSet,
                    grid: SpatialGrid, sigma_deg: float, reduce) -> np.ndarray:
-    """reduce(ENCODERS[kind](masks, ...)), computed a block of frames at a
-    time, so the full (frames, bins, cells) tensor is never held.
+    """reduce(ENCODERS[kind](masks, ...)), computed from FrameBlocks, so the
+    full (frames, bins, cells) tensor is never held.
 
     reduce maps a CodingTensor of n frames to an array of n rows, each
-    depending on its own frame only (a sum or mean over bins or cells).
-    Each block is ENCODERS[kind] on frames t0 .. t0 + n of the masks, which
-    are bit-identical to those rows of the full encoding, so the result is
-    bit-identical to reducing the full tensor. The encoder's checks (speaker
-    count, nearest-cell collision, sigma) and its shared-cell warning run
-    once, on a 0-frame encode before the first block.
+    depending on its own frame only (a sum or mean over bins or cells), so
+    the result is bit-identical to reducing the full tensor. reduce is
+    applied to the 0-frame encode first, for the shape of a row.
     """
-    encode = ENCODERS[kind]
-    empty = reduce(encode(MaskSet(masks.values[:, :0]), truth, grid, sigma_deg))
-    out = np.empty((masks.frames,) + empty.shape[1:])
-    for t0 in range(0, masks.frames, _ENCODE_BLOCK_FRAMES):
-        block = MaskSet(masks.values[:, t0:t0 + _ENCODE_BLOCK_FRAMES])
-        with warnings.catch_warnings():
-            # The only UserWarning an encoder gives is the shared-cell one,
-            # already given by the 0-frame encode.
-            warnings.simplefilter("ignore", UserWarning)
-            out[t0:t0 + block.frames] = reduce(encode(block, truth, grid,
-                                                      sigma_deg))
+    blocks = FrameBlocks(kind, masks, truth, grid, sigma_deg)
+    out = np.empty((masks.frames,) + reduce(blocks.empty).shape[1:])
+
+    def write(t0, block):
+        out[t0:t0 + block.frames] = reduce(block)
+
+    blocks.each_block(write)
     return out

@@ -115,7 +115,9 @@ class RunConfig:
                                      "90,180,360,720,1440", int, items=True)
     eps_theta = _Key("decode", "eps_theta", "0.1", ok=_OPEN_UNIT)
     delta_theta_deg = _Key("decode", "delta_theta_deg", "6", ok=_POSITIVE)
-    min_support_frac = _Key("decode", "min_support_frac", "0.05")
+    min_support_frac = _Key("decode", "min_support_frac", "0.05",
+                            ok=(lambda f: 0.0 <= f <= 1.0,
+                                "a value in [0, 1]"))
     eps_theta_candidates = _Key(
         "decode", "eps_theta_candidates",
         "0.05,0.1,0.15,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", items=True,
@@ -126,7 +128,7 @@ class RunConfig:
     # is heavier because plane-wave steering at desk distances self-cancels
     # the target under near-field mismatch otherwise.
     loading_eps = _Key("beamform", "loading_eps", "1e-2", ok=_at_least(0))
-    tolerance_deg = _Key("metrics", "tolerance_deg", "10")
+    tolerance_deg = _Key("metrics", "tolerance_deg", "10", ok=_at_least(0))
     _learning_rate = _Key("train", "learning_rate", "0.001", ok=_POSITIVE)
     _decay_factor = _Key("train", "decay_factor", "0.63", ok=_OPEN_UNIT)
     _decay_every_epochs = _Key("train", "decay_every_epochs", "10", int,
@@ -142,8 +144,8 @@ class RunConfig:
                            ok=_at_least(1))
     estimate_mode = _Key("estimate", "mode", "oracle", str,
                          ok=_one_of("oracle", "corrupt", "model"))
-    noise_std = _Key("estimate", "noise_std", "0.0")
-    blur_cells = _Key("estimate", "blur_cells", "0", int)
+    noise_std = _Key("estimate", "noise_std", "0.0", ok=_at_least(0))
+    blur_cells = _Key("estimate", "blur_cells", "0", int, ok=_at_least(0))
     params_path = _Key("estimate", "params_path", "", str)
     # The MGT1 container header stores the seed as a uint32.
     seed = _Key("run", "seed", "0", int,

@@ -7,9 +7,15 @@ optimization at desk scale, and to produce imperfect encodings for decoder
 robustness tests. All gradients are written out by hand and checked against
 finite differences in the tests.
 
-The passes reuse their buffers in place, so a backward pass holds two
-(rows, cells) arrays, yet each element goes through the reference formulas'
-floating-point operations in their order: results are bit-identical to them.
+The passes reuse their buffers in place. A backward pass holds two
+(rows, cells) arrays: the output y, which becomes the output gradient, and
+one buffer that takes y - target and then its squares for the loss. Beside
+them it holds the (rows, hidden) activations and one 4-frame target block,
+never a whole target: a coding.FrameBlocks target is encoded a block at a
+time, once per backward pass and once per validation loss, whose squares
+go into forward's output buffer. Each element still goes through the
+reference formulas' floating-point operations in their order: results are
+bit-identical to them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from .errors import ConfigError, ShapeError, TrainingError
 from .stft import Spectrogram
 
 FEATURE_NORM_EPS = 1e-8
-_SIGMOID_BLOCK = 1 << 15  # elements per _sigmoid block, 256 KiB per temporary
+# Elements per block of rows in _sigmoid and in backward's output gradient,
+# 256 KiB per temporary.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -37,7 +45,7 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     out = np.empty_like(z) if out is None else out
     rows, out_rows = np.atleast_1d(z, out)  # views; a 0-d z becomes one row
-    step = max(1, _SIGMOID_BLOCK * len(rows) // max(rows.size, 1))
+    step = max(1, _BLOCK_ELEMENTS * len(rows) // max(rows.size, 1))
     for start in range(0, len(rows), step):
         zb, e = rows[start : start + step], out_rows[start : start + step]
         pos = zb >= 0
@@ -144,23 +152,34 @@ def _layers(params: EstimatorParams, x: np.ndarray) -> tuple:
     return h, _sigmoid(y, out=y)
 
 
-def _target_rows(params: EstimatorParams, feats: np.ndarray,
-                 target: CodingTensor) -> np.ndarray:
-    t, k, _ = feats.shape
-    if target.values.shape != (t, k, params.output_dim):
-        raise ShapeError(f"target shape {target.values.shape} does not match "
+def _check_shapes(params: EstimatorParams, feats: np.ndarray, target) -> None:
+    t, k, f = feats.shape
+    if f != params.input_dim:
+        raise ShapeError(f"feature dim {f} != input dim {params.input_dim}")
+    shape = (target.frames, target.bins, target.grid.theta_count)
+    if shape != (t, k, params.output_dim):
+        raise ShapeError(f"target shape {shape} does not match "
                          f"({t}, {k}, {params.output_dim})")
-    return target.values.reshape(t * k, params.output_dim)
 
 
-def _squared_error(y: np.ndarray, tgt: np.ndarray) -> tuple:
-    """Mean of (y - tgt)^2, and the buffer that holds the squares."""
-    sq = np.subtract(y, tgt)
-    np.multiply(sq, sq, out=sq)
-    loss = float(np.mean(sq))
+def _minus_target(y: np.ndarray, target, out: np.ndarray) -> None:
+    """out = y - target as (rows, cells), a frame block of the target at a
+    time; out may be y."""
+    def subtract(t0, block):
+        rows = block.values.reshape(-1, y.shape[1])
+        at = slice(t0 * target.bins, t0 * target.bins + rows.shape[0])
+        np.subtract(y[at], rows, out=out[at])
+
+    target.each_block(subtract)
+
+
+def _mean_square(diff: np.ndarray) -> float:
+    """Mean of diff^2, squaring diff in place."""
+    np.multiply(diff, diff, out=diff)
+    loss = float(np.mean(diff))
     if not np.isfinite(loss):
         raise TrainingError("non-finite loss")
-    return loss, sq
+    return loss
 
 
 def forward(params: EstimatorParams, feats: np.ndarray,
@@ -175,28 +194,39 @@ def forward(params: EstimatorParams, feats: np.ndarray,
     return CodingTensor(y.reshape(t, k, grid.theta_count), grid, "estimated")
 
 
-def backward(params: EstimatorParams, feats: np.ndarray,
-             target: CodingTensor) -> tuple:
+def backward(params: EstimatorParams, feats: np.ndarray, target) -> tuple:
     """Mean-MSE loss and its analytic parameter gradients.
 
     The loss is the mean of (output - target)^2 over every (t, k, cell),
-    backpropagated through the sigmoid and tanh by hand.
+    backpropagated through the sigmoid and tanh by hand. target is a
+    CodingTensor or a coding.FrameBlocks; either is read through each_block.
 
     Returns:
         (Gradients, loss).
 
     Raises:
+        ShapeError: feats or target do not match the parameters.
         TrainingError: loss is not finite.
     """
-    tgt = _target_rows(params, feats, target)
-    x = feats.reshape(tgt.shape[0], feats.shape[2])
+    _check_shapes(params, feats, target)
+    t, k, f = feats.shape
+    x = feats.reshape(t * k, f)
     h, y = _layers(params, x)
-    loss, dz2 = _squared_error(y, tgt)
-    # The squares' buffer becomes ((2/n) (y - tgt) y) (1 - y), in that order.
-    np.subtract(y, tgt, out=dz2)
-    dz2 *= 2.0 / dz2.size
-    dz2 *= y
-    dz2 *= np.subtract(1.0, y, out=y)
+    diff = np.empty_like(y)
+    _minus_target(y, target, diff)
+    # y's buffer becomes dz2 = ((2/n) diff y) (1 - y), a block of rows at a
+    # time, with the factors in that order (the last product is taken as
+    # (1 - y) times the rest, the same bits); then diff's buffer becomes
+    # its squares.
+    dz2, scale = y, 2.0 / diff.size
+    step = max(1, _BLOCK_ELEMENTS // y.shape[1])
+    for start in range(0, len(y), step):
+        yb = y[start:start + step]
+        g = diff[start:start + step] * scale
+        g *= yb
+        np.subtract(1.0, yb, out=yb)
+        yb *= g
+    loss = _mean_square(diff)
     gw2 = h.T @ dz2
     gb2 = dz2.sum(axis=0)
     dz1 = dz2 @ params.w2.T
@@ -263,9 +293,11 @@ def _mean_loss(params, pairs):
     """Validation loss from forward passes alone; equals backward's loss."""
     losses = []
     for feats, target in pairs:
-        tgt = _target_rows(params, feats, target)
-        y = forward(params, feats, target.grid).values.reshape(tgt.shape)
-        losses.append(_squared_error(y, tgt)[0])
+        _check_shapes(params, feats, target)
+        y = forward(params, feats, target.grid).values
+        y = y.reshape(-1, y.shape[2])
+        _minus_target(y, target, y)
+        losses.append(_mean_square(y))
     return float(np.mean(losses))
 
 
@@ -273,11 +305,13 @@ def train(train_pairs, val_pairs, cfg: TrainConfig,
           hidden_dim: int = 64) -> tuple:
     """Mini-batch SGD over scenes; returns best-validation params + history.
 
-    Scenes are (features, target CodingTensor) pairs, the features as
-    returned by `features`. The network is initialized from the config seed
-    with the first target's grid as its output. Reproducible bit-for-bit for
-    a fixed config seed: shuffling uses its own generator and batch
-    gradients are averaged in list order.
+    Scenes are (features, target) pairs, the features as returned by
+    `features` and the target a CodingTensor or a coding.FrameBlocks, which
+    holds only the masks and truth and encodes a block of frames per use.
+    The network is initialized from the config seed with the first target's
+    grid as its output. Reproducible bit-for-bit for a fixed config seed:
+    shuffling uses its own generator and batch gradients are averaged in
+    list order.
 
     Raises:
         TrainingError: empty splits, or loss turning non-finite (the epoch

@@ -1,9 +1,9 @@
 """Localization and separation scoring.
 
-Wrapped angular MAE for a known speaker count, greedy precision/recall for
-an unknown count, scale-invariant SDR with exhaustive permutation
-alignment, and the improvement of the separated outputs over the raw
-mixture channel.
+Wrapped angular MAE for a known speaker count, maximum-matching
+precision/recall for an unknown count, scale-invariant SDR with exhaustive
+permutation alignment, and the improvement of the separated outputs over
+the raw mixture channel.
 """
 
 from __future__ import annotations
@@ -170,23 +170,33 @@ class PrecisionRecall:
 
 def doa_precision_recall(estimates, truth: DoaSet,
                          tolerance_deg: float = 10.0) -> PrecisionRecall:
-    """Greedy DoA matching for an unknown speaker count.
+    """DoA matching for an unknown speaker count.
 
-    Pairs are claimed in ascending wrapped distance, each side used once,
-    and count as matches when within tolerance_deg; equal distances are
-    claimed estimate by estimate, then truth by truth. Empty estimates give
-    precision 0 with a flag.
+    An estimate and a truth within tolerance_deg of each other may form a
+    match, each used at most once. The match count is the largest number of
+    such pairs (a maximum bipartite matching, grown by augmenting paths), so
+    a close pair claimed first never blocks two matches. Empty estimates
+    give precision 0 with a flag.
     """
-    dist = _distances(estimates, truth).T  # (n_est, n_ref)
-    used_e, used_r = set(), set()
-    for e, r in zip(*np.unravel_index(np.argsort(dist, axis=None, kind="stable"),
-                                      dist.shape)):
-        if dist[e, r] > tolerance_deg:
-            break
-        if e not in used_e and r not in used_r:
-            used_e.add(e)
-            used_r.add(r)
-    return PrecisionRecall.of(len(used_e), dist.shape[0], truth.count)
+    near = _distances(estimates, truth).T <= tolerance_deg  # (n_est, n_ref)
+    truths_near = {}  # estimate -> the truths within tolerance, if any
+    for e, r in np.argwhere(near).tolist():
+        truths_near.setdefault(e, []).append(r)
+    owner = {}  # truth -> the estimate matched to it
+
+    def augment(e, seen):
+        # Kuhn's search: take a free truth near e, or one whose estimate can
+        # move to another truth; seen keeps each truth to one visit.
+        for r in truths_near[e]:
+            if r not in seen:
+                seen.add(r)
+                if r not in owner or augment(owner[r], seen):
+                    owner[r] = e
+                    return True
+        return False
+
+    matches = sum(augment(e, set()) for e in truths_near)
+    return PrecisionRecall.of(matches, near.shape[0], truth.count)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 import csv
 import json
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskgrid import cli, coding, decode, estimator
+from maskgrid import cli, coding, container, decode, estimator, stft
 from maskgrid.cli import main
 from maskgrid.config import DEFAULTS, load_config
 from maskgrid.container import load_coding, load_params, save_params
@@ -187,12 +189,18 @@ class TestPipeline:
     @pytest.mark.parametrize("key, value", [
         ("stft.hop_ms", "32"), ("decode.eps_theta", "1.0"),
         ("decode.eps_theta", "0"), ("decode.delta_theta_deg", "0"),
-        ("coding.sigma_deg", "0"), ("coding.sigma_deg", "-6")])
+        ("coding.sigma_deg", "0"), ("coding.sigma_deg", "-6"),
+        ("coding.kind", "mwsbcx"), ("estimate.noise_std", "-0.1"),
+        ("estimate.blur_cells", "-1"), ("decode.min_support_frac", "-0.1"),
+        ("decode.min_support_frac", "2"), ("beamform.loading_eps", "-1"),
+        ("metrics.tolerance_deg", "-1")])
     def test_bad_range_exit_2_names_key_before_any_write(self, tmp_path,
                                                          capsys, key, value):
-        # These used to be caught by the encoder or the decoder, naming no
-        # key, after pipeline had written the scene and coding.bin; a hop
-        # equal to the window used to run and score the broken output.
+        # These used to be caught by the encoder, the decoder, the corrupter
+        # or the beamformer, some naming no key, after pipeline had written
+        # the scene and coding.bin; a hop equal to the window used to run
+        # and score the broken output, and a negative tolerance or a
+        # support fraction above 1 used to run to the end or exit 3.
         section, name = key.split(".")
         ini = tmp_path / "bad.ini"
         ini.write_text(f"[scene]\nduration_s = 0.5\n[{section}]\n"
@@ -411,6 +419,90 @@ class TestTrain:
                      str(model_out)])
         assert code in (0, 3)
         assert load_coding(model_out / "coding.bin").kind == "estimated"
+
+
+def _former_cmd_train(cfg, args) -> int:
+    """cmd_train as it was when it held every scene's full target tensor,
+    kept verbatim as the oracle of the block-encoded targets."""
+    train_cfg, hidden_dim = cfg.train_config(), cfg.hidden_dim
+    pairs = []
+    total = cfg.train_scene_count + cfg.val_scene_count
+    for i in range(total):
+        _, rendered = cli._varied_scene(cfg, i)
+        _, masks = cli._source_masks(cfg, rendered.source_images)
+        target = cli._encode(cfg, train_cfg.target_kind, masks, rendered.truth)
+        mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
+        pairs.append((estimator.features(mixture_spec), target))
+    split = cfg.train_scene_count
+    params, history = estimator.train(pairs[:split], pairs[split:], train_cfg,
+                                      hidden_dim=hidden_dim)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    container.save_params(out_dir / "params.bin", params)
+    cli._write_csv(out_dir / "history.csv", history.as_table(),
+                   estimator.TrainHistory.HISTORY_COLUMNS, cli._meta(cfg))
+    print(f"{len(history.epochs)} epochs (best {history.best_epoch}, "
+          f"early stop {history.stopped_early}) -> {out_dir}")
+    return 0
+
+
+def _short_train_ini(tmp_path, train_scenes, val_scenes, extra="",
+                     epochs=1):
+    """0.3 s scenes at the default 720 cells; 19 frames end in a part block."""
+    path = tmp_path / f"train_{train_scenes}_{val_scenes}.ini"
+    path.write_text(f"[scene]\nduration_s = 0.3\n[train]\nepochs = {epochs}\n"
+                    f"hidden_dim = 4\nbatch_size = 2\nscene_count = "
+                    f"{train_scenes}\nval_scene_count = {val_scenes}\n"
+                    + extra)
+    return str(path)
+
+
+class TestTrainTargetsByBlock:
+    """cmd_train keeps each scene's masks and truth, never its target."""
+
+    @pytest.mark.parametrize("kind", ["mwslc", "mwsbc"])
+    @pytest.mark.parametrize("seed", ["11", "12345"])
+    def test_outputs_match_the_former_full_targets(self, tmp_path, monkeypatch,
+                                                   kind, seed):
+        ini = _short_train_ini(tmp_path, 2, 1, f"target_kind = {kind}\n"
+                               "[grid]\ntheta_count = 90\n", epochs=2)
+        new, old = tmp_path / "new", tmp_path / "old"
+        assert main(["train", "--config", ini, "--seed", seed,
+                     "--out", str(new)]) == 0
+        monkeypatch.setitem(cli.COMMANDS, "train", _former_cmd_train)
+        assert main(["train", "--config", ini, "--seed", seed,
+                     "--out", str(old)]) == 0
+        for name in ("params.bin", "history.csv"):
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+    def test_peak_memory_does_not_grow_with_the_scene_count(self, tmp_path):
+        # One 19 x 257 x 720 float64 tensor is 28 MiB: the former code held
+        # one per scene, so 3 more scenes added 84 MiB to a ~60 MiB peak.
+        peaks = []
+        for scenes in ((2, 1), (4, 2)):
+            tracemalloc.start()
+            try:
+                assert main(["train", "--config",
+                             _short_train_ini(tmp_path, *scenes),
+                             "--out", str(tmp_path / "run")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_mwsbc_collision_exits_2_before_any_training(self, tmp_path,
+                                                          monkeypatch, capsys):
+        # Two cells, 180 deg wide: the varied scenes' speakers collide.
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite a colliding target")
+
+        monkeypatch.setattr(estimator, "train", no_training)
+        ini = _short_train_ini(tmp_path, 2, 1, "target_kind = mwsbc\n"
+                               "[grid]\ntheta_count = 2\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", ini, "--out", str(out)]) == 2
+        assert "share a cell" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorPaths:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, _ENCODE_BLOCK_ROWS, ENCODERS,
-                             CodingTensor, DoaSet, MaskSet, SpatialGrid,
-                             _gaussian_rows, _warn_shared_cells, compute_irm,
-                             encode_mwsbc, encode_mwslc, encode_mwslc_sum,
-                             encode_reduced, encode_sbc, encode_slc,
-                             frame_activity, snap_to_grid, wrapped_distance)
+                             CodingTensor, DoaSet, FrameBlocks, MaskSet,
+                             SpatialGrid, _gaussian_rows, _warn_shared_cells,
+                             compute_irm, encode_mwsbc, encode_mwslc,
+                             encode_mwslc_sum, encode_reduced, encode_sbc,
+                             encode_slc, frame_activity, snap_to_grid,
+                             wrapped_distance)
 from maskgrid.errors import CollisionError, ConfigError, ShapeError
 from maskgrid.stft import Spectrogram
 
@@ -548,6 +549,41 @@ class TestEncodeReduced:
             _joined_blocks("mwslc", masks, truth, grid)
         assert len(full) == len(blocked) == 1
         assert str(blocked[0].message) == str(full[0].message)
+
+
+class TestFrameBlocks:
+    """FrameBlocks checks at construction and hands out the full encoding's
+    rows in order; a CodingTensor is one block."""
+
+    def test_collision_raised_at_construction(self):
+        with pytest.raises(CollisionError):
+            FrameBlocks("mwsbc", _unit_masks(2, 9),
+                        DoaSet(np.array([6.0, 14.0])), SpatialGrid(36), 6.0)
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    def test_blocks_in_order_and_equal_to_the_full_rows(self, rng, kind):
+        masks = MaskSet(rng.uniform(0.0, 1.0, (2, 2 * _ENCODE_BLOCK_FRAMES + 1,
+                                               5)))
+        truth, grid = DoaSet(np.array([40.0, 52.0])), SpatialGrid(360)
+        full = ENCODERS[kind](masks, truth, grid, 20.0)
+        blocks = FrameBlocks(kind, masks, truth, grid, 20.0)
+        assert (blocks.frames, blocks.bins, blocks.grid) == (
+            full.frames, full.bins, full.grid)
+        starts = []
+
+        def check(t0, block):
+            starts.append(t0)
+            want = full.values[t0:t0 + block.frames]
+            assert block.values.tobytes() == want.tobytes()
+
+        blocks.each_block(check)
+        assert starts == [0, _ENCODE_BLOCK_FRAMES, 2 * _ENCODE_BLOCK_FRAMES]
+
+    def test_coding_tensor_is_one_block(self):
+        tensor = CodingTensor(np.zeros((3, 2, 4)), SpatialGrid(4), "mwslc")
+        calls = []
+        tensor.each_block(lambda t0, block: calls.append((t0, block)))
+        assert calls == [(0, tensor)]
 
 
 class TestWrapAround:

@@ -644,13 +644,20 @@ NAMED_BY_BUILDER = {
         "learning_rate", "decay_factor", "decay_every_epochs", "epochs",
         "batch_size", "patience")}}
 # Keys whose range is now checked by name when read; the former config
-# passed bad values on to the encoders or the decoder, which rejected them
-# naming no key and only after pipeline had written its first artifacts.
+# passed bad values on to the encoders, the decoder or the corrupter, which
+# rejected them naming no key and only after pipeline had written its first
+# artifacts, or ran on with them (a negative tolerance, a support fraction
+# above 1).
 RANGED = {("coding", "sigma_deg"): (lambda v: v > 0.0, "a positive number"),
           ("decode", "eps_theta"): (lambda v: 0.0 < v < 1.0,
                                     "a value in (0, 1)"),
           ("decode", "delta_theta_deg"): (lambda v: v > 0.0,
-                                          "a positive number")}
+                                          "a positive number"),
+          ("decode", "min_support_frac"): (lambda v: 0.0 <= v <= 1.0,
+                                           "a value in [0, 1]"),
+          ("metrics", "tolerance_deg"): (lambda v: v >= 0, "at least 0"),
+          ("estimate", "noise_std"): (lambda v: v >= 0, "at least 0"),
+          ("estimate", "blur_cells"): (lambda v: v >= 0, "at least 0")}
 # Keys that stft_config() turns into samples; its errors now name the keys.
 STFT_KEYS = {("scene", "sample_rate_hz"), ("stft", "win_ms"),
              ("stft", "hop_ms")}

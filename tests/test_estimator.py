@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from maskgrid.coding import CodingTensor, SpatialGrid
+from maskgrid.coding import (ENCODERS, CodingTensor, DoaSet, FrameBlocks,
+                             MaskSet, SpatialGrid)
 from maskgrid.errors import ShapeError, TrainingError
 from maskgrid.estimator import (EstimatorParams, Gradients, TrainConfig,
                                 _mean_loss, _sigmoid, backward, corrupt_oracle,
@@ -270,6 +271,83 @@ class TestOracleIdentity:
             backward(params, feats, bad)
         with pytest.raises(TrainingError):
             _mean_loss(params, [(feats, bad)])
+
+
+def _scene_targets(bundle, kind, theta=90):
+    """A real scene's target kind at theta cells, full and as FrameBlocks."""
+    grid = SpatialGrid(theta)
+    full = ENCODERS[kind](bundle.masks, bundle.truth, grid, 6.0)
+    return full, FrameBlocks(kind, bundle.masks, bundle.truth, grid, 6.0)
+
+
+class TestFrameBlockTargets:
+    """A target encoded a frame block per use gives the full tensor's loss
+    and gradients bit for bit, and the same shape checks."""
+
+    @pytest.mark.parametrize("kind", ["mwslc", "mwsbc"])
+    def test_backward_matches_the_full_tensor(self, two_speaker_scene, kind):
+        feats = features(two_speaker_scene.mixture_spec)
+        full, blocks = _scene_targets(two_speaker_scene, kind)
+        params = init_params(feats.shape[2], 8, 90, seed=2)
+        grads, loss = backward(params, feats, blocks)
+        want, want_loss = _oracle_backward(params, feats, full)
+        assert loss == want_loss
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(grads, name),
+                                  getattr(want, name)), name
+
+    @pytest.mark.parametrize("kind", ["mwslc", "mwsbc"])
+    def test_validation_loss_matches_the_full_tensor(self, two_speaker_scene,
+                                                     kind):
+        feats = features(two_speaker_scene.mixture_spec)
+        full, blocks = _scene_targets(two_speaker_scene, kind)
+        params = init_params(feats.shape[2], 8, 90, seed=3)
+        assert (_mean_loss(params, [(feats, blocks)])
+                == _mean_loss(params, [(feats, full)])
+                == backward(params, feats, full)[1])
+
+    def test_train_matches_the_full_tensors(self, rng):
+        grid = SpatialGrid(12)
+        truth = DoaSet(np.array([40.0, 200.0]))
+        scenes = [(rng.standard_normal((9, 5, 7)),
+                   MaskSet(rng.uniform(0.0, 1.0, (2, 9, 5))))
+                  for _ in range(4)]
+        full = [(f, ENCODERS["mwslc"](m, truth, grid, 30.0))
+                for f, m in scenes]
+        blocks = [(f, FrameBlocks("mwslc", m, truth, grid, 30.0))
+                  for f, m in scenes]
+        cfg = TrainConfig(learning_rate=0.5, epochs=3, batch_size=2, seed=5)
+        params_a, hist_a = train(full[:3], full[3:], cfg, hidden_dim=6)
+        params_b, hist_b = train(blocks[:3], blocks[3:], cfg, hidden_dim=6)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(params_a, name),
+                                  getattr(params_b, name)), name
+        assert hist_a == hist_b
+
+    def test_frame_count_mismatch_rejected(self, two_speaker_scene):
+        feats = features(two_speaker_scene.mixture_spec)[:-1]
+        _, blocks = _scene_targets(two_speaker_scene, "mwslc")
+        params = init_params(feats.shape[2], 4, 90)
+        with pytest.raises(ShapeError, match="target shape"):
+            backward(params, feats, blocks)
+        with pytest.raises(ShapeError, match="target shape"):
+            _mean_loss(params, [(feats, blocks)])
+
+    def test_cell_count_mismatch_rejected(self, two_speaker_scene):
+        feats = features(two_speaker_scene.mixture_spec)
+        _, blocks = _scene_targets(two_speaker_scene, "mwslc")
+        params = init_params(feats.shape[2], 4, 91)
+        with pytest.raises(ShapeError, match="target shape"):
+            backward(params, feats, blocks)
+
+    def test_feature_dim_mismatch_rejected(self, two_speaker_scene):
+        feats = features(two_speaker_scene.mixture_spec)
+        _, blocks = _scene_targets(two_speaker_scene, "mwslc")
+        params = init_params(feats.shape[2] + 1, 4, 90)
+        with pytest.raises(ShapeError, match="feature dim"):
+            backward(params, feats, blocks)
+        with pytest.raises(ShapeError, match="feature dim"):
+            _mean_loss(params, [(feats, blocks)])
 
 
 class TestTrainConfig:

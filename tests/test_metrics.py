@@ -243,6 +243,14 @@ class TestPrecisionRecall:
         assert spur.precision < base.precision
         assert spur.recall == base.recall
 
+    def test_closest_pair_does_not_block_two_matches(self):
+        # 8 is closest to 15, but taking that pair leaves 22 with no truth
+        # within 10 deg; 8-0 and 22-15 match both. Greedy matching by
+        # distance counted 1 (F1 0.5).
+        pr = doa_precision_recall([8.0, 22.0], DoaSet(np.array([0.0, 15.0])))
+        assert pr == PrecisionRecall.of(2, 2, 2)
+        assert pr.f1 == 1.0
+
 
 class TestDeltaSiSdr:
     def test_mixture_passthrough_is_zero(self, rng):
@@ -332,6 +340,19 @@ def _former_doa_mae_known_count(estimates, truth: DoaSet) -> DoaMae:
     return DoaMae(best, n_pairs, angles.size < ref.size)
 
 
+def _brute_force_matches(angles, truth: DoaSet, tolerance_deg) -> int:
+    """Largest k such that some k estimates and k truths pair up one to one
+    within tolerance, by trying every pairing."""
+    near = [[wrapped_distance(a, r, truth.span_deg) <= tolerance_deg
+             for r in truth.angles_deg] for a in angles]
+    for k in range(min(len(angles), truth.count), 0, -1):
+        for ests in itertools.permutations(range(len(angles)), k):
+            for refs in itertools.combinations(range(truth.count), k):
+                if all(near[e][r] for e, r in zip(ests, refs)):
+                    return k
+    return 0
+
+
 def _former_doa_precision_recall(estimates, truth: DoaSet,
                                  tolerance_deg: float = 10.0) -> PrecisionRecall:
     angles = _former_estimate_angles(estimates)
@@ -395,13 +416,6 @@ class TestMatchersMatchFormerCode:
         assert (new.pairs_used, new.incomplete) == (old.pairs_used,
                                                     old.incomplete)
 
-    @settings(max_examples=300, deadline=None)
-    @given(_doa_cases())
-    def test_precision_recall(self, case):
-        angles, truth, tolerance = case
-        assert (doa_precision_recall(angles, truth, tolerance)
-                == _former_doa_precision_recall(angles, truth, tolerance))
-
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 3), max_size=4),
            st.lists(st.integers(0, 3), min_size=1, max_size=4))
@@ -418,6 +432,25 @@ class TestMatchersMatchFormerCode:
         # the crossed pairing 8.5 deg.
         mae = doa_mae_known_count([10.0, 20.0], DoaSet(np.array([12.0, 19.0])))
         assert mae == DoaMae(1.5, 2, False)
+
+
+class TestMaximumMatching:
+    """doa_precision_recall counts a maximum matching, by brute force."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_doa_cases())
+    def test_matches_are_the_maximum_matching(self, case):
+        angles, truth, tolerance = case
+        new = doa_precision_recall(angles, truth, tolerance)
+        old = _former_doa_precision_recall(angles, truth, tolerance)
+        assert new.matches == _brute_force_matches(angles, truth, tolerance)
+        assert new == PrecisionRecall.of(new.matches, angles.size,
+                                          truth.count)
+        # The former greedy matching never found more, and where it found
+        # as many every field is unchanged.
+        assert new.matches >= old.matches
+        if new.matches == old.matches:
+            assert new == old
 
 
 class TestPrecisionRecallOf:
