@@ -141,34 +141,43 @@ def _model_params(cfg: RunConfig):
 
 def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir):
     """Mixture STFT and coding per estimate.mode (`params` is
-    _model_params(cfg)); writes masks.bin, coding.bin and encode.json only
-    once all three are built, so a failure leaves none of them."""
+    _model_params(cfg)); writes coding.bin, masks.bin and encode.json.
+
+    In oracle mode the coding is a coding.FrameBlocks: its 0-frame encode
+    runs every encoder check before the first write, and coding.bin is
+    written a block of frames at a time, so no full tensor is held. corrupt
+    mode (one noise draw over the whole tensor) and model mode build the
+    full tensor, which the writer takes as one block.
+    """
     mixture_spec = stft.analyze(mixture, cfg.stft_config())
     _, masks = _source_masks(cfg, images)
     if params is not None:
-        tensor = estimator.forward(params, estimator.features(mixture_spec),
-                                   cfg.grid())
+        coded = estimator.forward(params, estimator.features(mixture_spec),
+                                  cfg.grid())
+    elif cfg.estimate_mode == "corrupt":
+        coded = estimator.corrupt_oracle(
+            _encode(cfg, cfg.coding_kind, masks, truth), cfg.noise_std,
+            cfg.blur_cells, cfg.seed)
     else:
-        tensor = _encode(cfg, cfg.coding_kind, masks, truth)
-        if cfg.estimate_mode == "corrupt":
-            tensor = estimator.corrupt_oracle(tensor, cfg.noise_std,
-                                              cfg.blur_cells, cfg.seed)
-    record = {"kind": tensor.kind, "theta_count": tensor.grid.theta_count,
-              "span_deg": tensor.grid.span_deg, "sigma_deg": cfg.sigma_deg,
+        coded = coding.FrameBlocks(cfg.coding_kind, masks, truth, cfg.grid(),
+                                   cfg.sigma_deg)
+    record = {"kind": coded.kind, "theta_count": coded.grid.theta_count,
+              "span_deg": coded.grid.span_deg, "sigma_deg": cfg.sigma_deg,
               "eps_m_db": cfg.eps_m_db}
+    container.save_coding(out_dir / "coding.bin", coded)
     container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
-    container.save_coding(out_dir / "coding.bin", tensor)
     _write_json(out_dir / "encode.json", record, _meta(cfg))
-    return mixture_spec, tensor
+    return mixture_spec, coded
 
 
-def _decode(cfg: RunConfig, tensor, out_dir: Path):
-    """Decoded DoAs and sampled masks; writes doas.json and sampled_masks.bin."""
-    fl = decode.freq_average(tensor)
+def _decode(cfg: RunConfig, coded, out_dir: Path):
+    """Decoded DoAs and sampled masks of a coding or a source of its frame
+    blocks; writes doas.json and sampled_masks.bin."""
+    fl = decode.freq_average(coded)
     detections = decode.peak_search(fl, cfg.eps_theta, cfg.delta_theta_deg)
     estimates = decode.cluster_doas(detections, cfg.sigma_deg,
-                                    tensor.grid.span_deg, cfg.min_support_frac)
-    sampled = decode.sample_masks(tensor, estimates)
+                                    coded.grid.span_deg, cfg.min_support_frac)
+    sampled = decode.sample_masks(coded, estimates)
     _write_json(out_dir / "doas.json", {
         "clusters": [{"center_deg": float(c.center_deg),
                       "support": int(c.support)} for c in estimates.clusters],
@@ -255,10 +264,10 @@ def cmd_encode(cfg: RunConfig, args) -> int:
     truth = _load_truth(out_dir)
     images = [load_wav(out_dir / f"src{i + 1:02d}_image.wav")
               for i in range(truth.count)]
-    _, tensor = _encode_stage(cfg, load_wav(out_dir / "mixture.wav"), images,
-                              truth, params, out_dir)
-    print(f"{tensor.kind} coding ({tensor.frames} frames, {tensor.bins} "
-          f"bins, {tensor.grid.theta_count} cells) -> {out_dir}")
+    _, coded = _encode_stage(cfg, load_wav(out_dir / "mixture.wav"), images,
+                             truth, params, out_dir)
+    print(f"{coded.kind} coding ({coded.frames} frames, {coded.bins} "
+          f"bins, {coded.grid.theta_count} cells) -> {out_dir}")
     return 0
 
 
@@ -283,11 +292,9 @@ def _calibration_scene(cfg: RunConfig, index: int):
     so its full tensor is never held."""
     _, rendered = _varied_scene(cfg, index)
     _, masks = _source_masks(cfg, rendered.source_images)
-    grid = cfg.grid()
-    likelihood = coding.encode_reduced(
-        cfg.coding_kind, masks, rendered.truth, grid, cfg.sigma_deg,
-        lambda block: decode.freq_average(block).values)
-    return decode.FrameLikelihood(likelihood, grid), rendered.truth
+    blocks = coding.FrameBlocks(cfg.coding_kind, masks, rendered.truth,
+                                cfg.grid(), cfg.sigma_deg)
+    return decode.freq_average(blocks), rendered.truth
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
@@ -342,7 +349,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def cmd_decode(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out)
-    estimates, _ = _decode(cfg, container.load_coding(out_dir / "coding.bin"),
+    estimates, _ = _decode(cfg, container.CodingFile(out_dir / "coding.bin"),
                            out_dir)
     angles = ", ".join(f"{c.center_deg:.1f}" for c in estimates.clusters)
     print(f"{estimates.count} speakers at [{angles}] deg -> {out_dir}")
@@ -388,10 +395,10 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _, rendered = _build_scene(cfg)
     _save_scene(cfg, rendered, out_dir)
-    mixture_spec, tensor = _encode_stage(cfg, rendered.mixture,
-                                         rendered.source_images,
-                                         rendered.truth, params, out_dir)
-    estimates, sampled = _decode(cfg, tensor, out_dir)
+    mixture_spec, coded = _encode_stage(cfg, rendered.mixture,
+                                        rendered.source_images,
+                                        rendered.truth, params, out_dir)
+    estimates, sampled = _decode(cfg, coded, out_dir)
     separated = _separate(cfg, mixture_spec, sampled, estimates, out_dir)
     report, path = _score(cfg, out_dir, estimates, rendered.truth, separated,
                           rendered.mixture, rendered.source_images,

@@ -308,15 +308,15 @@ class FrameBlocks:
     is bit-identical to those rows of the full encoding. The encoder's
     checks (speaker count, nearest-cell collision, sigma) and its shared-cell
     warning run once, here, on the 0-frame encode kept as `empty`.
-    `frames`, `bins`, `grid` and `each_block` are CodingTensor's too, so a
-    consumer of blocks takes either.
+    `frames`, `bins`, `grid`, `kind` and `each_block` are CodingTensor's
+    too, so a consumer of blocks takes either.
     """
 
     def __init__(self, kind: str, masks: MaskSet, truth: DoaSet,
                  grid: SpatialGrid, sigma_deg: float):
         self._encode = ENCODERS[kind]
         self._args = (truth, grid, sigma_deg)
-        self.masks, self.grid = masks, grid
+        self.masks, self.grid, self.kind = masks, grid, kind
         self.empty = self._encode(MaskSet(masks.values[:, :0]), *self._args)
 
     @property

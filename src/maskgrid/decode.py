@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodingTensor, MaskSet, SpatialGrid, wrapped_distance
+from .coding import MaskSet, SpatialGrid, wrapped_distance
 from .errors import ConfigError, ShapeError
 from .metrics import PrecisionRecall, doa_precision_recall
 
@@ -67,9 +67,21 @@ class DoaEstimates:
         return np.array([c.center_deg for c in self.clusters])
 
 
-def freq_average(coding: CodingTensor) -> FrameLikelihood:
-    """Mean of the coding over all frequency bins, per frame and cell."""
-    return FrameLikelihood(coding.values.mean(axis=1), coding.grid)
+def freq_average(coding) -> FrameLikelihood:
+    """Mean of the coding over all frequency bins, per frame and cell.
+
+    coding: a CodingTensor, or a source of its frame blocks with the same
+    frames, grid and each_block (coding.FrameBlocks, container.CodingFile).
+    Each (frame, cell) mean is taken on its own, so the rows built block by
+    block are bit-identical to the full tensor's.
+    """
+    values = np.empty((coding.frames, coding.grid.theta_count))
+
+    def put(t0, block):
+        values[t0:t0 + block.frames] = block.values.mean(axis=1)
+
+    coding.each_block(put)
+    return FrameLikelihood(values, coding.grid)
 
 
 def peak_search(fl: FrameLikelihood, eps_theta: float,
@@ -209,12 +221,22 @@ def cluster_doas(detections, sigma_deg: float = 6.0, span_deg: float = 360.0,
         span_deg)
 
 
-def sample_masks(coding: CodingTensor, doas: DoaEstimates) -> MaskSet:
-    """Per-speaker masks sliced from the coding at each cluster's cell."""
+def sample_masks(coding, doas: DoaEstimates) -> MaskSet:
+    """Per-speaker masks sliced from the coding at each cluster's cell.
+
+    coding: as for freq_average; its blocks are gathered in one more pass,
+    which is skipped when there is no cluster.
+    """
     cells = [coding.grid.index_of(c.center_deg) for c in doas.clusters]
-    if not cells:
-        return MaskSet(np.zeros((0, coding.frames, coding.bins)))
-    return MaskSet(np.stack([coding.values[:, :, g] for g in cells]))
+    values = np.empty((len(cells), coding.frames, coding.bins))
+
+    def put(t0, block):
+        for i, g in enumerate(cells):
+            values[i, t0:t0 + block.frames] = block.values[:, :, g]
+
+    if cells:
+        coding.each_block(put)
+    return MaskSet(values)
 
 
 @dataclass(frozen=True)
@@ -241,7 +263,7 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
     DoaSet) pairs, consumed once. A tensor is reduced to its FrameLikelihood
     on arrival and not kept, so a generator of tensors keeps one alive at a
     time. A generator of likelihoods built block by block
-    (coding.encode_reduced with freq_average) holds no tensor at all and
+    (freq_average of a coding.FrameBlocks) holds no tensor at all and
     gives the same result: the mean over bins reduces each (frame, cell) on
     its own, so the likelihoods are bit-identical.
 

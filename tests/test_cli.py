@@ -505,6 +505,163 @@ class TestTrainTargetsByBlock:
         assert not out.exists()
 
 
+def _former_encode_stage(cfg, mixture, images, truth, params, out_dir):
+    """_encode_stage as it was when every mode built the full tensor, kept
+    verbatim, but for the former save_coding (write_array of the whole
+    tensor) written out, as the oracle of the streamed stage."""
+    mixture_spec = stft.analyze(mixture, cfg.stft_config())
+    _, masks = cli._source_masks(cfg, images)
+    if params is not None:
+        tensor = estimator.forward(params, estimator.features(mixture_spec),
+                                   cfg.grid())
+    else:
+        tensor = cli._encode(cfg, cfg.coding_kind, masks, truth)
+        if cfg.estimate_mode == "corrupt":
+            tensor = estimator.corrupt_oracle(tensor, cfg.noise_std,
+                                              cfg.blur_cells, cfg.seed)
+    record = {"kind": tensor.kind, "theta_count": tensor.grid.theta_count,
+              "span_deg": tensor.grid.span_deg, "sigma_deg": cfg.sigma_deg,
+              "eps_m_db": cfg.eps_m_db}
+    container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
+    container.write_array(out_dir / "coding.bin", f"coding:{tensor.kind}",
+                          tensor.values, span_deg=tensor.grid.span_deg,
+                          theta_count=tensor.grid.theta_count)
+    cli._write_json(out_dir / "encode.json", record, cli._meta(cfg))
+    return mixture_spec, tensor
+
+
+def _former_decode(cfg, tensor, out_dir):
+    """_decode as it was, with the former full-tensor freq_average and
+    sample_masks written out."""
+    fl = decode.FrameLikelihood(tensor.values.mean(axis=1), tensor.grid)
+    detections = decode.peak_search(fl, cfg.eps_theta, cfg.delta_theta_deg)
+    estimates = decode.cluster_doas(detections, cfg.sigma_deg,
+                                    tensor.grid.span_deg, cfg.min_support_frac)
+    cells = [tensor.grid.index_of(c.center_deg) for c in estimates.clusters]
+    sampled = coding.MaskSet(
+        np.stack([tensor.values[:, :, g] for g in cells]) if cells
+        else np.zeros((0, tensor.frames, tensor.bins)))
+    cli._write_json(out_dir / "doas.json", {
+        "clusters": [{"center_deg": float(c.center_deg),
+                      "support": int(c.support)} for c in estimates.clusters],
+        "span_deg": estimates.span_deg,
+    }, cli._meta(cfg))
+    container.save_masks(out_dir / "sampled_masks.bin", sampled,
+                         estimates.span_deg)
+    return estimates, sampled
+
+
+def _former_cmd_decode(cfg, args) -> int:
+    """cmd_decode as it was, with the former whole-file load_coding."""
+    out_dir = Path(args.out)
+    kind, arr, span, theta, _ = container.read_array(out_dir / "coding.bin")
+    tensor = coding.CodingTensor(arr, coding.SpatialGrid(theta, span),
+                                 kind[7:])
+    estimates, _ = _former_decode(cfg, tensor, out_dir)
+    angles = ", ".join(f"{c.center_deg:.1f}" for c in estimates.clusters)
+    print(f"{estimates.count} speakers at [{angles}] deg -> {out_dir}")
+    return 0
+
+
+# Configurations of the streamed-stage oracle test, each after an open
+# [scene] section of 0.2 s (13 frames, so the last block of 4 is a short
+# one), on a 180-cell grid.
+_STREAM_CASES = {
+    "oracle": "",
+    "shoebox_3sp": "room = shoebox\ndoas_deg = 40,150,260\n"
+                   "distances_m = 2.0,2.2,2.4\npitches_hz = 210,140,170\n",
+    "mwsbc": "[coding]\nkind = mwsbc\n",
+    "mwslc_sum": "[coding]\nkind = mwslc_sum\n",
+    "corrupt": "[estimate]\nmode = corrupt\nnoise_std = 0.15\n",
+    "model": "[estimate]\nmode = model\nparams_path = {params}\n",
+}
+
+
+@pytest.fixture(scope="module")
+def untrained_params(tmp_path_factory):
+    path = tmp_path_factory.mktemp("params") / "params.bin"
+    save_params(path, estimator.init_params(9, 8, 180, seed=3,
+                                            output_bias=-1.0))
+    return path
+
+
+def _artifacts(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestStreamedCoding:
+    """Oracle-mode encode, decode and pipeline stream coding.bin a block of
+    frames at a time and never hold the (frames, bins, cells) tensor."""
+
+    @pytest.mark.parametrize("seed", ["11", "12345"])
+    @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+    def test_artifacts_equal_the_former_full_tensor_stages(
+            self, tmp_path, monkeypatch, untrained_params, case, seed):
+        ini = tmp_path / "case.ini"
+        ini.write_text("[grid]\ntheta_count = 180\n[scene]\nduration_s = 0.2\n"
+                       + _STREAM_CASES[case].format(params=untrained_params))
+
+        def run(root):
+            codes = [main(["pipeline", "--config", str(ini), "--seed", seed,
+                           "--out", str(root / "run")])]
+            for command in ("simulate", "encode", "decode", "beamform",
+                            "eval"):
+                codes.append(main([command, "--config", str(ini), "--seed",
+                                   seed, "--out", str(root / "staged")]))
+            return codes
+
+        codes = run(tmp_path / "new")
+        monkeypatch.setattr(cli, "_encode_stage", _former_encode_stage)
+        monkeypatch.setattr(cli, "_decode", _former_decode)
+        monkeypatch.setitem(cli.COMMANDS, "decode", _former_cmd_decode)
+        assert run(tmp_path / "old") == codes
+        assert codes[:4] == [0, 0, 0, 0]
+        new, old = _artifacts(tmp_path / "new"), _artifacts(tmp_path / "old")
+        assert new.keys() == old.keys()
+        for name in new:
+            assert new[name] == old[name], name
+
+    def test_pipeline_and_decode_hold_no_full_tensor(self, tmp_path):
+        # At 1440 cells one (31, 257, 1440) float64 tensor of this 0.5 s
+        # scene is 92 MB (183 MB for the default 1 s), and the former stages
+        # held it beside a float32 copy.
+        ini = tmp_path / "fine.ini"
+        ini.write_text("[scene]\nduration_s = 0.5\n[grid]\n"
+                       "theta_count = 1440\n")
+        for command in ("pipeline", "decode"):
+            tracemalloc.start()
+            try:
+                assert main([command, "--config", str(ini),
+                             "--out", str(tmp_path / "run")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 40 * 2**20, (command, peak)
+
+    def test_rerun_encode_leaves_the_same_bytes(self, tmp_path):
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        for command in ("simulate", "encode"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 0
+        first = _artifacts(out)
+        assert main(["encode", "--config", ini, "--out", str(out)]) == 0
+        assert _artifacts(out) == first
+        assert not list(out.glob("*.tmp"))
+
+    def test_truncated_coding_exit_4_before_doas_json(self, tmp_path, capsys):
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        for command in ("simulate", "encode"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 0
+        path = out / "coding.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        capsys.readouterr()
+        assert main(["decode", "--config", ini, "--out", str(out)]) == 4
+        assert "payload holds" in capsys.readouterr().err
+        assert not (out / "doas.json").exists()
+
+
 class TestErrorPaths:
     def test_unknown_config_key_exit_2(self, tmp_path):
         ini = tmp_path / "bad.ini"

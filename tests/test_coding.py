@@ -567,8 +567,8 @@ class TestFrameBlocks:
         truth, grid = DoaSet(np.array([40.0, 52.0])), SpatialGrid(360)
         full = ENCODERS[kind](masks, truth, grid, 20.0)
         blocks = FrameBlocks(kind, masks, truth, grid, 20.0)
-        assert (blocks.frames, blocks.bins, blocks.grid) == (
-            full.frames, full.bins, full.grid)
+        assert (blocks.frames, blocks.bins, blocks.grid, blocks.kind) == (
+            full.frames, full.bins, full.grid, full.kind)
         starts = []
 
         def check(t0, block):

@@ -1,12 +1,16 @@
 """Binary container round trips and corruption handling."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from maskgrid.coding import CodingTensor, MaskSet, SpatialGrid
-from maskgrid.container import (MAGIC, load_coding, load_masks, load_params,
-                                read_array, save_coding, save_masks,
-                                save_params, write_array)
+from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
+                             FrameBlocks, MaskSet, SpatialGrid)
+from maskgrid.container import (MAGIC, CodingFile, load_coding, load_masks,
+                                load_params, read_array, save_coding,
+                                save_masks, save_params, write_array)
 from maskgrid.errors import FormatError, NumericError
 from maskgrid.estimator import EstimatorParams, init_params
 
@@ -199,3 +203,113 @@ class TestParams:
         path.write_bytes(blob[:-4])
         with pytest.raises(FormatError):
             load_params(path)
+
+
+READERS = (read_array, load_coding, load_masks, load_params, CodingFile)
+
+
+class TestSizeChecks:
+    def test_declared_payload_is_checked_before_it_is_allocated(self,
+                                                                 tmp_path):
+        # 2**32 float32 values (16 GiB) declared on a 100-byte file; apart
+        # from its size, the header is a valid 2048-cell coding.
+        path = tmp_path / "huge.bin"
+        header = struct.pack("<4s16sI3IdII", MAGIC, b"coding:mwslc", 3, 1024,
+                             2048, 2048, 360.0, 2048, 0)
+        path.write_bytes(header + bytes(100 - len(header)))
+        for read in READERS:
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError, match="need 17179869184"):
+                    read(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (read.__name__, peak)
+
+    def test_empty_payload_of_an_unrepresentable_shape(self, tmp_path):
+        # No float64 array has the nonzero dims 2**32 - 1 twice, even with
+        # 0 frames; numpy's ValueError used to escape the loaders.
+        path = tmp_path / "wide.bin"
+        path.write_bytes(struct.pack("<4s16sI3IdII", MAGIC, b"coding:mwslc",
+                                     3, 0, 2**32 - 1, 2**32 - 1, 360.0,
+                                     2**32 - 1, 0))
+        for read in READERS:
+            with pytest.raises(FormatError, match="too large"):
+                read(path)
+
+
+class TestWholeFileWrites:
+    def test_rewrite_leaves_no_temporary_file(self, tmp_path, rng):
+        path = tmp_path / "a.bin"
+        write_array(path, "x", _f4_exact(rng, (3, 4)))
+        data = _f4_exact(rng, (2, 5))
+        write_array(path, "x", data)
+        np.testing.assert_array_equal(read_array(path)[1], data)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_failed_write_keeps_the_former_file(self, tmp_path, rng):
+        grid = SpatialGrid(6)
+        path = tmp_path / "coding.bin"
+        save_coding(path, CodingTensor(_f4_exact(rng, (5, 2, 6)), grid,
+                                       "mwslc"))
+        before = path.read_bytes()
+
+        class Failing:
+            frames, bins, grid, kind = 5, 2, SpatialGrid(6), "mwslc"
+
+            def each_block(self, fn):
+                fn(0, CodingTensor(np.ones((4, 2, 6)), grid, "mwslc"))
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            save_coding(path, Failing())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["coding.bin"]
+
+
+class TestCodingFile:
+    """A coding.bin read a block of frames at a time, and a coding written
+    from its blocks."""
+
+    @pytest.mark.parametrize("frames", [
+        0, 1, _ENCODE_BLOCK_FRAMES, 2 * _ENCODE_BLOCK_FRAMES + 1])
+    def test_blocks_are_the_file_in_order(self, tmp_path, rng, frames):
+        path = tmp_path / "coding.bin"
+        values = np.clip(_f4_exact(rng, (frames, 3, 8)), 0, 1)
+        save_coding(path, CodingTensor(values, SpatialGrid(8, 180.0),
+                                       "mwsbc"))
+        source = CodingFile(path)
+        assert (source.frames, source.bins, source.grid, source.kind) == (
+            frames, 3, SpatialGrid(8, 180.0), "mwsbc")
+        blocks = []
+        source.each_block(lambda t0, block: blocks.append((t0, block)))
+        assert [t0 for t0, _ in blocks] == list(
+            range(0, frames, _ENCODE_BLOCK_FRAMES))
+        for t0, block in blocks:
+            assert block.values.dtype == np.float64
+            assert block.frames == min(_ENCODE_BLOCK_FRAMES, frames - t0)
+            assert block.values.tobytes() == \
+                values[t0:t0 + block.frames].tobytes()
+        assert load_coding(path).values.tobytes() == values.tobytes()
+
+    def test_file_cut_after_opening(self, tmp_path, rng):
+        path = tmp_path / "coding.bin"
+        save_coding(path, CodingTensor(np.clip(_f4_exact(rng, (9, 3, 8)), 0,
+                                               1), SpatialGrid(8), "mwslc"))
+        source = CodingFile(path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="ends after"):
+            source.each_block(lambda t0, block: None)
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    def test_frame_blocks_write_the_full_tensor_bytes(self, tmp_path, kind,
+                                                      two_speaker_scene):
+        # 62 frames: the last block is a short one.
+        bundle, grid = two_speaker_scene, SpatialGrid(360)
+        save_coding(tmp_path / "full.bin", ENCODERS[kind](
+            bundle.masks, bundle.truth, grid, 6.0))
+        save_coding(tmp_path / "blocks.bin", FrameBlocks(
+            kind, bundle.masks, bundle.truth, grid, 6.0))
+        assert (tmp_path / "blocks.bin").read_bytes() == \
+            (tmp_path / "full.bin").read_bytes()

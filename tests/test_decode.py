@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
-from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, CodingTensor, DoaSet,
-                             SpatialGrid, encode_mwslc, encode_reduced,
-                             wrapped_distance)
+from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
+                             DoaSet, FrameBlocks, SpatialGrid, encode_mwslc,
+                             encode_reduced, wrapped_distance)
 from maskgrid import decode
 from maskgrid.decode import (CalibrationResult, CalibrationRow, Detection,
                              DoaCluster, DoaEstimates, FrameLikelihood,
@@ -481,6 +481,32 @@ class TestFreqAverageByBlocks:
             blocked[t0:t0 + block.shape[0]] = freq_average(
                 CodingTensor(block, grid, "mwslc")).values
         assert blocked.tobytes() == full.tobytes()
+
+
+class TestBlockSources:
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    def test_frame_blocks_decode_as_the_full_tensor(self, kind,
+                                                    three_speaker_scene):
+        # 62 frames end in a short block; every byte matches the tensor's.
+        bundle, grid = three_speaker_scene, SpatialGrid(360)
+        full = ENCODERS[kind](bundle.masks, bundle.truth, grid, 6.0)
+        blocks = FrameBlocks(kind, bundle.masks, bundle.truth, grid, 6.0)
+        fl = freq_average(blocks)
+        assert fl.values.tobytes() == freq_average(full).values.tobytes()
+        estimates = cluster_doas(peak_search(fl, 0.1))
+        assert estimates.count == 3
+        assert sample_masks(blocks, estimates).values.tobytes() == \
+            sample_masks(full, estimates).values.tobytes()
+
+    def test_no_cluster_reads_no_block(self):
+        class Untouchable:
+            frames, bins, grid = 5, 3, SpatialGrid(8)
+
+            def each_block(self, fn):
+                raise AssertionError("a block was read for no cluster")
+
+        assert sample_masks(Untouchable(), cluster_doas([])).values.shape == \
+            (0, 5, 3)
 
 
 # The former centre-merge pass and threshold sweep, verbatim but for their

@@ -497,3 +497,25 @@ class TestCorruptOracleIdentity:
         expected = _oracle_corrupt_oracle(coding, 0.0, blur)
         assert got.values.tobytes() == expected.values.tobytes()
         assert coding.values.tobytes() == before.tobytes()
+
+
+class TestNoiseDrawnInFrameBlocks:
+    """What a blocked corrupt mode would rest on: one Generator.normal draw
+    over (frames, bins, cells) is the same stream as the same generator's
+    draws over C-order blocks of frames, a short last block included.
+    No code relies on it yet."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(0, 14),
+           bins=st.integers(1, 9), cells=st.integers(1, 13),
+           block=st.integers(1, 6), scale=st.floats(0.01, 2.0))
+    def test_blocked_draws_equal_one_draw(self, seed, frames, bins, cells,
+                                          block, scale):
+        shape = (frames, bins, cells)
+        whole = np.random.default_rng(seed).normal(0.0, scale, shape)
+        rng = np.random.default_rng(seed)
+        blocked = np.empty(shape)
+        for t0 in range(0, frames, block):
+            n = min(block, frames - t0)
+            blocked[t0:t0 + n] = rng.normal(0.0, scale, (n, bins, cells))
+        assert blocked.tobytes() == whole.tobytes()
