@@ -21,13 +21,13 @@ CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
 # temporaries stay in a 2 MiB L2 up to 1440 cells; 256 rows spilled and ran
 # 2-3x slower, and fewer rows only add per-block call overhead.
 _ENCODE_BLOCK_ROWS = 32
-# Frames per FrameBlocks block. On the conditioning benchmark (62
-# frames, 257 bins, up to 1440 cells; median of 3 runs) 4 frames gave a
-# 60 MiB peak RSS at 0.50 s per sweep, against 241 MiB and 0.75 s for the
-# full tensors. 8 frames ran as fast at 77 MiB; 16 and 32 frames ran
-# 0.66-0.70 s at 112-158 MiB; 1-2 frames saved 9-12 MiB more but ran
-# 0.52-0.59 s, paying the per-block call overhead more often.
-_ENCODE_BLOCK_FRAMES = 4
+# Frames per FrameBlocks block. On the pipeline benchmark (seed 7, 25 s
+# runs; 257 bins, 720 cells) 1 frame peaked at 50.8 MiB RSS, 2 frames at
+# 53.6-54.1 MiB and 4 frames at 59-64 MiB, moving with heap layout: each
+# block's float64 encode and float32 copy are freed between blocks. A
+# 1-frame encode pass takes 48 ms against 38-43 ms at 4 frames, within the
+# run-to-run spread of the pipeline, calibrate and train ops.
+_ENCODE_BLOCK_FRAMES = 1
 
 
 def wrapped_distance(a, b, span_deg: float = 360.0):
@@ -199,13 +199,20 @@ def snap_to_grid(truth: DoaSet, grid: SpatialGrid) -> np.ndarray:
     return np.array([grid.index_of(a) for a in truth.angles_deg], dtype=np.intp)
 
 
-def _gaussian_rows(truth: DoaSet, grid: SpatialGrid, sigma_deg: float) -> np.ndarray:
-    """Per-speaker Gaussian over cell centers, exp(-d^2 / sigma^2); (I, cells)."""
+def _gaussian_exponents(truth: DoaSet, grid: SpatialGrid,
+                        sigma_deg: float) -> np.ndarray:
+    """Per-speaker (d / sigma)^2 over cell centers, d the wrapped distance
+    to the DoA; (I, cells)."""
     if sigma_deg <= 0:
         raise ConfigError(f"sigma must be positive, got {sigma_deg}")
     d = wrapped_distance(truth.angles_deg[:, None], grid.centers()[None, :],
                          grid.span_deg)
-    return np.exp(-(d / sigma_deg) ** 2)
+    return (d / sigma_deg) ** 2
+
+
+def _gaussian_rows(truth: DoaSet, grid: SpatialGrid, sigma_deg: float) -> np.ndarray:
+    """Per-speaker Gaussian over cell centers, exp(-d^2 / sigma^2); (I, cells)."""
+    return np.exp(-_gaussian_exponents(truth, grid, sigma_deg))
 
 
 def _warn_shared_cells(truth: DoaSet, grid: SpatialGrid, kind: str) -> None:
@@ -337,23 +344,3 @@ class FrameBlocks:
                 # one, already given by the 0-frame encode.
                 warnings.simplefilter("ignore", UserWarning)
                 fn(t0, self._encode(block, *self._args))
-
-
-def encode_reduced(kind: str, masks: MaskSet, truth: DoaSet,
-                   grid: SpatialGrid, sigma_deg: float, reduce) -> np.ndarray:
-    """reduce(ENCODERS[kind](masks, ...)), computed from FrameBlocks, so the
-    full (frames, bins, cells) tensor is never held.
-
-    reduce maps a CodingTensor of n frames to an array of n rows, each
-    depending on its own frame only (a sum or mean over bins or cells), so
-    the result is bit-identical to reducing the full tensor. reduce is
-    applied to the 0-frame encode first, for the shape of a row.
-    """
-    blocks = FrameBlocks(kind, masks, truth, grid, sigma_deg)
-    out = np.empty((masks.frames,) + reduce(blocks.empty).shape[1:])
-
-    def write(t0, block):
-        out[t0:t0 + block.frames] = reduce(block)
-
-    blocks.each_block(write)
-    return out

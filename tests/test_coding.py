@@ -12,7 +12,7 @@ from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, _ENCODE_BLOCK_ROWS, ENCODERS,
                              CodingTensor, DoaSet, FrameBlocks, MaskSet,
                              SpatialGrid, _gaussian_rows, _warn_shared_cells,
                              compute_irm, encode_mwsbc, encode_mwslc,
-                             encode_mwslc_sum, encode_reduced, encode_sbc,
+                             encode_mwslc_sum, encode_sbc,
                              encode_slc, frame_activity, snap_to_grid,
                              wrapped_distance)
 from maskgrid.errors import CollisionError, ConfigError, ShapeError
@@ -443,20 +443,21 @@ class TestMwslcSumOracleIdentity:
 
 
 def _joined_blocks(kind, masks, truth, grid, sigma_deg=6.0):
-    """encode_reduced keeping each block's values, after checking that the
-    blocks come in order: a 0-frame encode, then full blocks and a rest."""
-    frames = []
+    """FrameBlocks' 0-frame encode and blocks joined along frames, after
+    checking that the blocks come in order: full blocks, then a rest."""
+    blocks = FrameBlocks(kind, masks, truth, grid, sigma_deg)
+    parts, frames = [blocks.empty], []
 
-    def keep(block):
-        assert block.kind == kind and block.grid == grid
-        frames.append(block.frames)
-        return block.values
+    def keep(t0, block):
+        frames.append((t0, block.frames))
+        parts.append(block)
 
-    values = encode_reduced(kind, masks, truth, grid, sigma_deg, keep)
-    assert frames == [0] + [min(_ENCODE_BLOCK_FRAMES, masks.frames - t0)
-                            for t0 in range(0, masks.frames,
-                                            _ENCODE_BLOCK_FRAMES)]
-    return values
+    blocks.each_block(keep)
+    assert frames == [(t0, min(_ENCODE_BLOCK_FRAMES, masks.frames - t0))
+                      for t0 in range(0, masks.frames, _ENCODE_BLOCK_FRAMES)]
+    assert parts[0].frames == 0
+    assert all(part.kind == kind and part.grid == grid for part in parts)
+    return np.concatenate([part.values for part in parts])
 
 
 def _assert_blocks_match_full(kind, masks, truth, grid, sigma_deg=6.0):
@@ -467,13 +468,13 @@ def _assert_blocks_match_full(kind, masks, truth, grid, sigma_deg=6.0):
 
 
 class TestEncodeReduced:
-    """encode_reduced over blocks of frames gives the full encoding, bit for
-    bit, and the encoder's checks and warning behave as in one full encode."""
+    """FrameBlocks' blocks of frames, joined, give the full encoding, bit
+    for bit, and the encoder's checks and warning behave as in one full
+    encode."""
 
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
-    @pytest.mark.parametrize("frames", [
-        0, 1, _ENCODE_BLOCK_FRAMES - 1, _ENCODE_BLOCK_FRAMES,
-        3 * _ENCODE_BLOCK_FRAMES, 3 * _ENCODE_BLOCK_FRAMES + 1])
+    # 3, 4, 12 and 13 frames fill or straddle blocks of 1, 2 or 4 frames.
+    @pytest.mark.parametrize("frames", [0, 1, 3, 4, 12, 13])
     def test_frame_counts_around_the_block_size(self, rng, kind, frames):
         masks = MaskSet(rng.uniform(0.0, 1.0, (2, frames, 5)))
         _assert_blocks_match_full(kind, masks, DoaSet(np.array([40.0, 52.0])),
@@ -507,7 +508,7 @@ class TestEncodeReduced:
             return
         _assert_blocks_match_full(kind, masks, truth, grid, sigma)
 
-    @pytest.mark.parametrize("frames", [0, 1, 2 * _ENCODE_BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [0, 1, 9])
     def test_collision_raised_before_the_first_block(self, frames):
         masks = _unit_masks(2, frames)
         truth = DoaSet(np.array([6.0, 14.0]))
@@ -519,7 +520,7 @@ class TestEncodeReduced:
         assert str(blocked.value) == str(full.value)
 
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
-    @pytest.mark.parametrize("frames", [0, 2 * _ENCODE_BLOCK_FRAMES])
+    @pytest.mark.parametrize("frames", [0, 8])
     def test_speaker_count_checked_before_the_first_block(self, kind, frames):
         masks = _unit_masks(3, frames)
         truth = DoaSet(np.array([50.0, 120.0]))
@@ -536,7 +537,7 @@ class TestEncodeReduced:
             _joined_blocks(kind, _unit_masks(1, 0), DoaSet(np.array([5.0])),
                            SpatialGrid(360), 0.0)
 
-    @pytest.mark.parametrize("frames", [0, 1, 3 * _ENCODE_BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [0, 1, 13])
     def test_shared_cell_warning_given_once(self, frames):
         masks = _unit_masks(2, frames, 3)
         truth = DoaSet(np.array([6.0, 14.0]))

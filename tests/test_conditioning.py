@@ -1,19 +1,69 @@
 """Gradient-conditioning analysis tests with small hand-checkable cases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
-                             DoaSet, MaskSet, SpatialGrid, encode_mwsbc,
-                             encode_mwslc_sum)
+from maskgrid.coding import (ENCODERS, CodingTensor, DoaSet, MaskSet,
+                             SpatialGrid, encode_mwsbc, encode_mwslc_sum)
 from maskgrid.conditioning import (SWEEP_COLUMNS, grad_norm_at_zero,
                                    mwslc_norm_limit, theta_sweep)
+from maskgrid.errors import CollisionError, ConfigError, ShapeError
+
+# The closed forms sum in another order than the encoded tensors; zeros and
+# subnormal products get an absolute floor.
+RTOL, ATOL = 1e-12, 1e-300
 
 
 def _tensor(values, theta, kind="mwslc"):
     return CodingTensor(values, SpatialGrid(theta), kind)
+
+
+def _assert_norms_match(row, masks, truth, grid, sigma_deg=6.0):
+    """A sweep row's kept norms against grad_norm_at_zero of the encoded
+    tensors: mwsbc bit for bit up to two speakers, the max form bit for bit
+    at bins with three or more active speakers, all to RTOL."""
+    kept = {"mwsbc": row.norms_mwsbc, "mwslc": row.norms_mwslc_max,
+            "mwslc_sum": row.norms_mwslc_sum}
+    full = {kind: grad_norm_at_zero(ENCODERS[kind](masks, truth, grid,
+                                                   sigma_deg))
+            for kind in kept}
+    for kind in kept:
+        assert kept[kind].shape == full[kind].shape == (masks.frames,
+                                                        masks.bins)
+        np.testing.assert_allclose(kept[kind], full[kind], rtol=RTOL,
+                                   atol=ATOL, err_msg=kind)
+    if masks.speakers <= 2:
+        assert kept["mwsbc"].tobytes() == full["mwsbc"].tobytes()
+    many = (masks.values > 0).sum(axis=0) >= 3
+    assert kept["mwslc"][many].tobytes() == full["mwslc"][many].tobytes()
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """(masks, truth, sigma, span, theta counts) with 0-4 speakers active
+    per bin, silent frames and bins, and grids coarse enough to collide."""
+    speakers = draw(st.integers(1, 4))
+    # Not down to 0: below about 1e-307 deg, mwslc_norm_limit's 2 sigma /
+    # span overflows.
+    span = draw(st.floats(1e-6, 360.0))
+    steps = draw(st.lists(st.integers(0, 3599), min_size=speakers,
+                          max_size=speakers, unique=True))
+    frames, bins = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    values = draw(arrays(np.float64, (speakers, frames, bins),
+                         elements=st.one_of(st.just(0.0),
+                                            st.floats(0.0, 1.0))))
+    values[:, draw(arrays(np.bool_, frames))] = 0.0
+    values[:, draw(arrays(np.bool_, (frames, bins)))] = 0.0
+    counts = draw(st.lists(st.integers(2 * speakers, 720), min_size=1,
+                           max_size=3, unique=True))
+    return (MaskSet(values), DoaSet(np.array(steps) * (span / 3600.0), span),
+            draw(st.floats(1.0, 40.0)), span, sorted(counts))
 
 
 class TestGradNormAtZero:
@@ -119,28 +169,78 @@ class TestThetaSweep:
 
     @pytest.mark.parametrize("theta", [90, 360, 1440])
     def test_kept_norms_equal_the_full_tensors(self, two_speaker_scene, theta):
-        # The sweep reduces blocks of frames; the norms of the full tensors
-        # are the reference, bit for bit.
+        # The sweep sums closed forms; the norms of the full tensors are the
+        # reference.
         bundle = two_speaker_scene
         row = theta_sweep(bundle.masks, bundle.truth, theta_counts=(theta,),
                           keep_norms=True).rows[0]
-        grid = SpatialGrid(theta)
-        for kind, norms in (("mwsbc", row.norms_mwsbc),
-                            ("mwslc", row.norms_mwslc_max),
-                            ("mwslc_sum", row.norms_mwslc_sum)):
-            full = grad_norm_at_zero(ENCODERS[kind](bundle.masks, bundle.truth,
-                                                    grid, 6.0))
-            assert norms.tobytes() == full.tobytes()
+        _assert_norms_match(row, bundle.masks, bundle.truth,
+                            SpatialGrid(theta))
 
-    @pytest.mark.parametrize("frames", [0, _ENCODE_BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [0, 5])
     def test_frame_counts_around_the_block_size(self, rng, frames):
         masks = MaskSet(rng.uniform(0.0, 1.0, (2, frames, 3)))
         truth = DoaSet(np.array([30.0, 200.0]))
         row = theta_sweep(masks, truth, theta_counts=(90,),
                           keep_norms=True).rows[0]
-        full = grad_norm_at_zero(encode_mwsbc(masks, truth, SpatialGrid(90)))
-        assert row.norms_mwsbc.shape == (frames, 3)
-        assert row.norms_mwsbc.tobytes() == full.tobytes()
+        _assert_norms_match(row, masks, truth, SpatialGrid(90))
+
+    def test_three_speaker_scene_matches_the_full_tensors(
+            self, three_speaker_scene):
+        bundle = three_speaker_scene
+        row = theta_sweep(bundle.masks, bundle.truth, theta_counts=(720,),
+                          keep_norms=True).rows[0]
+        _assert_norms_match(row, bundle.masks, bundle.truth,
+                            SpatialGrid(720))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sweep_inputs())
+    @example((MaskSet(np.full((2, 1, 1), 0.5)), DoaSet(np.array([6.0, 14.0])),
+              6.0, 360.0, [4, 36, 720]))
+    @example((MaskSet(np.full((4, 0, 3), 0.5)),
+              DoaSet(np.array([0.0, 90.0, 180.0, 270.0])), 6.0, 360.0, [8]))
+    def test_kept_norms_match_the_full_tensors_on_any_input(self, inputs):
+        masks, truth, sigma, span, counts = inputs
+        report = theta_sweep(masks, truth, sigma, span, counts,
+                             keep_norms=True)
+        assert [row.theta_count for row in report.rows] == counts
+        for row in report.rows:
+            grid = SpatialGrid(row.theta_count, span)
+            if row.collision:
+                with pytest.raises(CollisionError):
+                    encode_mwsbc(masks, truth, grid)
+                assert math.isnan(row.mean_mwslc_max)
+            else:
+                _assert_norms_match(row, masks, truth, grid, sigma)
+
+    @pytest.mark.parametrize("counts", [(36, 720), (720,)])
+    def test_speaker_count_mismatch_raises_at_the_first_grid(self, counts):
+        # 6 and 14 deg collide on 36 cells; the count check comes first.
+        masks = MaskSet(np.full((3, 2, 2), 0.3))
+        with pytest.raises(ShapeError, match="3 masks for 2 DoAs"):
+            theta_sweep(masks, DoaSet(np.array([6.0, 14.0])),
+                        theta_counts=counts)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_nonpositive_sigma_raises_config_error(self, two_speaker_scene,
+                                                   sigma):
+        with pytest.raises(ConfigError, match="sigma must be positive"):
+            theta_sweep(two_speaker_scene.masks, two_speaker_scene.truth,
+                        sigma_deg=sigma, theta_counts=(360,))
+
+    def test_all_collision_sweep_gives_nan_rows_without_warning(self):
+        masks = MaskSet(np.full((2, 2, 2), 0.3))
+        truth = DoaSet(np.array([6.0, 14.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = theta_sweep(masks, truth, theta_counts=(4, 36))
+        assert caught == []
+        assert [row.collision for row in report.rows] == [True, True]
+        for row in report.rows:
+            assert all(math.isnan(getattr(row, column))
+                       for column in ("mean_mwsbc", "mean_mwslc_max",
+                                      "mean_mwslc_sum", "rel_gap"))
+            assert row.limit == report.rows[0].limit > 0
 
     def test_unsorted_counts_rejected(self, two_speaker_scene):
         with pytest.raises(ValueError):

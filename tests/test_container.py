@@ -272,8 +272,7 @@ class TestCodingFile:
     """A coding.bin read a block of frames at a time, and a coding written
     from its blocks."""
 
-    @pytest.mark.parametrize("frames", [
-        0, 1, _ENCODE_BLOCK_FRAMES, 2 * _ENCODE_BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [0, 1, 4, 9])
     def test_blocks_are_the_file_in_order(self, tmp_path, rng, frames):
         path = tmp_path / "coding.bin"
         values = np.clip(_f4_exact(rng, (frames, 3, 8)), 0, 1)

@@ -12,7 +12,7 @@ from scipy.spatial.distance import squareform
 
 from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
                              DoaSet, FrameBlocks, SpatialGrid, encode_mwslc,
-                             encode_reduced, wrapped_distance)
+                             wrapped_distance)
 from maskgrid import decode
 from maskgrid.decode import (CalibrationResult, CalibrationRow, Detection,
                              DoaCluster, DoaEstimates, FrameLikelihood,
@@ -449,10 +449,9 @@ class TestCalibrateThreshold:
 
         def likelihoods():
             for bundle in bundles:
-                values = encode_reduced("mwslc", bundle.masks, bundle.truth,
-                                        grid, 6.0,
-                                        lambda c: freq_average(c).values)
-                yield FrameLikelihood(values, grid), bundle.truth
+                blocks = FrameBlocks("mwslc", bundle.masks, bundle.truth,
+                                     grid, 6.0)
+                yield freq_average(blocks), bundle.truth
 
         tensors = [(encode_mwslc(b.masks, b.truth, grid), b.truth)
                    for b in bundles]
