@@ -140,14 +140,16 @@ def _model_params(cfg: RunConfig):
 
 
 def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir):
-    """Mixture STFT and coding per estimate.mode (`params` is
-    _model_params(cfg)); writes coding.bin, masks.bin and encode.json.
+    """Mixture STFT, coding per estimate.mode (`params` is
+    _model_params(cfg)) and its frame likelihood; writes coding.bin,
+    masks.bin and encode.json.
 
     In oracle mode the coding is a coding.FrameBlocks: its 0-frame encode
-    runs every encoder check before the first write, and coding.bin is
-    written a block of frames at a time, so no full tensor is held. corrupt
-    mode (one noise draw over the whole tensor) and model mode build the
-    full tensor, which the writer takes as one block.
+    runs every encoder check before the first write, and each block of
+    frames is encoded once, written to coding.bin and averaged over
+    frequency in one pass, so no full tensor is held. corrupt mode (one
+    noise draw over the whole tensor) and model mode build the full
+    tensor, which the writer takes as one block.
     """
     mixture_spec = stft.analyze(mixture, cfg.stft_config())
     _, masks = _source_masks(cfg, images)
@@ -164,17 +166,20 @@ def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir):
     record = {"kind": coded.kind, "theta_count": coded.grid.theta_count,
               "span_deg": coded.grid.span_deg, "sigma_deg": cfg.sigma_deg,
               "eps_m_db": cfg.eps_m_db}
-    container.save_coding(out_dir / "coding.bin", coded)
+    path = out_dir / "coding.bin"
+    likelihood = decode.freq_average(
+        coded, lambda average: container.save_coding(path, coded, average))
     container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
     _write_json(out_dir / "encode.json", record, _meta(cfg))
-    return mixture_spec, coded
+    return mixture_spec, coded, likelihood
 
 
-def _decode(cfg: RunConfig, coded, out_dir: Path):
-    """Decoded DoAs and sampled masks of a coding or a source of its frame
-    blocks; writes doas.json and sampled_masks.bin."""
-    fl = decode.freq_average(coded)
-    detections = decode.peak_search(fl, cfg.eps_theta, cfg.delta_theta_deg)
+def _decode(cfg: RunConfig, coded, likelihood, out_dir: Path):
+    """DoAs decoded from `likelihood`, the frame likelihood of `coded`, and
+    masks sampled from `coded`, a coding or a source of its columns; writes
+    doas.json and sampled_masks.bin."""
+    detections = decode.peak_search(likelihood, cfg.eps_theta,
+                                    cfg.delta_theta_deg)
     estimates = decode.cluster_doas(detections, cfg.sigma_deg,
                                     coded.grid.span_deg, cfg.min_support_frac)
     sampled = decode.sample_masks(coded, estimates)
@@ -264,8 +269,8 @@ def cmd_encode(cfg: RunConfig, args) -> int:
     truth = _load_truth(out_dir)
     images = [load_wav(out_dir / f"src{i + 1:02d}_image.wav")
               for i in range(truth.count)]
-    _, coded = _encode_stage(cfg, load_wav(out_dir / "mixture.wav"), images,
-                             truth, params, out_dir)
+    _, coded, _ = _encode_stage(cfg, load_wav(out_dir / "mixture.wav"),
+                                images, truth, params, out_dir)
     print(f"{coded.kind} coding ({coded.frames} frames, {coded.bins} "
           f"bins, {coded.grid.theta_count} cells) -> {out_dir}")
     return 0
@@ -349,8 +354,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def cmd_decode(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out)
-    estimates, _ = _decode(cfg, container.CodingFile(out_dir / "coding.bin"),
-                           out_dir)
+    source = container.CodingFile(out_dir / "coding.bin")
+    estimates, _ = _decode(cfg, source, decode.freq_average(source), out_dir)
     angles = ", ".join(f"{c.center_deg:.1f}" for c in estimates.clusters)
     print(f"{estimates.count} speakers at [{angles}] deg -> {out_dir}")
     return 0
@@ -395,10 +400,10 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _, rendered = _build_scene(cfg)
     _save_scene(cfg, rendered, out_dir)
-    mixture_spec, coded = _encode_stage(cfg, rendered.mixture,
-                                        rendered.source_images,
-                                        rendered.truth, params, out_dir)
-    estimates, sampled = _decode(cfg, coded, out_dir)
+    mixture_spec, coded, likelihood = _encode_stage(
+        cfg, rendered.mixture, rendered.source_images, rendered.truth, params,
+        out_dir)
+    estimates, sampled = _decode(cfg, coded, likelihood, out_dir)
     separated = _separate(cfg, mixture_spec, sampled, estimates, out_dir)
     report, path = _score(cfg, out_dir, estimates, rendered.truth, separated,
                           rendered.mixture, rendered.source_images,

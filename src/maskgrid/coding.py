@@ -23,10 +23,10 @@ CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
 _ENCODE_BLOCK_ROWS = 32
 # Frames per FrameBlocks block. On the pipeline benchmark (seed 7, 25 s
 # runs; 257 bins, 720 cells) 1 frame peaked at 50.8 MiB RSS, 2 frames at
-# 53.6-54.1 MiB and 4 frames at 59-64 MiB, moving with heap layout: each
-# block's float64 encode and float32 copy are freed between blocks. A
-# 1-frame encode pass takes 48 ms against 38-43 ms at 4 frames, within the
-# run-to-run spread of the pipeline, calibrate and train ops.
+# 53.6-54.1 MiB and 4 frames at 59-64 MiB, moving with heap layout while
+# each block's encode was a fresh array. Every block is now encoded into
+# one reused buffer, so only the writer's float32 copy is freed between
+# blocks.
 _ENCODE_BLOCK_FRAMES = 1
 
 
@@ -155,6 +155,10 @@ class CodingTensor:
         out its blocks."""
         fn(0, self)
 
+    def columns(self, cells) -> np.ndarray:
+        """(len(cells), frames, bins): the tensor's columns at `cells`."""
+        return self.values.transpose(2, 0, 1)[np.asarray(cells, dtype=np.intp)]
+
 
 def compute_irm(source_specs, eps_m_db: float = -35.0) -> MaskSet:
     """Thresholded ideal ratio masks from per-speaker source spectrograms.
@@ -229,7 +233,8 @@ def encode_sbc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid) -> Coding
     activity: boolean (speakers, frames) from frame_activity or ground truth.
     """
     one_hot = np.eye(grid.theta_count)[snap_to_grid(truth, grid)]
-    return _place(MaskSet(activity[:, :, None]), one_hot, grid, np.maximum, "sbc")
+    return CodingTensor(_place(MaskSet(activity[:, :, None]), one_hot,
+                               np.maximum), grid, "sbc")
 
 
 def encode_slc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid,
@@ -237,11 +242,15 @@ def encode_slc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid,
     """Gaussian spatial-only coding: per-frame max of unit bumps at DoAs."""
     gauss = _gaussian_rows(truth, grid, sigma_deg)
     _warn_shared_cells(truth, grid, "slc")
-    return _place(MaskSet(activity[:, :, None]), gauss, grid, np.maximum, "slc")
+    return CodingTensor(_place(MaskSet(activity[:, :, None]), gauss,
+                               np.maximum), grid, "slc")
 
 
-def encode_mwsbc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid) -> CodingTensor:
+def encode_mwsbc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
+                 out: np.ndarray | None = None) -> CodingTensor:
     """Mask-weighted binary coding: each speaker's mask at its nearest cell.
+
+    out: an optional (frames, bins, cells) float64 array to encode into.
 
     Raises:
         CollisionError: two speakers snap to the same cell (grid too coarse).
@@ -253,20 +262,30 @@ def encode_mwsbc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid) -> CodingTens
         raise CollisionError(
             f"speakers at {truth.angles_deg} deg share a cell on a "
             f"{grid.theta_count}-cell grid; refine the grid")
-    values = np.zeros((masks.frames, masks.bins, grid.theta_count))
+    values = _zeros((masks.frames, masks.bins, grid.theta_count), out)
     for i, g in enumerate(cells):
         values[:, :, g] += masks.values[i]
     return CodingTensor(values, grid, "mwsbc")
 
 
-def _place(masks: MaskSet, rows: np.ndarray, grid: SpatialGrid, combine,
-           kind: str) -> CodingTensor:
-    """Fold each speaker's mask * its (cells,) row into a zero tensor with
-    `combine`."""
+def _zeros(shape, out: np.ndarray | None) -> np.ndarray:
+    """out, zeroed, or a new zero array of `shape`."""
+    if out is None:
+        return np.zeros(shape)
+    if out.shape != shape:
+        raise ShapeError(f"out has shape {out.shape}, the coding {shape}")
+    out.fill(0.0)
+    return out
+
+
+def _place(masks: MaskSet, rows: np.ndarray, combine,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Fold each speaker's mask * its row into zeros with `combine`:
+    (frames, bins, row length), encoded into `out` if given."""
     if masks.speakers != rows.shape[0]:
         raise ShapeError(f"{masks.speakers} masks for {rows.shape[0]} DoAs")
-    values = np.zeros((masks.frames, masks.bins, grid.theta_count))
-    flat = values.reshape(-1, grid.theta_count)
+    values = _zeros((masks.frames, masks.bins, rows.shape[1]), out)
+    flat = values.reshape(masks.frames * masks.bins, rows.shape[1])
     for mask, row in zip(masks.values.reshape(masks.speakers, -1), rows):
         # Rows are finite and >= 0, so a zero mask gives a zero product. It
         # leaves the running sum (never -0) unchanged, and the running
@@ -276,32 +295,39 @@ def _place(masks: MaskSet, rows: np.ndarray, grid: SpatialGrid, combine,
         for start in range(0, nonzero.size, _ENCODE_BLOCK_ROWS):
             block = nonzero[start:start + _ENCODE_BLOCK_ROWS]
             flat[block] = combine(flat[block], mask[block, None] * row)
-    return CodingTensor(values, grid, kind)
+    return values
 
 
 def encode_mwslc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
-                 sigma_deg: float = 6.0) -> CodingTensor:
-    """Mask-weighted Gaussian coding: max over speakers of mask * bump."""
-    coding = _place(masks, _gaussian_rows(truth, grid, sigma_deg), grid,
-                    np.maximum, "mwslc")
+                 sigma_deg: float = 6.0,
+                 out: np.ndarray | None = None) -> CodingTensor:
+    """Mask-weighted Gaussian coding: max over speakers of mask * bump.
+
+    out: an optional (frames, bins, cells) float64 array to encode into.
+    """
+    coding = CodingTensor(_place(masks, _gaussian_rows(truth, grid, sigma_deg),
+                                 np.maximum, out), grid, "mwslc")
     _warn_shared_cells(truth, grid, "mwslc")
     return coding
 
 
 def encode_mwslc_sum(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
-                     sigma_deg: float = 6.0) -> CodingTensor:
+                     sigma_deg: float = 6.0,
+                     out: np.ndarray | None = None) -> CodingTensor:
     """Sum-form variant of encode_mwslc; values can exceed 1 near close DoAs.
 
     This is the analytically tractable approximation used by the
     conditioning sweep; the decoder always consumes the max form.
     """
-    return _place(masks, _gaussian_rows(truth, grid, sigma_deg), grid, np.add,
-                  "mwslc_sum")
+    return CodingTensor(_place(masks, _gaussian_rows(truth, grid, sigma_deg),
+                               np.add, out), grid, "mwslc_sum")
 
 
-# Mask-weighted encoders by config name, called as (masks, truth, grid, sigma_deg).
+# Mask-weighted encoders by config name, called as (masks, truth, grid,
+# sigma_deg, out=None).
 ENCODERS = {
-    "mwsbc": lambda masks, truth, grid, _: encode_mwsbc(masks, truth, grid),
+    "mwsbc": lambda masks, truth, grid, _, out=None: encode_mwsbc(
+        masks, truth, grid, out),
     "mwslc": encode_mwslc,
     "mwslc_sum": encode_mwslc_sum,
 }
@@ -315,8 +341,8 @@ class FrameBlocks:
     is bit-identical to those rows of the full encoding. The encoder's
     checks (speaker count, nearest-cell collision, sigma) and its shared-cell
     warning run once, here, on the 0-frame encode kept as `empty`.
-    `frames`, `bins`, `grid`, `kind` and `each_block` are CodingTensor's
-    too, so a consumer of blocks takes either.
+    `frames`, `bins`, `grid`, `kind`, `each_block` and `columns` are
+    CodingTensor's too, so a consumer of blocks takes either.
     """
 
     def __init__(self, kind: str, masks: MaskSet, truth: DoaSet,
@@ -336,11 +362,35 @@ class FrameBlocks:
 
     def each_block(self, fn) -> None:
         """fn(t0, block) for each CodingTensor block of frames t0 .. t0 +
-        block.frames, in order; a block is free once fn returns."""
+        block.frames, in order; a block is free once fn returns, and the
+        next block is encoded into its array."""
+        buffer = np.empty((_ENCODE_BLOCK_FRAMES, self.bins,
+                           self.grid.theta_count))
         for t0 in range(0, self.frames, _ENCODE_BLOCK_FRAMES):
             block = MaskSet(self.masks.values[:, t0:t0 + _ENCODE_BLOCK_FRAMES])
             with warnings.catch_warnings():
                 # The only UserWarning an encoder gives is the shared-cell
                 # one, already given by the 0-frame encode.
                 warnings.simplefilter("ignore", UserWarning)
-                fn(t0, self._encode(block, *self._args))
+                fn(t0, self._encode(block, *self._args,
+                                    out=buffer[:block.frames]))
+
+    def columns(self, cells) -> np.ndarray:
+        """(len(cells), frames, bins): the encoding's columns at `cells`.
+
+        The encoder's fold of the masks is run against only those cells'
+        rows: for mwsbc each speaker's one-hot row, summed (its mask at its
+        snapped cell, else zeros), for the Gaussian kinds the bumps. Each
+        (t, k, cell) value is folded on its own, from zero and in speaker
+        order, so for finite masks >= 0 the columns are bit-identical to the
+        full encoding's.
+        """
+        truth, grid, sigma_deg = self._args
+        cells = np.asarray(cells, dtype=np.intp)
+        if self.kind == "mwsbc":
+            rows = (snap_to_grid(truth, grid)[:, None] == cells).astype(float)
+        else:
+            rows = _gaussian_rows(truth, grid, sigma_deg)[:, cells]
+        combine = np.maximum if self.kind == "mwslc" else np.add
+        values = _place(self.masks, rows, combine)
+        return np.ascontiguousarray(values.transpose(2, 0, 1))

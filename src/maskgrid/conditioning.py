@@ -55,10 +55,18 @@ def mwslc_norm_limit(masks: MaskSet, sigma_deg: float,
 
     sqrt(pi) * (2 sigma / span) * sum_i M_i per bin; the Riemann sum of the
     sum-form encoding converges to this as the grid is refined.
+
+    Raises:
+        ConfigError: sigma is not positive, or 2 sigma / span is not finite
+            (a span below about 1e-307 deg overflows it).
     """
     if sigma_deg <= 0:
         raise ConfigError(f"sigma must be positive, got {sigma_deg}")
-    return math.sqrt(math.pi) * (2.0 * sigma_deg / span_deg) * masks.values.sum(axis=0)
+    ratio = 2.0 * sigma_deg / span_deg
+    if not math.isfinite(ratio):
+        raise ConfigError(f"grid.span_deg: 2 * sigma_deg / span_deg = 2 * "
+                          f"{sigma_deg!r} / {span_deg!r} is not finite")
+    return math.sqrt(math.pi) * ratio * masks.values.sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -145,18 +145,25 @@ def read_array(path):
     return kind, arr, span, theta, seed
 
 
-def save_coding(path, coding) -> None:
+def save_coding(path, coding, then=None) -> None:
     """Write a coding a block at a time, as coding.each_block hands it out.
 
     coding: a CodingTensor (one block), or a source of its frame blocks
     with the same frames, bins, grid and kind (coding.FrameBlocks), whose
     full tensor is then never held.
+    then: if given, then(t0, block) is called on each block once it is
+    written, so another consumer of the blocks shares this pass.
     """
     grid = coding.grid
     with _writer(path, f"coding:{coding.kind}",
                  (coding.frames, coding.bins, grid.theta_count),
                  span_deg=grid.span_deg, theta_count=grid.theta_count) as put:
-        coding.each_block(lambda t0, block: put(block.values))
+        def write(t0, block):
+            put(block.values)
+            if then is not None:
+                then(t0, block)
+
+        coding.each_block(write)
 
 
 class CodingFile:
@@ -166,7 +173,8 @@ class CodingFile:
     The header, kind tag and grid are checked here; `each_block(fn)` then
     reads the file again on each call and calls fn(t0, block) with a
     float64 CodingTensor of frames t0 .. t0 + block.frames, as
-    coding.FrameBlocks does.
+    coding.FrameBlocks does, and `columns(cells)` gathers some cells'
+    columns in one such pass.
     """
 
     def __init__(self, path):
@@ -190,6 +198,18 @@ class CodingFile:
                 n = min(_ENCODE_BLOCK_FRAMES, self.frames - t0)
                 values = _payload(fh, str(self.path), (n, self.bins, cells))
                 fn(t0, CodingTensor(values, self.grid, self.kind))
+
+    def columns(self, cells) -> np.ndarray:
+        """(len(cells), frames, bins): the coding's columns at `cells`."""
+        cells = np.asarray(cells, dtype=np.intp)
+        values = np.empty((cells.size, self.frames, self.bins))
+
+        def put(t0, block):
+            values[:, t0:t0 + block.frames] = block.values.transpose(2, 0, 1)[
+                cells]
+
+        self.each_block(put)
+        return values
 
 
 def load_coding(path) -> CodingTensor:

@@ -67,20 +67,23 @@ class DoaEstimates:
         return np.array([c.center_deg for c in self.clusters])
 
 
-def freq_average(coding) -> FrameLikelihood:
+def freq_average(coding, each_block=None) -> FrameLikelihood:
     """Mean of the coding over all frequency bins, per frame and cell.
 
     coding: a CodingTensor, or a source of its frame blocks with the same
     frames, grid and each_block (coding.FrameBlocks, container.CodingFile).
     Each (frame, cell) mean is taken on its own, so the rows built block by
     block are bit-identical to the full tensor's.
+    each_block: the pass that hands out coding's blocks, coding.each_block
+    by default; the encode stage passes container.save_coding's, so the
+    blocks it writes are averaged in the same pass.
     """
     values = np.empty((coding.frames, coding.grid.theta_count))
 
     def put(t0, block):
         values[t0:t0 + block.frames] = block.values.mean(axis=1)
 
-    coding.each_block(put)
+    (each_block or coding.each_block)(put)
     return FrameLikelihood(values, coding.grid)
 
 
@@ -224,19 +227,15 @@ def cluster_doas(detections, sigma_deg: float = 6.0, span_deg: float = 360.0,
 def sample_masks(coding, doas: DoaEstimates) -> MaskSet:
     """Per-speaker masks sliced from the coding at each cluster's cell.
 
-    coding: as for freq_average; its blocks are gathered in one more pass,
-    which is skipped when there is no cluster.
+    coding: a CodingTensor, or a source of its columns with the same
+    frames, bins and grid: coding.FrameBlocks encodes only those cells'
+    columns, container.CodingFile gathers them in one pass over the file.
+    Nothing is read when there is no cluster.
     """
     cells = [coding.grid.index_of(c.center_deg) for c in doas.clusters]
-    values = np.empty((len(cells), coding.frames, coding.bins))
-
-    def put(t0, block):
-        for i, g in enumerate(cells):
-            values[i, t0:t0 + block.frames] = block.values[:, :, g]
-
-    if cells:
-        coding.each_block(put)
-    return MaskSet(values)
+    if not cells:
+        return MaskSet(np.empty((0, coding.frames, coding.bins)))
+    return MaskSet(coding.columns(cells))
 
 
 @dataclass(frozen=True)

@@ -527,10 +527,10 @@ def _former_encode_stage(cfg, mixture, images, truth, params, out_dir):
                           tensor.values, span_deg=tensor.grid.span_deg,
                           theta_count=tensor.grid.theta_count)
     cli._write_json(out_dir / "encode.json", record, cli._meta(cfg))
-    return mixture_spec, tensor
+    return mixture_spec, tensor, None
 
 
-def _former_decode(cfg, tensor, out_dir):
+def _former_decode(cfg, tensor, _likelihood, out_dir):
     """_decode as it was, with the former full-tensor freq_average and
     sample_masks written out."""
     fl = decode.FrameLikelihood(tensor.values.mean(axis=1), tensor.grid)
@@ -557,10 +557,80 @@ def _former_cmd_decode(cfg, args) -> int:
     kind, arr, span, theta, _ = container.read_array(out_dir / "coding.bin")
     tensor = coding.CodingTensor(arr, coding.SpatialGrid(theta, span),
                                  kind[7:])
-    estimates, _ = _former_decode(cfg, tensor, out_dir)
+    estimates, _ = _former_decode(cfg, tensor, None, out_dir)
     angles = ", ".join(f"{c.center_deg:.1f}" for c in estimates.clusters)
     print(f"{estimates.count} speakers at [{angles}] deg -> {out_dir}")
     return 0
+
+
+def _three_pass_encode_stage(cfg, mixture, images, truth, params, out_dir):
+    """_encode_stage as it was when coding.bin was written in a pass of its
+    own, kept verbatim: decoding then encoded each block twice more."""
+    mixture_spec = stft.analyze(mixture, cfg.stft_config())
+    _, masks = cli._source_masks(cfg, images)
+    if params is not None:
+        coded = estimator.forward(params, estimator.features(mixture_spec),
+                                  cfg.grid())
+    elif cfg.estimate_mode == "corrupt":
+        coded = estimator.corrupt_oracle(
+            cli._encode(cfg, cfg.coding_kind, masks, truth), cfg.noise_std,
+            cfg.blur_cells, cfg.seed)
+    else:
+        coded = coding.FrameBlocks(cfg.coding_kind, masks, truth, cfg.grid(),
+                                   cfg.sigma_deg)
+    record = {"kind": coded.kind, "theta_count": coded.grid.theta_count,
+              "span_deg": coded.grid.span_deg, "sigma_deg": cfg.sigma_deg,
+              "eps_m_db": cfg.eps_m_db}
+    container.save_coding(out_dir / "coding.bin", coded)
+    container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
+    cli._write_json(out_dir / "encode.json", record, cli._meta(cfg))
+    return mixture_spec, coded, None
+
+
+def _three_pass_decode(cfg, coded, _likelihood, out_dir):
+    """_decode as it was, averaging in one pass over the blocks and, with
+    the former sample_masks written out, gathering columns in another."""
+    fl = decode.freq_average(coded)
+    detections = decode.peak_search(fl, cfg.eps_theta, cfg.delta_theta_deg)
+    estimates = decode.cluster_doas(detections, cfg.sigma_deg,
+                                    coded.grid.span_deg, cfg.min_support_frac)
+    cells = [coded.grid.index_of(c.center_deg) for c in estimates.clusters]
+    values = np.empty((len(cells), coded.frames, coded.bins))
+
+    def put(t0, block):
+        for i, g in enumerate(cells):
+            values[i, t0:t0 + block.frames] = block.values[:, :, g]
+
+    if cells:
+        coded.each_block(put)
+    sampled = coding.MaskSet(values)
+    cli._write_json(out_dir / "doas.json", {
+        "clusters": [{"center_deg": float(c.center_deg),
+                      "support": int(c.support)} for c in estimates.clusters],
+        "span_deg": estimates.span_deg,
+    }, cli._meta(cfg))
+    container.save_masks(out_dir / "sampled_masks.bin", sampled,
+                         estimates.span_deg)
+    return estimates, sampled
+
+
+def _three_pass_cmd_decode(cfg, args) -> int:
+    """cmd_decode as it was, with the likelihood averaged inside _decode."""
+    out_dir = Path(args.out)
+    estimates, _ = _three_pass_decode(
+        cfg, container.CodingFile(out_dir / "coding.bin"), None, out_dir)
+    angles = ", ".join(f"{c.center_deg:.1f}" for c in estimates.clusters)
+    print(f"{estimates.count} speakers at [{angles}] deg -> {out_dir}")
+    return 0
+
+
+# The former stages each test runs the CLI with, as (_encode_stage,
+# _decode, cmd_decode).
+_FORMER_STAGES = {
+    "full_tensor": (_former_encode_stage, _former_decode, _former_cmd_decode),
+    "three_pass": (_three_pass_encode_stage, _three_pass_decode,
+                   _three_pass_cmd_decode),
+}
 
 
 # Configurations of the streamed-stage oracle test, each after an open
@@ -590,6 +660,35 @@ def _artifacts(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _assert_artifacts_equal_former(tmp_path, monkeypatch, params, case,
+                                   seed, former):
+    """pipeline, then simulate, encode, decode, beamform and eval, leave
+    the same exit codes and artifact bytes as with the former stages."""
+    ini = tmp_path / "case.ini"
+    ini.write_text("[grid]\ntheta_count = 180\n[scene]\nduration_s = 0.2\n"
+                   + _STREAM_CASES[case].format(params=params))
+
+    def run(root):
+        codes = [main(["pipeline", "--config", str(ini), "--seed", seed,
+                       "--out", str(root / "run")])]
+        for command in ("simulate", "encode", "decode", "beamform", "eval"):
+            codes.append(main([command, "--config", str(ini), "--seed", seed,
+                               "--out", str(root / "staged")]))
+        return codes
+
+    codes = run(tmp_path / "new")
+    encode_stage, decode_stage, cmd_decode = _FORMER_STAGES[former]
+    monkeypatch.setattr(cli, "_encode_stage", encode_stage)
+    monkeypatch.setattr(cli, "_decode", decode_stage)
+    monkeypatch.setitem(cli.COMMANDS, "decode", cmd_decode)
+    assert run(tmp_path / "old") == codes
+    assert codes[:4] == [0, 0, 0, 0]
+    new, old = _artifacts(tmp_path / "new"), _artifacts(tmp_path / "old")
+    assert new.keys() == old.keys()
+    for name in new:
+        assert new[name] == old[name], name
+
+
 class TestStreamedCoding:
     """Oracle-mode encode, decode and pipeline stream coding.bin a block of
     frames at a time and never hold the (frames, bins, cells) tensor."""
@@ -598,29 +697,19 @@ class TestStreamedCoding:
     @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
     def test_artifacts_equal_the_former_full_tensor_stages(
             self, tmp_path, monkeypatch, untrained_params, case, seed):
-        ini = tmp_path / "case.ini"
-        ini.write_text("[grid]\ntheta_count = 180\n[scene]\nduration_s = 0.2\n"
-                       + _STREAM_CASES[case].format(params=untrained_params))
+        _assert_artifacts_equal_former(tmp_path, monkeypatch,
+                                       untrained_params, case, seed,
+                                       "full_tensor")
 
-        def run(root):
-            codes = [main(["pipeline", "--config", str(ini), "--seed", seed,
-                           "--out", str(root / "run")])]
-            for command in ("simulate", "encode", "decode", "beamform",
-                            "eval"):
-                codes.append(main([command, "--config", str(ini), "--seed",
-                                   seed, "--out", str(root / "staged")]))
-            return codes
-
-        codes = run(tmp_path / "new")
-        monkeypatch.setattr(cli, "_encode_stage", _former_encode_stage)
-        monkeypatch.setattr(cli, "_decode", _former_decode)
-        monkeypatch.setitem(cli.COMMANDS, "decode", _former_cmd_decode)
-        assert run(tmp_path / "old") == codes
-        assert codes[:4] == [0, 0, 0, 0]
-        new, old = _artifacts(tmp_path / "new"), _artifacts(tmp_path / "old")
-        assert new.keys() == old.keys()
-        for name in new:
-            assert new[name] == old[name], name
+    @pytest.mark.parametrize("seed", ["11", "12345"])
+    @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+    def test_artifacts_equal_the_three_pass_stages(
+            self, tmp_path, monkeypatch, untrained_params, case, seed):
+        # One encode per block: coding.bin and the frame likelihood come
+        # from one pass, the sampled masks from the decoded cells only.
+        _assert_artifacts_equal_former(tmp_path, monkeypatch,
+                                       untrained_params, case, seed,
+                                       "three_pass")
 
     def test_pipeline_and_decode_hold_no_full_tensor(self, tmp_path):
         # At 1440 cells one (31, 257, 1440) float64 tensor of this 0.5 s
@@ -868,6 +957,12 @@ class TestListConfigKeys:
          "decode.delta_theta_deg"),
         ("pipeline", "[coding]\nsigma_deg = 0\n", "coding.sigma_deg"),
         ("calibrate", "[coding]\nsigma_deg = -1\n", "coding.sigma_deg"),
+        # A span in (0, 360] so small that the sweep's 2 sigma / span
+        # overflowed, which used to end in an inf/NaN limit.
+        ("conditioning", "[grid]\nspan_deg = 2.2250738585072014e-308\n"
+         "[scene]\nduration_s = 0.2\ndoas_deg = 0\ndistances_m = 2.0\n"
+         "source_kinds = harmonic-complex\npitches_hz = 210\n",
+         "grid.span_deg"),
     ], ids=["distances_m", "pitches_hz", "room_dims_m", "theta_counts",
             "empty_distances_m", "empty_source_kinds", "room_dims_m_count",
             "absorption_range", "max_order_negative", "seed_negative",
@@ -879,7 +974,7 @@ class TestListConfigKeys:
             "decay_every_epochs_zero", "epochs_zero", "batch_size_zero",
             "patience_negative", "channels_negative", "duration_no_sample",
             "eps_theta_one", "delta_theta_zero", "sigma_zero",
-            "calibrate_sigma_negative"])
+            "calibrate_sigma_negative", "span_overflows_norm_limit"])
     def test_bad_list_exit_2_names_key(self, tmp_path, capsys, command,
                                        text, key):
         ini = tmp_path / "bad.ini"

@@ -444,20 +444,23 @@ class TestMwslcSumOracleIdentity:
 
 def _joined_blocks(kind, masks, truth, grid, sigma_deg=6.0):
     """FrameBlocks' 0-frame encode and blocks joined along frames, after
-    checking that the blocks come in order: full blocks, then a rest."""
+    checking that the blocks come in order: full blocks, then a rest. A
+    block's array is reused once fn returns, so its values are copied."""
     blocks = FrameBlocks(kind, masks, truth, grid, sigma_deg)
     parts, frames = [blocks.empty], []
+    values = [blocks.empty.values]
 
     def keep(t0, block):
         frames.append((t0, block.frames))
         parts.append(block)
+        values.append(block.values.copy())
 
     blocks.each_block(keep)
     assert frames == [(t0, min(_ENCODE_BLOCK_FRAMES, masks.frames - t0))
                       for t0 in range(0, masks.frames, _ENCODE_BLOCK_FRAMES)]
     assert parts[0].frames == 0
     assert all(part.kind == kind and part.grid == grid for part in parts)
-    return np.concatenate([part.values for part in parts])
+    return np.concatenate(values)
 
 
 def _assert_blocks_match_full(kind, masks, truth, grid, sigma_deg=6.0):

@@ -125,6 +125,19 @@ class TestNormLimit:
         with pytest.raises(ValueError):
             mwslc_norm_limit(MaskSet(np.ones((1, 1, 1))), 0.0)
 
+    def test_span_overflowing_two_sigma_over_span_rejected(self):
+        # The smallest normal double: 2 sigma / span overflows to inf, and
+        # times a zero mask the limit used to be NaN with a RuntimeWarning.
+        span = 2.2250738585072014e-308
+        masks = MaskSet(np.zeros((1, 1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="grid.span_deg"):
+                mwslc_norm_limit(masks, 6.0, span)
+            with pytest.raises(ConfigError, match="grid.span_deg"):
+                theta_sweep(masks, DoaSet(np.array([0.0]), span), 6.0, span,
+                            (2,))
+
 
 class TestThetaSweep:
     def test_report_shape_and_columns(self, two_speaker_scene):

@@ -1,19 +1,24 @@
 """Peak search, clustering, and threshold calibration tests."""
 
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
 from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
-                             DoaSet, FrameBlocks, SpatialGrid, encode_mwslc,
-                             wrapped_distance)
+                             DoaSet, FrameBlocks, MaskSet, SpatialGrid,
+                             encode_mwslc, wrapped_distance)
 from maskgrid import decode
+from maskgrid.container import CodingFile, save_coding
+from maskgrid.errors import CollisionError
 from maskgrid.decode import (CalibrationResult, CalibrationRow, Detection,
                              DoaCluster, DoaEstimates, FrameLikelihood,
                              _average_linkage, calibrate_threshold,
@@ -496,6 +501,50 @@ class TestBlockSources:
         assert estimates.count == 3
         assert sample_masks(blocks, estimates).values.tobytes() == \
             sample_masks(full, estimates).values.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(ENCODERS)),
+           arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(0, 9),
+                                        st.integers(1, 12)),
+                  elements=st.one_of(st.just(0.0),
+                                     st.floats(0.0, 1.0, allow_subnormal=True)),
+                  fill=st.nothing()),
+           st.lists(st.booleans(), min_size=9, max_size=9),
+           st.lists(st.integers(0, 3599), min_size=3, max_size=3, unique=True),
+           st.sampled_from([8, 90, 360]),
+           st.sampled_from([0.5, 6.0, 40.0]),
+           st.data())
+    def test_one_pass_rows_and_columns_equal_the_full_tensor(
+            self, kind, values, silent, tenths, theta, sigma, data):
+        # Frames flagged silent are all zero in every mask; cell lists may be
+        # empty, repeat a cell or come in any order.
+        values[:, np.array(silent[:values.shape[1]], dtype=bool)] = 0.0
+        masks = MaskSet(values)
+        grid = SpatialGrid(theta)
+        truth = DoaSet(np.array(tenths[:masks.speakers]) / 10.0)
+        try:
+            full = ENCODERS[kind](masks, truth, grid, sigma)
+        except CollisionError:
+            assume(False)
+        # Half the cells are the speakers' own, where mwsbc is nonzero.
+        snapped = [grid.index_of(a) for a in truth.angles_deg]
+        cells = data.draw(st.lists(st.one_of(st.sampled_from(snapped),
+                                             st.integers(0, theta - 1)),
+                                   max_size=5))
+        want = np.moveaxis(full.values[:, :, cells], 2, 0)
+        blocks = FrameBlocks(kind, masks, truth, grid, sigma)
+        assert blocks.columns(cells).shape == want.shape
+        assert blocks.columns(cells).tobytes() == want.tobytes()
+        assert full.columns(cells).tobytes() == want.tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "coding.bin"
+            rows = freq_average(blocks, lambda average: save_coding(
+                path, blocks, average))
+            stored = CodingFile(path).columns(cells)
+        assert rows.values.tobytes() == freq_average(full).values.tobytes()
+        rounded = want.astype(np.float32).astype(np.float64)
+        assert stored.tobytes() == rounded.tobytes()
 
     def test_no_cluster_reads_no_block(self):
         class Untouchable:
