@@ -144,7 +144,7 @@ def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir):
     _model_params(cfg)) and its frame likelihood; writes coding.bin,
     masks.bin and encode.json.
 
-    In oracle mode the coding is a coding.FrameBlocks: its 0-frame encode
+    In oracle mode the coding is a coding.FrameBlocks: its construction
     runs every encoder check before the first write, and each block of
     frames is encoded once, written to coding.bin and averaged over
     frequency in one pass, so no full tensor is held. corrupt mode (one

@@ -1,10 +1,10 @@
-"""Thresholded ratio masks and the four grid encodings of speaker positions.
+"""Thresholded ratio masks and the five grid encodings of speaker positions.
 
 A uniform angular grid of theta_count cells covers a span of span_deg
-degrees. Spatial-only encodings (sbc, slc) mark per-frame speaker activity
-on the grid; the mask-weighted variants (mwsbc, mwslc) place each
-speaker's time-frequency mask into the grid per bin, either at the nearest
-cell (Kronecker) or as a Gaussian bump over angular distance.
+degrees. Each encoding gives every speaker a row over the grid, a one-hot
+at its nearest cell or a Gaussian bump over angular distance, weighted by
+its frame activity (sbc, slc) or its time-frequency mask per bin (mwsbc,
+mwslc, mwslc_sum), and folds the speakers by max or by sum (_CODINGS).
 """
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ import numpy as np
 from .errors import CollisionError, ConfigError, ShapeError
 
 CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
-# (t, k) rows per gather/scatter block in _place. A block's three
-# temporaries stay in a 2 MiB L2 up to 1440 cells; 256 rows spilled and ran
-# 2-3x slower, and fewer rows only add per-block call overhead.
+# Full-width (t, k) rows per gather/scatter block in _place (a narrower
+# row span takes more rows). A block's three temporaries stay in a 2 MiB L2
+# up to 1440 cells; 256 rows spilled and ran 2-3x slower.
 _ENCODE_BLOCK_ROWS = 32
 # Frames per FrameBlocks block. On the pipeline benchmark (seed 7, 25 s
 # runs; 257 bins, 720 cells) 1 frame peaked at 50.8 MiB RSS, 2 frames at
-# 53.6-54.1 MiB and 4 frames at 59-64 MiB, moving with heap layout while
-# each block's encode was a fresh array. Every block is now encoded into
-# one reused buffer, so only the writer's float32 copy is freed between
-# blocks.
+# 53.6-54.1 MiB and 4 frames at 59-64 MiB while each block was a fresh
+# array; blocks are now encoded into one reused buffer.
 _ENCODE_BLOCK_FRAMES = 1
 
 
@@ -219,12 +217,88 @@ def _gaussian_rows(truth: DoaSet, grid: SpatialGrid, sigma_deg: float) -> np.nda
     return np.exp(-_gaussian_exponents(truth, grid, sigma_deg))
 
 
+def _one_hot_rows(truth: DoaSet, grid: SpatialGrid, _sigma_deg=None) -> np.ndarray:
+    """Per-speaker Kronecker row, 1 at its nearest cell; (I, cells)."""
+    cells = np.arange(grid.theta_count)
+    return (snap_to_grid(truth, grid)[:, None] == cells).astype(float)
+
+
 def _warn_shared_cells(truth: DoaSet, grid: SpatialGrid, kind: str) -> None:
-    cells = snap_to_grid(truth, grid)
-    if np.unique(cells).size < cells.size:
+    if np.unique(snap_to_grid(truth, grid)).size < truth.count:
         warnings.warn(
             f"{kind}: two speakers fall into one {grid.cell_width_deg:.3g} deg "
-            "cell; the maximum silently keeps the larger value", stacklevel=3)
+            "cell; the maximum silently keeps the larger value", stacklevel=4)
+
+
+def _refuse_shared_cells(truth: DoaSet, grid: SpatialGrid, kind: str) -> None:
+    if np.unique(snap_to_grid(truth, grid)).size < truth.count:
+        raise CollisionError(
+            f"speakers at {truth.angles_deg} deg share a cell on a "
+            f"{grid.theta_count}-cell grid; refine the grid")
+
+
+# Per kind: the speakers' rows over the grid, called as (truth, grid,
+# sigma_deg) and weighted by each speaker's mask (frame activity for sbc and
+# slc); the fold over speakers; and the check run on the DoAs before a fold.
+_CODINGS = {
+    "sbc": (_one_hot_rows, np.maximum, None),
+    "slc": (_gaussian_rows, np.maximum, _warn_shared_cells),
+    "mwsbc": (_one_hot_rows, np.add, _refuse_shared_cells),
+    "mwslc": (_gaussian_rows, np.maximum, _warn_shared_cells),
+    "mwslc_sum": (_gaussian_rows, np.add, None),
+}
+
+
+def _check_speakers(speakers: int, rows: np.ndarray) -> None:
+    if speakers != rows.shape[0]:
+        raise ShapeError(f"{speakers} masks for {rows.shape[0]} DoAs")
+
+
+def _rows(kind: str, speakers: int, truth: DoaSet, grid: SpatialGrid,
+          sigma_deg):
+    """`kind`'s rows, after checking sigma, the speaker count, then `kind`."""
+    make_rows, _, check = _CODINGS[kind]
+    rows = make_rows(truth, grid, sigma_deg)
+    _check_speakers(speakers, rows)
+    if check is not None:
+        check(truth, grid, kind)
+    return rows
+
+
+def _place(masks: MaskSet, rows: np.ndarray, combine,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """fold()'s values: (frames, bins, row length)."""
+    _check_speakers(masks.speakers, rows)
+    shape = (masks.frames, masks.bins, rows.shape[1])
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape:
+        raise ShapeError(f"out has shape {out.shape}, the coding {shape}")
+    else:
+        out.fill(0.0)
+    flat = out.reshape(masks.frames * masks.bins, rows.shape[1])
+    for mask, row in zip(masks.values.reshape(masks.speakers, -1), rows):
+        # Rows are finite and >= 0, so a zero factor gives a zero product: it
+        # leaves the running sum (never -0) unchanged, and the running maximum
+        # too for masks >= 0. So only nonzero (t, k) rows are visited, and only
+        # the cells from the row's first nonzero to its last (one if one-hot),
+        # in blocks of as many values as _ENCODE_BLOCK_ROWS full rows.
+        cells = np.flatnonzero(row)
+        lo, hi = (cells[0], cells[-1] + 1) if cells.size else (0, 0)
+        step = _ENCODE_BLOCK_ROWS * max(row.size // max(hi - lo, 1), 1)
+        nonzero = np.flatnonzero(mask)
+        for start in range(0, nonzero.size, step):
+            block = nonzero[start:start + step]
+            flat[block, lo:hi] = combine(flat[block, lo:hi],
+                                         mask[block, None] * row[lo:hi])
+    return out
+
+
+def fold(masks: MaskSet, rows: np.ndarray, grid: SpatialGrid, kind: str,
+         out: np.ndarray | None = None) -> CodingTensor:
+    """CodingTensor of `kind`: each mask times its row, folded from zeros in
+    speaker order by the kind's max or sum, into `out` if given."""
+    return CodingTensor(_place(masks, rows, _CODINGS[kind][1], out), grid, kind)
 
 
 def encode_sbc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid) -> CodingTensor:
@@ -232,102 +306,49 @@ def encode_sbc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid) -> Coding
 
     activity: boolean (speakers, frames) from frame_activity or ground truth.
     """
-    one_hot = np.eye(grid.theta_count)[snap_to_grid(truth, grid)]
-    return CodingTensor(_place(MaskSet(activity[:, :, None]), one_hot,
-                               np.maximum), grid, "sbc")
+    rows = _rows("sbc", len(activity), truth, grid, None)
+    return fold(MaskSet(activity[:, :, None]), rows, grid, "sbc")
 
 
 def encode_slc(truth: DoaSet, activity: np.ndarray, grid: SpatialGrid,
                sigma_deg: float = 6.0) -> CodingTensor:
     """Gaussian spatial-only coding: per-frame max of unit bumps at DoAs."""
-    gauss = _gaussian_rows(truth, grid, sigma_deg)
-    _warn_shared_cells(truth, grid, "slc")
-    return CodingTensor(_place(MaskSet(activity[:, :, None]), gauss,
-                               np.maximum), grid, "slc")
+    rows = _rows("slc", len(activity), truth, grid, sigma_deg)
+    return fold(MaskSet(activity[:, :, None]), rows, grid, "slc")
 
 
-def encode_mwsbc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
-                 out: np.ndarray | None = None) -> CodingTensor:
+def encode_mwsbc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid) -> CodingTensor:
     """Mask-weighted binary coding: each speaker's mask at its nearest cell.
-
-    out: an optional (frames, bins, cells) float64 array to encode into.
 
     Raises:
         CollisionError: two speakers snap to the same cell (grid too coarse).
     """
-    if masks.speakers != truth.count:
-        raise ShapeError(f"{masks.speakers} masks for {truth.count} DoAs")
-    cells = snap_to_grid(truth, grid)
-    if np.unique(cells).size < cells.size:
-        raise CollisionError(
-            f"speakers at {truth.angles_deg} deg share a cell on a "
-            f"{grid.theta_count}-cell grid; refine the grid")
-    values = _zeros((masks.frames, masks.bins, grid.theta_count), out)
-    for i, g in enumerate(cells):
-        values[:, :, g] += masks.values[i]
-    return CodingTensor(values, grid, "mwsbc")
-
-
-def _zeros(shape, out: np.ndarray | None) -> np.ndarray:
-    """out, zeroed, or a new zero array of `shape`."""
-    if out is None:
-        return np.zeros(shape)
-    if out.shape != shape:
-        raise ShapeError(f"out has shape {out.shape}, the coding {shape}")
-    out.fill(0.0)
-    return out
-
-
-def _place(masks: MaskSet, rows: np.ndarray, combine,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Fold each speaker's mask * its row into zeros with `combine`:
-    (frames, bins, row length), encoded into `out` if given."""
-    if masks.speakers != rows.shape[0]:
-        raise ShapeError(f"{masks.speakers} masks for {rows.shape[0]} DoAs")
-    values = _zeros((masks.frames, masks.bins, rows.shape[1]), out)
-    flat = values.reshape(masks.frames * masks.bins, rows.shape[1])
-    for mask, row in zip(masks.values.reshape(masks.speakers, -1), rows):
-        # Rows are finite and >= 0, so a zero mask gives a zero product. It
-        # leaves the running sum (never -0) unchanged, and the running
-        # maximum too for masks without -0.0: only the nonzero (t, k) rows
-        # are visited.
-        nonzero = np.flatnonzero(mask)
-        for start in range(0, nonzero.size, _ENCODE_BLOCK_ROWS):
-            block = nonzero[start:start + _ENCODE_BLOCK_ROWS]
-            flat[block] = combine(flat[block], mask[block, None] * row)
-    return values
+    rows = _rows("mwsbc", masks.speakers, truth, grid, None)
+    return fold(masks, rows, grid, "mwsbc")
 
 
 def encode_mwslc(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
-                 sigma_deg: float = 6.0,
-                 out: np.ndarray | None = None) -> CodingTensor:
-    """Mask-weighted Gaussian coding: max over speakers of mask * bump.
-
-    out: an optional (frames, bins, cells) float64 array to encode into.
-    """
-    coding = CodingTensor(_place(masks, _gaussian_rows(truth, grid, sigma_deg),
-                                 np.maximum, out), grid, "mwslc")
-    _warn_shared_cells(truth, grid, "mwslc")
-    return coding
+                 sigma_deg: float = 6.0) -> CodingTensor:
+    """Mask-weighted Gaussian coding: max over speakers of mask * bump."""
+    rows = _rows("mwslc", masks.speakers, truth, grid, sigma_deg)
+    return fold(masks, rows, grid, "mwslc")
 
 
 def encode_mwslc_sum(masks: MaskSet, truth: DoaSet, grid: SpatialGrid,
-                     sigma_deg: float = 6.0,
-                     out: np.ndarray | None = None) -> CodingTensor:
+                     sigma_deg: float = 6.0) -> CodingTensor:
     """Sum-form variant of encode_mwslc; values can exceed 1 near close DoAs.
 
     This is the analytically tractable approximation used by the
     conditioning sweep; the decoder always consumes the max form.
     """
-    return CodingTensor(_place(masks, _gaussian_rows(truth, grid, sigma_deg),
-                               np.add, out), grid, "mwslc_sum")
+    rows = _rows("mwslc_sum", masks.speakers, truth, grid, sigma_deg)
+    return fold(masks, rows, grid, "mwslc_sum")
 
 
 # Mask-weighted encoders by config name, called as (masks, truth, grid,
-# sigma_deg, out=None).
+# sigma_deg); mwsbc's one-hot rows take no sigma.
 ENCODERS = {
-    "mwsbc": lambda masks, truth, grid, _, out=None: encode_mwsbc(
-        masks, truth, grid, out),
+    "mwsbc": lambda masks, truth, grid, _: encode_mwsbc(masks, truth, grid),
     "mwslc": encode_mwslc,
     "mwslc_sum": encode_mwslc_sum,
 }
@@ -337,28 +358,18 @@ class FrameBlocks:
     """ENCODERS[kind](masks, truth, grid, sigma_deg) handed out a block of
     frames at a time, so the full (frames, bins, cells) tensor is never held.
 
-    Each block is ENCODERS[kind] on frames t0 .. t0 + n of the masks, which
-    is bit-identical to those rows of the full encoding. The encoder's
-    checks (speaker count, nearest-cell collision, sigma) and its shared-cell
-    warning run once, here, on the 0-frame encode kept as `empty`.
+    The kind's rows are built, and its checks and shared-cell warning run,
+    once, here; each block is fold() of frames t0 .. t0 + n of the masks
+    against them, bit-identical to those rows of the full encoding.
     `frames`, `bins`, `grid`, `kind`, `each_block` and `columns` are
     CodingTensor's too, so a consumer of blocks takes either.
     """
 
     def __init__(self, kind: str, masks: MaskSet, truth: DoaSet,
                  grid: SpatialGrid, sigma_deg: float):
-        self._encode = ENCODERS[kind]
-        self._args = (truth, grid, sigma_deg)
+        self.rows = _rows(kind, masks.speakers, truth, grid, sigma_deg)
         self.masks, self.grid, self.kind = masks, grid, kind
-        self.empty = self._encode(MaskSet(masks.values[:, :0]), *self._args)
-
-    @property
-    def frames(self) -> int:
-        return self.masks.frames
-
-    @property
-    def bins(self) -> int:
-        return self.masks.bins
+        self.frames, self.bins = masks.frames, masks.bins
 
     def each_block(self, fn) -> None:
         """fn(t0, block) for each CodingTensor block of frames t0 .. t0 +
@@ -368,29 +379,16 @@ class FrameBlocks:
                            self.grid.theta_count))
         for t0 in range(0, self.frames, _ENCODE_BLOCK_FRAMES):
             block = MaskSet(self.masks.values[:, t0:t0 + _ENCODE_BLOCK_FRAMES])
-            with warnings.catch_warnings():
-                # The only UserWarning an encoder gives is the shared-cell
-                # one, already given by the 0-frame encode.
-                warnings.simplefilter("ignore", UserWarning)
-                fn(t0, self._encode(block, *self._args,
-                                    out=buffer[:block.frames]))
+            fn(t0, fold(block, self.rows, self.grid, self.kind,
+                        out=buffer[:block.frames]))
 
     def columns(self, cells) -> np.ndarray:
         """(len(cells), frames, bins): the encoding's columns at `cells`.
 
-        The encoder's fold of the masks is run against only those cells'
-        rows: for mwsbc each speaker's one-hot row, summed (its mask at its
-        snapped cell, else zeros), for the Gaussian kinds the bumps. Each
-        (t, k, cell) value is folded on its own, from zero and in speaker
-        order, so for finite masks >= 0 the columns are bit-identical to the
-        full encoding's.
+        The masks are folded against only those cells' rows. Each (t, k,
+        cell) value is folded on its own, from zero and in speaker order,
+        so for finite masks >= 0 the columns are bit-identical to the full
+        encoding's.
         """
-        truth, grid, sigma_deg = self._args
-        cells = np.asarray(cells, dtype=np.intp)
-        if self.kind == "mwsbc":
-            rows = (snap_to_grid(truth, grid)[:, None] == cells).astype(float)
-        else:
-            rows = _gaussian_rows(truth, grid, sigma_deg)[:, cells]
-        combine = np.maximum if self.kind == "mwslc" else np.add
-        values = _place(self.masks, rows, combine)
+        values = _place(self.masks, self.rows[:, cells], _CODINGS[self.kind][1])
         return np.ascontiguousarray(values.transpose(2, 0, 1))

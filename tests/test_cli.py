@@ -286,8 +286,9 @@ class TestOneEncodeStage:
         def no_encoding(*args, **kwargs):
             raise AssertionError("model mode built an oracle coding")
 
-        for kind in list(coding.ENCODERS):
-            monkeypatch.setitem(coding.ENCODERS, kind, no_encoding)
+        # Every oracle coding, a full encode or a FrameBlocks block, is
+        # a coding.fold.
+        monkeypatch.setattr(coding, "fold", no_encoding)
         assert main(["encode", "--config", ini, "--out", str(out)]) == 0
         cfg = load_config(ini)
         want = estimator.forward(
@@ -412,8 +413,9 @@ class TestTrain:
         def no_encoding(*args, **kwargs):
             raise AssertionError("model mode built an oracle coding")
 
-        for kind in list(coding.ENCODERS):
-            monkeypatch.setitem(coding.ENCODERS, kind, no_encoding)
+        # Every oracle coding, a full encode or a FrameBlocks block, is
+        # a coding.fold.
+        monkeypatch.setattr(coding, "fold", no_encoding)
         model_out = tmp_path / "model_run"
         code = main(["pipeline", "--config", model_ini, "--out",
                      str(model_out)])

@@ -1,5 +1,6 @@
 """Mask computation and angular-grid encoding tests."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,6 +44,22 @@ def _oracle_encode_mwslc_sum(masks, truth, grid, sigma_deg=6.0):
     for i in range(truth.count):
         values += masks.values[i][:, :, None] * gauss[i]
     return CodingTensor(values, grid, "mwslc_sum")
+
+
+def _oracle_encode_mwsbc(masks, truth, grid):
+    """The former per-speaker column add, verbatim but for its `out`
+    buffer; kept as the test oracle."""
+    if masks.speakers != truth.count:
+        raise ShapeError(f"{masks.speakers} masks for {truth.count} DoAs")
+    cells = snap_to_grid(truth, grid)
+    if np.unique(cells).size < cells.size:
+        raise CollisionError(
+            f"speakers at {truth.angles_deg} deg share a cell on a "
+            f"{grid.theta_count}-cell grid; refine the grid")
+    values = np.zeros((masks.frames, masks.bins, grid.theta_count))
+    for i, g in enumerate(cells):
+        values[:, :, g] += masks.values[i]
+    return CodingTensor(values, grid, "mwsbc")
 
 
 def _oracle_encode_sbc(truth, activity, grid):
@@ -404,6 +421,55 @@ class TestMwslcOracleIdentity:
 
 
 
+class TestMwsbcOracleIdentity:
+    """The one-hot rows folded by sum equal the former column add."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 6),
+                                        st.integers(1, 70)),
+                  elements=st.one_of(st.just(0.0), st.just(-0.0),
+                                     st.floats(-1.0, 1.0, allow_subnormal=True))),
+           st.lists(st.integers(0, 3599), min_size=3, max_size=3, unique=True),
+           st.sampled_from([90, 360, 1440]))
+    # 52 and 53 deg share cell 13 of 90.
+    @example(np.ones((2, 1, 1)), [520, 530, 0], 90)
+    def test_matches_oracle_on_sparse_masks(self, values, tenths, theta):
+        # No sign premise: the running sum starts at +0 and never becomes
+        # -0, so a skipped +-0 product could not have changed it.
+        masks = MaskSet(values)
+        truth = DoaSet(np.array(tenths[:masks.speakers]) / 10.0)
+        grid = SpatialGrid(theta)
+        try:
+            want = _oracle_encode_mwsbc(masks, truth, grid)
+        except CollisionError as err:
+            with pytest.raises(CollisionError) as got:
+                encode_mwsbc(masks, truth, grid)
+            assert str(got.value) == str(err)
+            return
+        got = encode_mwsbc(masks, truth, grid)
+        assert got.kind == want.kind
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestOneHotPeakMemory:
+    """One-hot rows are (speakers, cells), never a cells x cells identity,
+    so a one-hot encode allocates little beyond its result."""
+
+    @pytest.mark.parametrize("kind", ["sbc", "mwsbc"])
+    def test_peak_under_three_results_at_1440_cells(self, rng, kind):
+        grid, truth = SpatialGrid(1440), DoaSet(np.array([50.0, 120.0]))
+        masks = MaskSet(rng.uniform(0.0, 1.0, (2, 62, 4)))
+        activity = frame_activity(masks)
+        tracemalloc.start()
+        try:
+            result = (encode_sbc(truth, activity, grid) if kind == "sbc"
+                      else encode_mwsbc(masks, truth, grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * result.values.nbytes
+
+
 class TestMwslcSumOracleIdentity:
     """The sum form shares the max form's block loop and stays bitwise equal
     to the full per-speaker sum."""
@@ -443,12 +509,12 @@ class TestMwslcSumOracleIdentity:
 
 
 def _joined_blocks(kind, masks, truth, grid, sigma_deg=6.0):
-    """FrameBlocks' 0-frame encode and blocks joined along frames, after
-    checking that the blocks come in order: full blocks, then a rest. A
-    block's array is reused once fn returns, so its values are copied."""
+    """FrameBlocks' blocks joined along frames, after checking that the
+    blocks come in order: full blocks, then a rest. A block's array is
+    reused once fn returns, so its values are copied."""
     blocks = FrameBlocks(kind, masks, truth, grid, sigma_deg)
-    parts, frames = [blocks.empty], []
-    values = [blocks.empty.values]
+    parts, frames = [], []
+    values = [np.empty((0, masks.bins, grid.theta_count))]
 
     def keep(t0, block):
         frames.append((t0, block.frames))
@@ -458,7 +524,6 @@ def _joined_blocks(kind, masks, truth, grid, sigma_deg=6.0):
     blocks.each_block(keep)
     assert frames == [(t0, min(_ENCODE_BLOCK_FRAMES, masks.frames - t0))
                       for t0 in range(0, masks.frames, _ENCODE_BLOCK_FRAMES)]
-    assert parts[0].frames == 0
     assert all(part.kind == kind and part.grid == grid for part in parts)
     return np.concatenate(values)
 
