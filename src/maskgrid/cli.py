@@ -139,36 +139,39 @@ def _model_params(cfg: RunConfig):
     return container.load_params(cfg.params_path)
 
 
-def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir):
-    """Mixture STFT, coding per estimate.mode (`params` is
-    _model_params(cfg)) and its frame likelihood; writes coding.bin,
-    masks.bin and encode.json.
+def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir,
+                  average: bool = False):
+    """Mixture STFT, the coding per estimate.mode (`params` is
+    _model_params(cfg)) and, if `average`, its frame likelihood; writes
+    coding.bin, masks.bin and encode.json.
 
-    In oracle mode the coding is a coding.FrameBlocks: its construction
-    runs every encoder check before the first write, and each block of
-    frames is encoded once, written to coding.bin and averaged over
-    frequency in one pass, so no full tensor is held. corrupt mode (one
-    noise draw over the whole tensor) and model mode build the full
-    tensor, which the writer takes as one block.
+    The coding is a source of frame blocks: coding.FrameBlocks, passed
+    through estimator.corrupt_blocks in corrupt mode, or
+    estimator.forward_blocks in model mode. Making it runs the encoder's
+    or the model's checks before the first write; each block is then made
+    once, written to coding.bin and, if `average`, averaged over frequency
+    in the same pass, so no full tensor is held.
     """
     mixture_spec = stft.analyze(mixture, cfg.stft_config())
     _, masks = _source_masks(cfg, images)
     if params is not None:
-        coded = estimator.forward(params, estimator.features(mixture_spec),
-                                  cfg.grid())
-    elif cfg.estimate_mode == "corrupt":
-        coded = estimator.corrupt_oracle(
-            _encode(cfg, cfg.coding_kind, masks, truth), cfg.noise_std,
-            cfg.blur_cells, cfg.seed)
+        coded = estimator.forward_blocks(
+            params, estimator.features(mixture_spec), cfg.grid())
     else:
         coded = coding.FrameBlocks(cfg.coding_kind, masks, truth, cfg.grid(),
                                    cfg.sigma_deg)
+        if cfg.estimate_mode == "corrupt":
+            coded = estimator.corrupt_blocks(coded, cfg.noise_std,
+                                             cfg.blur_cells, cfg.seed)
     record = {"kind": coded.kind, "theta_count": coded.grid.theta_count,
               "span_deg": coded.grid.span_deg, "sigma_deg": cfg.sigma_deg,
               "eps_m_db": cfg.eps_m_db}
-    path = out_dir / "coding.bin"
-    likelihood = decode.freq_average(
-        coded, lambda average: container.save_coding(path, coded, average))
+    path, likelihood = out_dir / "coding.bin", None
+    if average:
+        likelihood = decode.freq_average(
+            coded, lambda then: container.save_coding(path, coded, then))
+    else:
+        container.save_coding(path, coded)
     container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
     _write_json(out_dir / "encode.json", record, _meta(cfg))
     return mixture_spec, coded, likelihood
@@ -402,7 +405,7 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     _save_scene(cfg, rendered, out_dir)
     mixture_spec, coded, likelihood = _encode_stage(
         cfg, rendered.mixture, rendered.source_images, rendered.truth, params,
-        out_dir)
+        out_dir, average=True)
     estimates, sampled = _decode(cfg, coded, likelihood, out_dir)
     separated = _separate(cfg, mixture_spec, sampled, estimates, out_dir)
     report, path = _score(cfg, out_dir, estimates, rendered.truth, separated,

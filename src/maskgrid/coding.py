@@ -158,6 +158,30 @@ class CodingTensor:
         return self.values.transpose(2, 0, 1)[np.asarray(cells, dtype=np.intp)]
 
 
+class BlockSource:
+    """A coding whose each_block(fn) calls fn(t0, block) with CodingTensor
+    blocks of frames t0 .. t0 + block.frames in order, as FrameBlocks does;
+    a subclass may define each_block as a method (container.CodingFile)."""
+
+    def __init__(self, frames: int, bins: int, grid: SpatialGrid, kind: str,
+                 each_block):
+        self.frames, self.bins, self.grid, self.kind = frames, bins, grid, kind
+        self.each_block = each_block
+
+    def columns(self, cells) -> np.ndarray:
+        """(len(cells), frames, bins): the coding's columns at `cells`,
+        gathered in one each_block pass."""
+        cells = np.asarray(cells, dtype=np.intp)
+        values = np.empty((cells.size, self.frames, self.bins))
+
+        def put(t0, block):
+            values[:, t0:t0 + block.frames] = block.values.transpose(2, 0, 1)[
+                cells]
+
+        self.each_block(put)
+        return values
+
+
 def compute_irm(source_specs, eps_m_db: float = -35.0) -> MaskSet:
     """Thresholded ideal ratio masks from per-speaker source spectrograms.
 

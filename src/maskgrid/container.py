@@ -38,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import (_ENCODE_BLOCK_FRAMES, CODING_KINDS, CodingTensor,
-                     MaskSet, SpatialGrid)
+from .coding import (_ENCODE_BLOCK_FRAMES, CODING_KINDS, BlockSource,
+                     CodingTensor, MaskSet, SpatialGrid)
 from .errors import ConfigError, FormatError, NumericError
 from .estimator import EstimatorParams
 
@@ -149,8 +149,8 @@ def save_coding(path, coding, then=None) -> None:
     """Write a coding a block at a time, as coding.each_block hands it out.
 
     coding: a CodingTensor (one block), or a source of its frame blocks
-    with the same frames, bins, grid and kind (coding.FrameBlocks), whose
-    full tensor is then never held.
+    with the same frames, bins, grid and kind (coding.FrameBlocks,
+    coding.BlockSource), whose full tensor is then never held.
     then: if given, then(t0, block) is called on each block once it is
     written, so another consumer of the blocks shares this pass.
     """
@@ -166,15 +166,14 @@ def save_coding(path, coding, then=None) -> None:
         coding.each_block(write)
 
 
-class CodingFile:
+class CodingFile(BlockSource):
     """A coding.bin read a block of frames at a time, so its full tensor is
     never held.
 
     The header, kind tag and grid are checked here; `each_block(fn)` then
     reads the file again on each call and calls fn(t0, block) with a
     float64 CodingTensor of frames t0 .. t0 + block.frames, as
-    coding.FrameBlocks does, and `columns(cells)` gathers some cells'
-    columns in one such pass.
+    coding.FrameBlocks does.
     """
 
     def __init__(self, path):
@@ -198,30 +197,6 @@ class CodingFile:
                 n = min(_ENCODE_BLOCK_FRAMES, self.frames - t0)
                 values = _payload(fh, str(self.path), (n, self.bins, cells))
                 fn(t0, CodingTensor(values, self.grid, self.kind))
-
-    def columns(self, cells) -> np.ndarray:
-        """(len(cells), frames, bins): the coding's columns at `cells`."""
-        cells = np.asarray(cells, dtype=np.intp)
-        values = np.empty((cells.size, self.frames, self.bins))
-
-        def put(t0, block):
-            values[:, t0:t0 + block.frames] = block.values.transpose(2, 0, 1)[
-                cells]
-
-        self.each_block(put)
-        return values
-
-
-def load_coding(path) -> CodingTensor:
-    """The whole coding in coding.bin, read through CodingFile."""
-    source = CodingFile(path)
-    values = np.empty((source.frames, source.bins, source.grid.theta_count))
-
-    def put(t0, block):
-        values[t0:t0 + block.frames] = block.values
-
-    source.each_block(put)
-    return CodingTensor(values, source.grid, source.kind)
 
 
 def save_masks(path, masks: MaskSet, span_deg: float = 0.0) -> None:

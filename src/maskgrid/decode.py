@@ -71,12 +71,12 @@ def freq_average(coding, each_block=None) -> FrameLikelihood:
     """Mean of the coding over all frequency bins, per frame and cell.
 
     coding: a CodingTensor, or a source of its frame blocks with the same
-    frames, grid and each_block (coding.FrameBlocks, container.CodingFile).
+    frames, grid and each_block (coding.FrameBlocks, coding.BlockSource).
     Each (frame, cell) mean is taken on its own, so the rows built block by
     block are bit-identical to the full tensor's.
     each_block: the pass that hands out coding's blocks, coding.each_block
-    by default; the encode stage passes container.save_coding's, so the
-    blocks it writes are averaged in the same pass.
+    by default; pipeline's encode stage passes container.save_coding's, so
+    the blocks it writes are averaged in the same pass.
     """
     values = np.empty((coding.frames, coding.grid.theta_count))
 
@@ -229,7 +229,8 @@ def sample_masks(coding, doas: DoaEstimates) -> MaskSet:
 
     coding: a CodingTensor, or a source of its columns with the same
     frames, bins and grid: coding.FrameBlocks encodes only those cells'
-    columns, container.CodingFile gathers them in one pass over the file.
+    columns, and a coding.BlockSource (container.CodingFile and the
+    estimator's corrupt and model sources) gathers them in one pass.
     Nothing is read when there is no cluster.
     """
     cells = [coding.grid.index_of(c.center_deg) for c in doas.clusters]

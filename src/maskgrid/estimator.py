@@ -10,12 +10,12 @@ finite differences in the tests.
 The passes reuse their buffers in place. A backward pass holds two
 (rows, cells) arrays: the output y, which becomes the output gradient, and
 one buffer that takes y - target and then its squares for the loss. Beside
-them it holds the (rows, hidden) activations and one 4-frame target block,
-never a whole target: a coding.FrameBlocks target is encoded a block at a
-time, once per backward pass and once per validation loss, whose squares
-go into forward's output buffer. Each element still goes through the
-reference formulas' floating-point operations in their order: results are
-bit-identical to them.
+them it holds the (rows, hidden) activations and one one-frame target
+block, never a whole target: a coding.FrameBlocks target is encoded a
+frame at a time, once per backward pass and once per validation loss,
+whose squares go into forward's output buffer. Each element still goes
+through the reference formulas' floating-point operations in their order:
+results are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodingTensor, SpatialGrid
+from .coding import BlockSource, CodingTensor, SpatialGrid
 from .errors import ConfigError, ShapeError, TrainingError
 from .stft import Spectrogram
 
@@ -192,6 +192,20 @@ def forward(params: EstimatorParams, feats: np.ndarray,
         raise ShapeError(f"grid {grid.theta_count} != output dim {params.output_dim}")
     _, y = _layers(params, feats.reshape(t * k, f))
     return CodingTensor(y.reshape(t, k, grid.theta_count), grid, "estimated")
+
+
+def forward_blocks(params: EstimatorParams, feats: np.ndarray,
+                   grid: SpatialGrid) -> BlockSource:
+    """forward(params, feats, grid) a frame at a time, after its shape
+    checks; a one-frame product may take another BLAS kernel than the
+    whole one, and differ from its rows in the last bits."""
+    forward(params, feats[:0], grid)  # its shape checks, on no frames
+
+    def each_block(fn):
+        for t0 in range(len(feats)):
+            fn(t0, forward(params, feats[t0:t0 + 1], grid))
+
+    return BlockSource(*feats.shape[:2], grid, "estimated", each_block)
 
 
 def backward(params: EstimatorParams, feats: np.ndarray, target) -> tuple:
@@ -380,7 +394,8 @@ def corrupt_oracle(coding: CodingTensor, noise_std: float = 0.0,
 
     The blur is a moving average of radius blur_cells with wraparound; noise
     is Gaussian clipped to 5 standard deviations; the result is clipped to
-    [0, 1]. Identity when both knobs are zero.
+    [0, 1]. Identity when both knobs are zero. seed may be a Generator,
+    which the noise is then drawn from.
     """
     if noise_std < 0 or blur_cells < 0:
         raise ConfigError("noise_std and blur_cells must be non-negative")
@@ -404,3 +419,18 @@ def corrupt_oracle(coding: CodingTensor, noise_std: float = 0.0,
         # values is a fresh array here, never coding.values.
         np.clip(values, 0.0, 1.0, out=values)
     return CodingTensor(values, coding.grid, coding.kind)
+
+
+def corrupt_blocks(oracle, noise_std: float, blur_cells: int,
+                   seed: int) -> BlockSource:
+    """corrupt_oracle of each block of `oracle` (a coding.FrameBlocks),
+    bit-identical to one call on the full tensor: the blur and the clips
+    act within a frame, and each pass draws the noise in C order from one
+    generator made fresh from `seed`."""
+    def each_block(fn):
+        rng = np.random.default_rng(seed)
+        oracle.each_block(lambda t0, block: fn(
+            t0, corrupt_oracle(block, noise_std, blur_cells, rng)))
+
+    return BlockSource(oracle.frames, oracle.bins, oracle.grid, oracle.kind,
+                       each_block)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from maskgrid import cli, coding, container, decode, estimator, stft
 from maskgrid.cli import main
 from maskgrid.config import DEFAULTS, load_config
-from maskgrid.container import load_coding, load_params, save_params
+from maskgrid.container import (CodingFile, load_params, read_array,
+                                save_params)
 from maskgrid.signal import TimeSignal, load_wav, save_wav
 from maskgrid.stft import analyze
 
@@ -112,8 +113,7 @@ class TestEncodeDecodeChain:
         main(["simulate", "--config", ini, "--out", str(out)])
         assert main(["encode", "--config", ini, "--theta-count", "180",
                      "--out", str(out)]) == 0
-        tensor = load_coding(out / "coding.bin")
-        assert tensor.grid.theta_count == 180
+        assert CodingFile(out / "coding.bin").grid.theta_count == 180
         data = json.loads((out / "encode.json").read_text())
         assert data["theta_count"] == 180
 
@@ -269,9 +269,9 @@ class TestOneEncodeStage:
         want = estimator.corrupt_oracle(
             coding.encode_mwslc(masks, truth, cfg.grid(), cfg.sigma_deg),
             0.15, 2, cfg.seed)
-        got = load_coding(out / "coding.bin")
-        assert got.kind == "mwslc"
-        assert got.values.tobytes() == \
+        kind, got, _, _, _ = read_array(out / "coding.bin")
+        assert kind == "coding:mwslc"
+        assert got.tobytes() == \
             want.values.astype(np.float32).astype(np.float64).tobytes()
 
     def test_staged_model_mode_never_encodes(self, tmp_path, monkeypatch):
@@ -295,9 +295,9 @@ class TestOneEncodeStage:
             load_params(params),
             estimator.features(analyze(load_wav(out / "mixture.wav"),
                                        cfg.stft_config())), cfg.grid())
-        got = load_coding(out / "coding.bin")
-        assert got.kind == "estimated"
-        assert got.values.tobytes() == \
+        kind, got, _, _, _ = read_array(out / "coding.bin")
+        assert kind == "coding:estimated"
+        assert got.tobytes() == \
             want.values.astype(np.float32).astype(np.float64).tobytes()
         assert json.loads((out / "encode.json").read_text())["kind"] == \
             "estimated"
@@ -398,7 +398,7 @@ class TestTrain:
         # Two epochs of training cannot localize reliably; the run must
         # either complete or fail the no-speakers check, never crash.
         assert code in (0, 3)
-        assert load_coding(model_out / "coding.bin").kind == "estimated"
+        assert CodingFile(model_out / "coding.bin").kind == "estimated"
 
     def test_model_mode_never_encodes(self, tmp_path, monkeypatch):
         ini = _fast_ini(tmp_path)
@@ -420,7 +420,7 @@ class TestTrain:
         code = main(["pipeline", "--config", model_ini, "--out",
                      str(model_out)])
         assert code in (0, 3)
-        assert load_coding(model_out / "coding.bin").kind == "estimated"
+        assert CodingFile(model_out / "coding.bin").kind == "estimated"
 
 
 def _former_cmd_train(cfg, args) -> int:
@@ -507,10 +507,12 @@ class TestTrainTargetsByBlock:
         assert not out.exists()
 
 
-def _former_encode_stage(cfg, mixture, images, truth, params, out_dir):
+def _former_encode_stage(cfg, mixture, images, truth, params, out_dir,
+                         average=False):
     """_encode_stage as it was when every mode built the full tensor, kept
     verbatim, but for the former save_coding (write_array of the whole
-    tensor) written out, as the oracle of the streamed stage."""
+    tensor) written out, as the oracle of the streamed stage. It returns
+    no likelihood, so pipeline's `average` is ignored."""
     mixture_spec = stft.analyze(mixture, cfg.stft_config())
     _, masks = cli._source_masks(cfg, images)
     if params is not None:
@@ -565,9 +567,11 @@ def _former_cmd_decode(cfg, args) -> int:
     return 0
 
 
-def _three_pass_encode_stage(cfg, mixture, images, truth, params, out_dir):
+def _three_pass_encode_stage(cfg, mixture, images, truth, params, out_dir,
+                             average=False):
     """_encode_stage as it was when coding.bin was written in a pass of its
-    own, kept verbatim: decoding then encoded each block twice more."""
+    own, kept verbatim: decoding then encoded each block twice more. It
+    returns no likelihood, so pipeline's `average` is ignored."""
     mixture_spec = stft.analyze(mixture, cfg.stft_config())
     _, masks = cli._source_masks(cfg, images)
     if params is not None:
@@ -636,8 +640,8 @@ _FORMER_STAGES = {
 
 
 # Configurations of the streamed-stage oracle test, each after an open
-# [scene] section of 0.2 s (13 frames, so the last block of 4 is a short
-# one), on a 180-cell grid.
+# [scene] section of 0.2 s (13 frames, written and decoded one frame at a
+# time), on a 180-cell grid.
 _STREAM_CASES = {
     "oracle": "",
     "shoebox_3sp": "room = shoebox\ndoas_deg = 40,150,260\n"
@@ -692,8 +696,9 @@ def _assert_artifacts_equal_former(tmp_path, monkeypatch, params, case,
 
 
 class TestStreamedCoding:
-    """Oracle-mode encode, decode and pipeline stream coding.bin a block of
-    frames at a time and never hold the (frames, bins, cells) tensor."""
+    """Encode, decode and pipeline stream coding.bin a block of frames at a
+    time in every estimate mode and never hold the (frames, bins, cells)
+    tensor."""
 
     @pytest.mark.parametrize("seed", ["11", "12345"])
     @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
@@ -729,6 +734,51 @@ class TestStreamedCoding:
             finally:
                 tracemalloc.stop()
             assert peak < 40 * 2**20, (command, peak)
+
+    @pytest.mark.parametrize("mode", ["corrupt", "model"])
+    def test_corrupt_and_model_pipelines_hold_no_full_tensor(self, tmp_path,
+                                                             mode):
+        # The same 92 MB tensor: the former corrupt mode held it beside its
+        # noise draw, the former model mode beside its float32 copy.
+        params = tmp_path / "params.bin"
+        save_params(params, estimator.init_params(9, 8, 1440, seed=3,
+                                                  output_bias=-1.0))
+        ini = tmp_path / "fine.ini"
+        ini.write_text("[scene]\nduration_s = 0.5\n[grid]\n"
+                       "theta_count = 1440\n"
+                       + _STREAM_CASES[mode].format(params=params))
+        tracemalloc.start()
+        try:
+            assert main(["pipeline", "--config", str(ini),
+                         "--out", str(tmp_path / "run")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
+
+    @pytest.mark.parametrize("case", ["oracle", "corrupt", "model"])
+    def test_staged_encode_never_averages(self, tmp_path, monkeypatch,
+                                          untrained_params, case):
+        # Only pipeline decodes the coding it writes; staged encode writes
+        # the former full-tensor stage's bytes without a frame likelihood.
+        ini = tmp_path / "case.ini"
+        ini.write_text("[grid]\ntheta_count = 180\n[scene]\nduration_s = 0.2\n"
+                       + _STREAM_CASES[case].format(params=untrained_params))
+        new, old = tmp_path / "new", tmp_path / "old"
+        for out in (new, old):
+            assert main(["simulate", "--config", str(ini),
+                         "--out", str(out)]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_encode_stage", _former_encode_stage)
+            assert main(["encode", "--config", str(ini),
+                         "--out", str(old)]) == 0
+
+        def no_average(*args, **kwargs):
+            raise AssertionError("encode averaged the coding over frequency")
+
+        monkeypatch.setattr(decode, "freq_average", no_average)
+        assert main(["encode", "--config", str(ini), "--out", str(new)]) == 0
+        assert _artifacts(new) == _artifacts(old)
 
     def test_rerun_encode_leaves_the_same_bytes(self, tmp_path):
         ini = _fast_ini(tmp_path)

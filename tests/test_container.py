@@ -8,9 +8,9 @@ import pytest
 
 from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
                              FrameBlocks, MaskSet, SpatialGrid)
-from maskgrid.container import (MAGIC, CodingFile, load_coding, load_masks,
-                                load_params, read_array, save_coding,
-                                save_masks, save_params, write_array)
+from maskgrid.container import (MAGIC, CodingFile, load_masks, load_params,
+                                read_array, save_coding, save_masks,
+                                save_params, write_array)
 from maskgrid.errors import FormatError, NumericError
 from maskgrid.estimator import EstimatorParams, init_params
 
@@ -94,31 +94,33 @@ class TestCoding:
         coding = CodingTensor(np.clip(_f4_exact(rng, (3, 4, 16)), 0, 1),
                               grid, "mwslc")
         save_coding(path, coding)
-        loaded = load_coding(path)
+        loaded = CodingFile(path)
         assert loaded.kind == "mwslc"
         assert loaded.grid.theta_count == 16
         assert loaded.grid.span_deg == 360.0
-        np.testing.assert_array_equal(loaded.values, coding.values)
+        blocks = []
+        loaded.each_block(lambda t0, block: blocks.append(block.values))
+        np.testing.assert_array_equal(np.concatenate(blocks), coding.values)
 
     def test_wrong_kind_rejected(self, tmp_path, rng):
         path = tmp_path / "m.bin"
         save_masks(path, MaskSet(np.clip(_f4_exact(rng, (2, 3, 4)), 0, 1)))
         with pytest.raises(FormatError):
-            load_coding(path)
+            CodingFile(path)
 
     def test_theta_mismatch_rejected(self, tmp_path, rng):
         path = tmp_path / "bad_theta.bin"
         write_array(path, "coding:mwslc", np.zeros((3, 4, 16)),
                     span_deg=360.0, theta_count=8)
         with pytest.raises(FormatError):
-            load_coding(path)
+            CodingFile(path)
 
     def test_unknown_coding_label_rejected(self, tmp_path):
         path = tmp_path / "alien.bin"
         write_array(path, "coding:alien", np.zeros((1, 1, 4)),
                     span_deg=360.0, theta_count=4)
         with pytest.raises(FormatError):
-            load_coding(path)
+            CodingFile(path)
 
 
 class TestMasks:
@@ -205,7 +207,7 @@ class TestParams:
             load_params(path)
 
 
-READERS = (read_array, load_coding, load_masks, load_params, CodingFile)
+READERS = (read_array, load_masks, load_params, CodingFile)
 
 
 class TestSizeChecks:
@@ -290,7 +292,8 @@ class TestCodingFile:
             assert block.frames == min(_ENCODE_BLOCK_FRAMES, frames - t0)
             assert block.values.tobytes() == \
                 values[t0:t0 + block.frames].tobytes()
-        assert load_coding(path).values.tobytes() == values.tobytes()
+        gathered = source.columns(range(8)).transpose(1, 2, 0)
+        assert np.ascontiguousarray(gathered).tobytes() == values.tobytes()
 
     def test_file_cut_after_opening(self, tmp_path, rng):
         path = tmp_path / "coding.bin"

@@ -17,13 +17,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from maskgrid.coding import CodingTensor, MaskSet, SpatialGrid
-from maskgrid.container import (_KIND_BYTES, MAGIC, load_coding, load_masks,
+from maskgrid.container import (_KIND_BYTES, MAGIC, CodingFile, load_masks,
                                 load_params, read_array, save_coding,
                                 save_masks, save_params, write_array)
 from maskgrid.errors import FormatError
 from maskgrid.estimator import EstimatorParams, init_params
 
-LOADERS = (read_array, load_coding, load_masks, load_params)
+
+def read_coding(path):
+    """Every check and read that staged decode makes of a coding.bin: a
+    CodingFile and one pass over its blocks."""
+    CodingFile(path).each_block(lambda t0, block: None)
+
+
+LOADERS = (read_array, read_coding, load_masks, load_params)
 
 
 def _kind_bytes(kind: str) -> bytes:
@@ -135,7 +142,7 @@ class TestTypedLoadersRaiseFormatError:
         write_array(path, "coding:mwslc", np.zeros((2, 3, theta)),
                     span_deg=360.0, theta_count=theta)
         with pytest.raises(FormatError, match="at least 2 cells"):
-            load_coding(path)
+            CodingFile(path)
 
     @pytest.mark.parametrize("span", [0.0, -90.0, 360.5, math.inf, math.nan])
     def test_coding_span_outside_range(self, tmp_path, span):
@@ -143,7 +150,7 @@ class TestTypedLoadersRaiseFormatError:
         write_array(path, "coding:mwslc", np.zeros((2, 3, 4)), span_deg=span,
                     theta_count=4)
         with pytest.raises(FormatError, match="span must be in"):
-            load_coding(path)
+            CodingFile(path)
 
     @pytest.mark.parametrize("shape", [(), (4,), (3, 4), (1, 2, 3, 4)])
     def test_masks_not_three_dimensional(self, tmp_path, shape):
@@ -196,7 +203,7 @@ def _assert_loaders_return_or_raise_format_error(path, blob):
 class TestFuzzedContainers:
     def test_valid_files_load(self, tmp_path):
         path = tmp_path / "valid.bin"
-        for name, loader in (("coding", load_coding), ("masks", load_masks),
+        for name, loader in (("coding", read_coding), ("masks", load_masks),
                              ("params", load_params), ("array", read_array)):
             path.write_bytes(VALID[name])
             loader(path)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -10,8 +10,9 @@ from maskgrid.coding import (ENCODERS, CodingTensor, DoaSet, FrameBlocks,
                              MaskSet, SpatialGrid)
 from maskgrid.errors import ShapeError, TrainingError
 from maskgrid.estimator import (EstimatorParams, Gradients, TrainConfig,
-                                _mean_loss, _sigmoid, backward, corrupt_oracle,
-                                features, forward, init_params, train)
+                                _mean_loss, _sigmoid, backward, corrupt_blocks,
+                                corrupt_oracle, features, forward,
+                                forward_blocks, init_params, train)
 from maskgrid.stft import Spectrogram
 
 
@@ -500,10 +501,9 @@ class TestCorruptOracleIdentity:
 
 
 class TestNoiseDrawnInFrameBlocks:
-    """What a blocked corrupt mode would rest on: one Generator.normal draw
-    over (frames, bins, cells) is the same stream as the same generator's
-    draws over C-order blocks of frames, a short last block included.
-    No code relies on it yet."""
+    """What corrupt_blocks rests on: one Generator.normal draw over
+    (frames, bins, cells) is the same stream as the same generator's draws
+    over C-order blocks of frames, a short last block included."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(0, 14),
@@ -519,3 +519,96 @@ class TestNoiseDrawnInFrameBlocks:
             n = min(block, frames - t0)
             blocked[t0:t0 + n] = rng.normal(0.0, scale, (n, bins, cells))
         assert blocked.tobytes() == whole.tobytes()
+
+
+def _blocks_of(source):
+    """The source's blocks stacked over frames, and their t0 in order."""
+    values = np.empty((source.frames, source.bins, source.grid.theta_count))
+    starts = []
+
+    def put(t0, block):
+        starts.append(t0)
+        values[t0:t0 + block.frames] = block.values
+
+    source.each_block(put)
+    return values, starts
+
+
+class TestStreamedSources:
+    """forward_blocks and corrupt_blocks hand out a frame at a time what one
+    forward or corrupt_oracle call gives for the whole scene, and gather
+    the columns of exactly those blocks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(frames=st.integers(0, 7), bins=st.integers(1, 40),
+           hidden=st.integers(1, 40), cells=st.integers(2, 64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_forward_blocks_match_one_forward(self, frames, bins, hidden,
+                                              cells, seed):
+        # Each (frame, bin) row goes through the same operations as in one
+        # call, but a one-frame product may take another BLAS kernel (with
+        # OpenBLAS: a small-matrix kernel, or gemv for one row or column),
+        # which rounds the sums differently.
+        rng = np.random.default_rng(seed)
+        feats = rng.standard_normal((frames, bins, 5))
+        params = init_params(5, hidden, cells, seed=seed % 997,
+                             output_bias=-1.0)
+        grid = SpatialGrid(cells)
+        source = forward_blocks(params, feats, grid)
+        assert (source.frames, source.bins, source.grid, source.kind) == (
+            frames, bins, grid, "estimated")
+        got, starts = _blocks_of(source)
+        assert starts == list(range(frames))
+        np.testing.assert_allclose(got, forward(params, feats, grid).values,
+                                   rtol=1e-12, atol=0.0)
+        picked = rng.choice(cells, min(cells, 3), replace=False)
+        assert source.columns(picked).tobytes() == np.ascontiguousarray(
+            got.transpose(2, 0, 1)[picked]).tobytes()
+
+    @pytest.mark.parametrize("hidden, cells", [(64, 720), (8, 180)])
+    def test_forward_blocks_bit_equal_at_the_cli_shapes(
+            self, two_speaker_scene, hidden, cells):
+        # The default model (64 hidden units, 720 cells) and the CLI tests'
+        # untrained one on 257 bins; 62 frames.
+        feats = features(two_speaker_scene.mixture_spec)
+        params = init_params(feats.shape[2], hidden, cells, seed=3,
+                             output_bias=-1.0)
+        grid = SpatialGrid(cells)
+        got, _ = _blocks_of(forward_blocks(params, feats, grid))
+        assert got.tobytes() == forward(params, feats, grid).values.tobytes()
+
+    def test_forward_blocks_check_shapes_before_any_block(self, rng):
+        feats = rng.standard_normal((3, 4, 5))
+        with pytest.raises(ShapeError, match="output dim"):
+            forward_blocks(init_params(5, 2, 8), feats, SpatialGrid(9))
+        with pytest.raises(ShapeError, match="feature dim"):
+            forward_blocks(init_params(6, 2, 8), feats, SpatialGrid(8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(frames=st.integers(1, 6), bins=st.integers(1, 6),
+           cells=st.integers(2, 24), noise=st.sampled_from([0.0, 0.15, 0.4]),
+           blur=st.sampled_from(["none", "one", "whole"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(frames=1, bins=3, cells=5, noise=0.15, blur="whole", seed=0)
+    @example(frames=1, bins=2, cells=7, noise=0.0, blur="one", seed=1)
+    def test_corrupt_blocks_match_one_call(self, frames, bins, cells, noise,
+                                           blur, seed):
+        # "whole": 2 * blur_cells + 1 >= cells, so the blur is the mean.
+        blur_cells = {"none": 0, "one": 1, "whole": cells // 2}[blur]
+        rng = np.random.default_rng(seed)
+        grid = SpatialGrid(cells)
+        masks = MaskSet(rng.uniform(0.0, 1.0, (2, frames, bins)))
+        truth = DoaSet(grid.centers()[rng.choice(cells, 2, replace=False)])
+        want = corrupt_oracle(ENCODERS["mwslc"](masks, truth, grid, 30.0),
+                              noise, blur_cells, seed).values
+        source = corrupt_blocks(FrameBlocks("mwslc", masks, truth, grid, 30.0),
+                                noise, blur_cells, seed)
+        assert (source.frames, source.bins, source.grid, source.kind) == (
+            frames, bins, grid, "mwslc")
+        for _ in range(2):  # each pass draws from a fresh generator
+            got, starts = _blocks_of(source)
+            assert starts == list(range(frames))
+            assert got.tobytes() == want.tobytes()
+        picked = rng.choice(cells, min(cells, 3), replace=False)
+        assert source.columns(picked).tobytes() == np.ascontiguousarray(
+            want.transpose(2, 0, 1)[picked]).tobytes()
