@@ -296,13 +296,14 @@ def cmd_conditioning(cfg: RunConfig, args) -> int:
 
 def _calibration_scene(cfg: RunConfig, index: int):
     """Frame likelihood of the oracle coding, and truth, of varied scene
-    `index`; the coding is frequency-averaged a block of frames at a time,
-    so its full tensor is never held."""
+    `index`; FrameBlocks.mean_over_bins averages the coding over frequency
+    from the masks and rows, encoding no cell, after the coding's checks."""
     _, rendered = _varied_scene(cfg, index)
     _, masks = _source_masks(cfg, rendered.source_images)
     blocks = coding.FrameBlocks(cfg.coding_kind, masks, rendered.truth,
                                 cfg.grid(), cfg.sigma_deg)
-    return decode.freq_average(blocks), rendered.truth
+    return (decode.FrameLikelihood(blocks.mean_over_bins(), blocks.grid),
+            rendered.truth)
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:

@@ -9,6 +9,7 @@ mwslc, mwslc_sum), and folds the speakers by max or by sum (_CODINGS).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -318,6 +319,23 @@ def _place(masks: MaskSet, rows: np.ndarray, combine,
     return out
 
 
+def _split_sums(points, bounds, below, above, side: str):
+    """With `points` sorted, each bound's (sum of `below` over the points
+    before its searchsorted position, sum of `above` over those from it on).
+
+    The max fold of two active speakers i and j gives (bin k, cell c) to
+    speaker i iff key[c] = exps_j[c] - exps_i[c] >= log M_j[k] - log M_i[k]:
+    conditioning sorts the cells' keys and splits them at each bin's log
+    ratio, FrameBlocks.mean_over_bins sorts a frame's log ratios and splits
+    them at each cell's key.
+    """
+    order = np.argsort(points, kind="stable")
+    split = np.searchsorted(points[order], bounds, side=side)
+    before = np.append(0.0, np.cumsum(below[order]))
+    after = np.append(np.cumsum(above[order][::-1])[::-1], 0.0)
+    return before[split], after[split]
+
+
 def fold(masks: MaskSet, rows: np.ndarray, grid: SpatialGrid, kind: str,
          out: np.ndarray | None = None) -> CodingTensor:
     """CodingTensor of `kind`: each mask times its row, folded from zeros in
@@ -392,7 +410,8 @@ class FrameBlocks:
     def __init__(self, kind: str, masks: MaskSet, truth: DoaSet,
                  grid: SpatialGrid, sigma_deg: float):
         self.rows = _rows(kind, masks.speakers, truth, grid, sigma_deg)
-        self.masks, self.grid, self.kind = masks, grid, kind
+        self.masks, self.truth, self.grid, self.kind = masks, truth, grid, kind
+        self.sigma_deg = sigma_deg
         self.frames, self.bins = masks.frames, masks.bins
 
     def each_block(self, fn) -> None:
@@ -416,3 +435,52 @@ class FrameBlocks:
         """
         values = _place(self.masks, self.rows[:, cells], _CODINGS[self.kind][1])
         return np.ascontiguousarray(values.transpose(2, 0, 1))
+
+    def mean_over_bins(self) -> np.ndarray:
+        """(frames, cells): the encoding's mean over bins, as
+        decode.freq_average of these blocks gives it, from the masks and
+        rows without encoding a cell.
+
+        With masks M_i and rows g_i, the sum over bins at frame t is
+          - a sum fold: sum_i (sum_k M_i[t, k]) g_i;
+          - the max fold: g_i sum_k M_i[t, k] over the bins where only
+            speaker i is active; over the bins where i and j are, speaker i
+            holds cell c at bin k iff key[c] = exps_j[c] - exps_i[c] >=
+            log M_j[t, k] - log M_i[t, k] (_split_sums, the bins' log ratios
+            sorted once per frame); and at bins with three or more active
+            speakers the maximum cell by cell, as the encoder takes it.
+        mwsbc sums each mask over bins in bin order, as the mean over a
+        block's bin axis does, so for finite masks it is bit-identical; the
+        Gaussian kinds sum in another order and agree to 1e-12 relative.
+        Masks are nonnegative, as compute_irm gives them.
+        """
+        masks, rows = self.masks.values, self.rows
+        speakers, frames, bins = masks.shape
+        if _CODINGS[self.kind][1] is np.add:
+            # A running sum adds the bins in order, as the mean over a
+            # block's bin axis does; np.sum along a contiguous axis (one
+            # frame) adds pairwise.
+            sums = np.cumsum(masks, axis=2)[:, :, -1]
+            return (sums.T @ rows) / bins
+        values = masks.reshape(speakers, -1)
+        active = values > 0
+        count = active.sum(axis=0)
+        single = np.where(count == 1, values, 0.0)
+        total = single.reshape(speakers, frames, bins).sum(axis=2).T @ rows
+        exps = _gaussian_exponents(self.truth, self.grid, self.sigma_deg)
+        for i, j in itertools.combinations(range(speakers), 2):
+            pair = ((count == 2) & active[i] & active[j]).reshape(frames, bins)
+            key = exps[j] - exps[i]
+            for t in np.flatnonzero(pair.any(axis=1)):
+                at = np.flatnonzero(pair[t])
+                mask_i, mask_j = masks[i, t, at], masks[j, t, at]
+                held_by_i, held_by_j = _split_sums(
+                    np.log(mask_j) - np.log(mask_i), key, mask_i, mask_j,
+                    "right")
+                total[t] += rows[i] * held_by_i + rows[j] * held_by_j
+        many = np.flatnonzero(count >= 3)
+        for start in range(0, many.size, _ENCODE_BLOCK_ROWS):
+            at = many[start:start + _ENCODE_BLOCK_ROWS]
+            np.add.at(total, at // bins,
+                      (values[:, at, None] * rows[:, None, :]).max(axis=0))
+        return total / bins

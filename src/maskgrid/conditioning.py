@@ -16,8 +16,10 @@ over the cells and G_i = sum_cells g_i, the cell sum at a bin is
     speaker i holds exactly the cells where M_i g_i >= M_j g_j, that is
     where (d_j^2 - d_i^2) / sigma^2 >= log(M_j / M_i) for distances d to
     the DoAs: the cells sorted once by that key, each bin's sum is one
-    binary search into prefix sums of g_i and g_j. Bins with three or
-    more active speakers take the maximum cell by cell.
+    binary search into prefix sums of g_i and g_j (coding._split_sums,
+    which also serves coding.FrameBlocks.mean_over_bins along the other
+    axis). Bins with three or more active speakers take the maximum cell
+    by cell.
 These sums run in another order than a sum over encoded cells, so they
 agree with it to 1e-12 relative; theta_sweep says where they are
 bit-identical.
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import (_ENCODE_BLOCK_ROWS, CodingTensor, DoaSet, MaskSet,
-                     SpatialGrid, _gaussian_exponents, snap_to_grid)
+                     SpatialGrid, _gaussian_exponents, _split_sums,
+                     snap_to_grid)
 from .errors import ConfigError, ShapeError
 
 SWEEP_COLUMNS = ("theta_count", "mean_mwsbc", "mean_mwslc_max",
@@ -102,22 +105,6 @@ class ConditioningReport:
         return [{c: getattr(r, c) for c in SWEEP_COLUMNS} for r in self.rows]
 
 
-def _pair_cell_sums(exps_i, exps_j, rows_i, rows_j, masks_i, masks_j):
-    """Per bin, sum_cells max(M_i g_i, M_j g_j) for masks M_i, M_j > 0.
-
-    Speaker i holds the cells where key = exps_j - exps_i >= log(M_j / M_i).
-    The key stays in exponent form, because g underflows to 0 far from a
-    DoA.
-    """
-    key = exps_j - exps_i
-    order = np.argsort(key, kind="stable")
-    # Speaker i holds the sorted cells from `split` on, speaker j the rest.
-    split = np.searchsorted(key[order], np.log(masks_j) - np.log(masks_i))
-    held_by_i = np.append(np.cumsum(rows_i[order][::-1])[::-1], 0.0)
-    held_by_j = np.append(0.0, np.cumsum(rows_j[order]))
-    return masks_i * held_by_i[split] + masks_j * held_by_j[split]
-
-
 def _gaussian_cell_sums(masks: MaskSet, exps: np.ndarray):
     """sum_cells of the max-form and sum-form Gaussian codings, each (T, K).
 
@@ -133,8 +120,13 @@ def _gaussian_cell_sums(masks: MaskSet, exps: np.ndarray):
     count = active.sum(axis=0)
     for i, j in itertools.combinations(range(masks.speakers), 2):
         at = np.flatnonzero((count == 2) & active[i] & active[j])
-        max_form[at] = _pair_cell_sums(exps[i], exps[j], rows[i], rows[j],
-                                       values[i, at], values[j, at])
+        masks_i, masks_j = values[i, at], values[j, at]
+        # The key stays in exponent form, because g underflows to 0 far
+        # from a DoA.
+        held_by_j, held_by_i = _split_sums(
+            exps[j] - exps[i], np.log(masks_j) - np.log(masks_i), rows[j],
+            rows[i], "left")
+        max_form[at] = masks_i * held_by_i + masks_j * held_by_j
     # Three or more: the maximum over speakers cell by cell, as the encoder
     # takes it, then the same sum over cells.
     many = np.flatnonzero(count >= 3)

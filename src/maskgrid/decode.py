@@ -87,28 +87,39 @@ def freq_average(coding, each_block=None) -> FrameLikelihood:
     return FrameLikelihood(values, coding.grid)
 
 
-def peak_search(fl: FrameLikelihood, eps_theta: float,
-                delta_theta_deg: float = 6.0) -> list:
-    """Frame-wise peaks: cells at or above eps_theta that are maximal within
-    a wrapped neighborhood of +-delta_theta_deg (closed at the boundary).
-
-    A plateau of circularly adjacent equal-valued peaks yields only its
-    lowest-index cell.
-    """
-    if not 0.0 < eps_theta < 1.0:
-        raise ConfigError(f"eps_theta must be in (0, 1), got {eps_theta}")
+def _at_window_max(fl: FrameLikelihood, delta_theta_deg: float) -> np.ndarray:
+    """(frames, cells): where a value is the maximum of its wrapped
+    neighbourhood of +-delta_theta_deg (closed at the boundary)."""
     if delta_theta_deg <= 0:
         raise ConfigError(f"delta_theta must be positive, got {delta_theta_deg}")
     v = fl.values
-    grid = fl.grid
-    theta = grid.theta_count
-    reach = int(math.floor(delta_theta_deg / grid.cell_width_deg + 1e-9))
-    reach = min(reach, theta // 2)
+    reach = int(math.floor(delta_theta_deg / fl.grid.cell_width_deg + 1e-9))
+    reach = min(reach, fl.grid.theta_count // 2)
     window_max = v.copy()
     for off in range(1, reach + 1):
         np.maximum(window_max, np.roll(v, off, axis=1), out=window_max)
         np.maximum(window_max, np.roll(v, -off, axis=1), out=window_max)
-    is_peak = (v >= eps_theta) & (v >= window_max)
+    return v >= window_max
+
+
+def peak_search(fl: FrameLikelihood, eps_theta: float,
+                delta_theta_deg: float = 6.0, at_window_max=None) -> list:
+    """Frame-wise peaks: cells at or above eps_theta that are maximal within
+    a wrapped neighborhood of +-delta_theta_deg (closed at the boundary).
+
+    A plateau of circularly adjacent equal-valued peaks yields only its
+    lowest-index cell. at_window_max: _at_window_max(fl, delta_theta_deg),
+    which calibrate_threshold takes once per scene for all its thresholds;
+    computed here if None.
+    """
+    if not 0.0 < eps_theta < 1.0:
+        raise ConfigError(f"eps_theta must be in (0, 1), got {eps_theta}")
+    if at_window_max is None:
+        at_window_max = _at_window_max(fl, delta_theta_deg)
+    v = fl.values
+    grid = fl.grid
+    theta = grid.theta_count
+    is_peak = (v >= eps_theta) & at_window_max
 
     # A run of circularly adjacent equal peaks starts where the left
     # neighbour is not an equal peak. A run through cell 0 is reported at
@@ -260,41 +271,42 @@ def calibrate_threshold(validation_scenes, candidates, delta_theta_deg: float = 
     """Exhaustive threshold search maximizing micro-averaged F1.
 
     validation_scenes: any iterable of (FrameLikelihood or CodingTensor,
-    DoaSet) pairs, consumed once. A tensor is reduced to its FrameLikelihood
-    on arrival and not kept, so a generator of tensors keeps one alive at a
-    time. A generator of likelihoods built block by block
-    (freq_average of a coding.FrameBlocks) holds no tensor at all and
-    gives the same result: the mean over bins reduces each (frame, cell) on
-    its own, so the likelihoods are bit-identical.
+    DoaSet) pairs, consumed once. Each scene is run through every candidate
+    on arrival and not kept: a tensor is reduced to its FrameLikelihood,
+    and the peak search's neighbourhood maximum is taken once per scene.
+    So a generator keeps one scene alive at a time, and one of likelihoods
+    (cli's calibrate takes coding.FrameBlocks.mean_over_bins, which
+    encodes no cell) holds no tensor at all.
 
     Every candidate is run through peak search and clustering on every
-    scene; matches within match_tol_deg count as true positives. Ties
-    prefer the lower threshold.
+    scene; matches within match_tol_deg count as true positives, summed
+    over scenes per candidate. Ties prefer the lower threshold.
 
     Raises:
         ConfigError: no candidates, or no validation scenes.
     """
     if not candidates:
         raise ConfigError("need at least one threshold candidate")
-    scenes = []
+    thresholds = sorted(candidates)
+    # Per candidate: true positives, estimates and truths over the scenes.
+    counts = np.zeros((len(thresholds), 3), dtype=np.int64)
+    scenes = 0
     for likelihood, truth in validation_scenes:
         if not isinstance(likelihood, FrameLikelihood):
             likelihood = freq_average(likelihood)  # drops the tensor
-        scenes.append((likelihood, truth))
+        at_max = _at_window_max(likelihood, delta_theta_deg)
+        for n, eps in enumerate(thresholds):
+            detections = peak_search(likelihood, eps, delta_theta_deg, at_max)
+            estimates = cluster_doas(detections, sigma_deg, truth.span_deg,
+                                     min_support_frac)
+            pr = doa_precision_recall(estimates, truth, match_tol_deg)
+            counts[n] += pr.matches, pr.estimate_count, pr.truth_count
+        scenes += 1
     if not scenes:
         raise ConfigError("need at least one validation scene")
     rows = []
     best = None
-    for eps in sorted(candidates):
-        tp = est_total = truth_total = 0
-        for fl, truth in scenes:
-            detections = peak_search(fl, eps, delta_theta_deg)
-            estimates = cluster_doas(detections, sigma_deg, truth.span_deg,
-                                     min_support_frac)
-            pr = doa_precision_recall(estimates, truth, match_tol_deg)
-            tp += pr.matches
-            est_total += pr.estimate_count
-            truth_total += pr.truth_count
+    for eps, (tp, est_total, truth_total) in zip(thresholds, counts.tolist()):
         total = PrecisionRecall.of(tp, est_total, truth_total)
         rows.append(CalibrationRow(eps, total.precision, total.recall, total.f1))
         if best is None or total.f1 > best.f1:

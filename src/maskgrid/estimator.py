@@ -407,9 +407,13 @@ def corrupt_oracle(coding: CodingTensor, noise_std: float = 0.0,
             values = np.broadcast_to(values.mean(axis=2, keepdims=True),
                                      values.shape).copy()
         else:
+            # acc += np.roll(values, off, axis=2) for each offset in turn,
+            # as two slices: the same additions in the same order.
             acc = np.zeros_like(values)
             for off in range(-blur_cells, blur_cells + 1):
-                acc += np.roll(values, off, axis=2)
+                cut = off % theta
+                acc[..., cut:] += values[..., :theta - cut]
+                acc[..., :cut] += values[..., theta - cut:]
             values = np.divide(acc, width, out=acc)
     if noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, noise_std, values.shape)

@@ -348,16 +348,45 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("kind", sorted(coding.ENCODERS))
     def test_scene_likelihood_equals_the_full_tensors(self, tmp_path, kind):
-        # calibrate encodes blocks of frames; the full tensor's frequency
-        # average is the reference, bit for bit.
+        # calibrate averages the coding over frequency in closed form; the
+        # full tensor's frequency average is the reference, bit for bit for
+        # mwsbc and to 1e-12 relative for the Gaussian kinds.
         cfg = load_config(_fast_ini(tmp_path, f"[coding]\nkind = {kind}\n"))
         likelihood, truth = cli._calibration_scene(cfg, 1)
         _, rendered = cli._varied_scene(cfg, 1)
         _, masks = cli._source_masks(cfg, rendered.source_images)
         full = decode.freq_average(cli._encode(cfg, kind, masks, rendered.truth))
         assert likelihood.grid == full.grid
-        assert likelihood.values.tobytes() == full.values.tobytes()
+        if kind == "mwsbc":
+            assert likelihood.values.tobytes() == full.values.tobytes()
+        else:
+            np.testing.assert_allclose(likelihood.values, full.values,
+                                       rtol=1e-12, atol=1e-300)
         assert truth.angles_deg.tobytes() == rendered.truth.angles_deg.tobytes()
+
+    def test_never_encodes(self, tmp_path, monkeypatch):
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("calibrate encoded an oracle coding")
+
+        # Every oracle coding, a full encode or a FrameBlocks block, is
+        # a coding.fold.
+        monkeypatch.setattr(coding, "fold", no_encoding)
+        assert main(["calibrate", "--config", _fast_ini(tmp_path), "--out",
+                     str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("kind", sorted(coding.ENCODERS))
+    def test_outputs_equal_those_of_the_encoded_blocks(self, tmp_path,
+                                                       monkeypatch, kind):
+        ini = _fast_ini(tmp_path, f"[coding]\nkind = {kind}\n")
+        assert main(["calibrate", "--config", ini, "--out",
+                     str(tmp_path / "closed")]) == 0
+        monkeypatch.setattr(coding.FrameBlocks, "mean_over_bins",
+                            lambda blocks: decode.freq_average(blocks).values)
+        assert main(["calibrate", "--config", ini, "--out",
+                     str(tmp_path / "blocks")]) == 0
+        for name in ("calibration.csv", "calibration_best.json"):
+            assert (tmp_path / "closed" / name).read_bytes() == \
+                (tmp_path / "blocks" / name).read_bytes()
 
 
 class TestTrain:

@@ -16,6 +16,7 @@ from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, _ENCODE_BLOCK_ROWS, ENCODERS,
                              encode_mwslc_sum, encode_sbc,
                              encode_slc, frame_activity, snap_to_grid,
                              wrapped_distance)
+from maskgrid.decode import freq_average
 from maskgrid.errors import CollisionError, ConfigError, ShapeError
 from maskgrid.stft import Spectrogram
 
@@ -653,6 +654,78 @@ class TestFrameBlocks:
         calls = []
         tensor.each_block(lambda t0, block: calls.append((t0, block)))
         assert calls == [(0, tensor)]
+
+
+@st.composite
+def _bin_mean_inputs(draw):
+    """(kind, masks, truth, grid, sigma): 1-4 speakers, 0-4 of them active
+    per bin, exact zeros, silent frames and bins, DoAs at 0 and just below
+    the span, and sigmas down to where the bumps underflow one cell away."""
+    kind = draw(st.sampled_from(sorted(ENCODERS)))
+    speakers = draw(st.integers(1, 4))
+    grid = draw(st.sampled_from([SpatialGrid(8), SpatialGrid(90),
+                                 SpatialGrid(720), SpatialGrid(360, 90.0)]))
+    span = grid.span_deg
+    angles = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(float(np.nextafter(span, 0.0))),
+                  st.integers(0, 3599).map(lambda n: n * span / 3600.0)),
+        min_size=speakers, max_size=speakers, unique=True))
+    # Past 8 bins np.sum adds a contiguous row pairwise, not in order.
+    frames, bins = draw(st.integers(0, 6)), draw(st.integers(1, 24))
+    values = draw(arrays(np.float64, (speakers, frames, bins),
+                         elements=st.one_of(st.just(0.0),
+                                            st.floats(0.0, 1.0))))
+    values[:, draw(arrays(np.bool_, frames))] = 0.0
+    values[:, :, draw(arrays(np.bool_, bins))] = 0.0
+    values[:, draw(arrays(np.bool_, (frames, bins)))] = 0.0
+    return (kind, MaskSet(values), DoaSet(np.array(angles), span), grid,
+            draw(st.sampled_from([1e-3, 0.05, 6.0, 40.0])))
+
+
+class TestMeanOverBins:
+    """FrameBlocks.mean_over_bins, which encodes no cell, against
+    freq_average of the blocks: mwsbc bit for bit, the Gaussian kinds to
+    1e-12 relative (zeros and subnormal products get an absolute floor)."""
+
+    @staticmethod
+    def _assert_matches_blocks(kind, masks, truth, grid, sigma):
+        blocks = FrameBlocks(kind, masks, truth, grid, sigma)
+        got = blocks.mean_over_bins()
+        want = freq_average(blocks).values
+        assert got.shape == want.shape == (masks.frames, grid.theta_count)
+        if kind == "mwsbc":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(_bin_mean_inputs())
+    @example(("mwslc", MaskSet(np.full((2, 1, 3), 0.5)),
+              DoaSet(np.array([0.0, np.nextafter(360.0, 0.0)])),
+              SpatialGrid(720), 1e-3))
+    @example(("mwslc", MaskSet(np.full((4, 2, 3), 0.25)),
+              DoaSet(np.array([0.0, 90.0, 180.0, 270.0])), SpatialGrid(8),
+              40.0))
+    # One frame of 16 bins: in order, each 2^-53 rounds away against 1.0;
+    # pairwise, they add up to one ulp first.
+    @example(("mwsbc", MaskSet(np.array([[[1.0] + [2.0 ** -53] * 15]])),
+              DoaSet(np.array([10.0])), SpatialGrid(720), 6.0))
+    @example(("mwslc_sum", MaskSet(np.zeros((3, 0, 4))),
+              DoaSet(np.array([10.0, 20.0, 30.0])), SpatialGrid(90), 6.0))
+    def test_matches_freq_average_of_the_blocks(self, inputs):
+        kind, masks, truth, grid, sigma = inputs
+        try:
+            FrameBlocks(kind, masks, truth, grid, sigma)
+        except CollisionError:
+            return  # mwsbc refuses DoAs that share a cell before any fold
+        self._assert_matches_blocks(kind, masks, truth, grid, sigma)
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    def test_real_scenes(self, two_speaker_scene, three_speaker_scene, kind):
+        for bundle in (two_speaker_scene, three_speaker_scene):
+            self._assert_matches_blocks(kind, bundle.masks, bundle.truth,
+                                        SpatialGrid(720), 6.0)
 
 
 class TestWrapAround:

@@ -445,10 +445,32 @@ class TestCalibrateThreshold:
         assert from_generator == from_list
         assert len(consumed) == len(scenes)
 
+    def test_each_scene_is_scored_before_the_next_is_drawn(self, rng,
+                                                            monkeypatch):
+        # One neighbourhood maximum per scene serves every candidate, and a
+        # scene is let go before the next is drawn.
+        scenes = [self._scene(rng, [50.0, 120.0], noise=0.2),
+                  self._scene(rng, [300.0])]
+        events = []
+        window, search = decode._at_window_max, decode.peak_search
+        monkeypatch.setattr(decode, "_at_window_max", lambda *args: (
+            events.append("window"), window(*args))[1])
+        monkeypatch.setattr(decode, "peak_search", lambda *args: (
+            events.append("peaks"), search(*args))[1])
+
+        def drawn():
+            for scene in scenes:
+                events.append("scene")
+                yield scene
+
+        result = calibrate_threshold(drawn(), [0.5, 0.1, 0.3])
+        assert events == ["scene", "window", "peaks", "peaks", "peaks"] * 2
+        assert result == _former_calibrate_threshold(scenes, [0.5, 0.1, 0.3])
+
     def test_blocked_likelihoods_match_tensors(self, two_speaker_scene,
                                                three_speaker_scene):
-        # Likelihoods averaged block by block, as the calibrate command
-        # builds them, give the result of the tensors.
+        # Likelihoods averaged block by block, as pipeline builds them,
+        # give the result of the tensors.
         grid = SpatialGrid(360)
         bundles = (two_speaker_scene, three_speaker_scene)
 

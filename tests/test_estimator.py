@@ -499,6 +499,21 @@ class TestCorruptOracleIdentity:
         assert got.values.tobytes() == expected.values.tobytes()
         assert coding.values.tobytes() == before.tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(1, 4),
+                                        st.integers(2, 40)),
+                  elements=st.floats(0.0, 1.0)),
+           st.integers(1, 25))
+    @example(np.linspace(0.0, 1.0, 24).reshape(1, 2, 12), 5)   # width 11
+    @example(np.linspace(0.0, 1.0, 24).reshape(1, 2, 12), 6)   # width 13
+    def test_blur_equals_the_roll_loop(self, values, blur):
+        # Slices added in the rolls' offset order, and the mean when the
+        # window covers the grid, bit for bit.
+        coding = CodingTensor(values, SpatialGrid(values.shape[2]), "mwslc")
+        got = corrupt_oracle(coding, 0.0, blur)
+        expected = _oracle_corrupt_oracle(coding, 0.0, blur)
+        assert got.values.tobytes() == expected.values.tobytes()
+
 
 class TestNoiseDrawnInFrameBlocks:
     """What corrupt_blocks rests on: one Generator.normal draw over
