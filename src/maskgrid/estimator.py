@@ -7,15 +7,14 @@ optimization at desk scale, and to produce imperfect encodings for decoder
 robustness tests. All gradients are written out by hand and checked against
 finite differences in the tests.
 
-The passes reuse their buffers in place. A backward pass holds two
-(rows, cells) arrays: the output y, which becomes the output gradient, and
-one buffer that takes y - target and then its squares for the loss. Beside
-them it holds the (rows, hidden) activations and one one-frame target
-block, never a whole target: a coding.FrameBlocks target is encoded a
-frame at a time, once per backward pass and once per validation loss,
-whose squares go into forward's output buffer. Each element still goes
-through the reference formulas' floating-point operations in their order:
-results are bit-identical to them.
+A backward pass and the validation loss run the network one frame at a
+time: only the parameter-shaped gradient sums and the squared error carry
+over from frame to frame, so no (rows, cells) array of a whole scene is
+held, and a coding.FrameBlocks target is encoded a frame at a time, once
+per backward pass and once per validation loss. Each frame goes through the reference
+formulas' floating-point operations in their order, but the sums over
+frames round differently from one product over all rows: loss and
+gradients agree with the whole-scene formulas to about 1e-14 relative.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ from .errors import ConfigError, ShapeError, TrainingError
 from .stft import Spectrogram
 
 FEATURE_NORM_EPS = 1e-8
-# Elements per block of rows in _sigmoid and in backward's output gradient,
-# 256 KiB per temporary.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -40,21 +36,15 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     With e = exp(-|z|) the result is 1 / (1 + e) where z >= 0 and
     e / (1 + e) elsewhere. Since -|z| is exactly -z or z on those two sets,
     these are the textbook stable branches, bit for bit. The numerator is
-    max(e, z >= 0): 1 where z >= 0 because e <= 1, and e elsewhere. Blocks
-    of leading-axis rows keep the temporaries in cache.
+    max(e, z >= 0): 1 where z >= 0 because e <= 1, and e elsewhere.
     """
     out = np.empty_like(z) if out is None else out
-    rows, out_rows = np.atleast_1d(z, out)  # views; a 0-d z becomes one row
-    step = max(1, _BLOCK_ELEMENTS * len(rows) // max(rows.size, 1))
-    for start in range(0, len(rows), step):
-        zb, e = rows[start : start + step], out_rows[start : start + step]
-        pos = zb >= 0
-        np.copysign(zb, -1.0, out=e)
-        np.exp(e, out=e)
-        den = e + 1.0
-        np.maximum(e, pos, out=e)
-        np.divide(e, den, out=e)
-    return out
+    pos = z >= 0
+    np.copysign(z, -1.0, out=out)
+    np.exp(out, out=out)
+    den = out + 1.0
+    np.maximum(out, pos, out=out)
+    return np.divide(out, den, out=out)
 
 
 def features(mixture: Spectrogram) -> np.ndarray:
@@ -152,7 +142,9 @@ def _layers(params: EstimatorParams, x: np.ndarray) -> tuple:
     return h, _sigmoid(y, out=y)
 
 
-def _check_shapes(params: EstimatorParams, feats: np.ndarray, target) -> None:
+def _check_shapes(params: EstimatorParams, feats: np.ndarray, target) -> int:
+    """The number of loss terms, (frames, bins, cells), once feats and
+    target match the parameters and each other and hold at least one."""
     t, k, f = feats.shape
     if f != params.input_dim:
         raise ShapeError(f"feature dim {f} != input dim {params.input_dim}")
@@ -160,26 +152,39 @@ def _check_shapes(params: EstimatorParams, feats: np.ndarray, target) -> None:
     if shape != (t, k, params.output_dim):
         raise ShapeError(f"target shape {shape} does not match "
                          f"({t}, {k}, {params.output_dim})")
+    if t * k == 0:
+        raise ShapeError(f"no (frame, bin) rows in target shape {shape}")
+    return t * k * params.output_dim
 
 
-def _minus_target(y: np.ndarray, target, out: np.ndarray) -> None:
-    """out = y - target as (rows, cells), a frame block of the target at a
-    time; out may be y."""
-    def subtract(t0, block):
-        rows = block.values.reshape(-1, y.shape[1])
-        at = slice(t0 * target.bins, t0 * target.bins + rows.shape[0])
-        np.subtract(y[at], rows, out=out[at])
+def _squared_error(feats: np.ndarray, target, layers, step=None) -> float:
+    """Sum of (y - target)^2 over every (t, k, cell), a frame at a time.
 
-    target.each_block(subtract)
+    For each frame's (bins, features) rows x, h, y = layers(x). Once the
+    running sum with that frame's squares is found finite, step(x, h, y,
+    y - target), if given, may take those arrays over. Frames are walked
+    inside each block of target.each_block, so a CodingTensor and a
+    coding.FrameBlocks target give the same bits.
 
+    Raises:
+        TrainingError: the sum is not finite.
+    """
+    total = 0.0
 
-def _mean_square(diff: np.ndarray) -> float:
-    """Mean of diff^2, squaring diff in place."""
-    np.multiply(diff, diff, out=diff)
-    loss = float(np.mean(diff))
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite loss")
-    return loss
+    def frames(t0, block):
+        nonlocal total
+        for t, rows in enumerate(block.values, t0):
+            x = feats[t]
+            h, y = layers(x)
+            diff = y - rows
+            total += float(np.vdot(diff, diff))
+            if not np.isfinite(total):
+                raise TrainingError("non-finite loss")
+            if step is not None:
+                step(x, h, y, diff)
+
+    target.each_block(frames)
+    return total
 
 
 def forward(params: EstimatorParams, feats: np.ndarray,
@@ -222,33 +227,28 @@ def backward(params: EstimatorParams, feats: np.ndarray, target) -> tuple:
         ShapeError: feats or target do not match the parameters.
         TrainingError: loss is not finite.
     """
-    _check_shapes(params, feats, target)
-    t, k, f = feats.shape
-    x = feats.reshape(t * k, f)
-    h, y = _layers(params, x)
-    diff = np.empty_like(y)
-    _minus_target(y, target, diff)
-    # y's buffer becomes dz2 = ((2/n) diff y) (1 - y), a block of rows at a
-    # time, with the factors in that order (the last product is taken as
-    # (1 - y) times the rest, the same bits); then diff's buffer becomes
-    # its squares.
-    dz2, scale = y, 2.0 / diff.size
-    step = max(1, _BLOCK_ELEMENTS // y.shape[1])
-    for start in range(0, len(y), step):
-        yb = y[start:start + step]
-        g = diff[start:start + step] * scale
-        g *= yb
-        np.subtract(1.0, yb, out=yb)
-        yb *= g
-    loss = _mean_square(diff)
-    gw2 = h.T @ dz2
-    gb2 = dz2.sum(axis=0)
-    dz1 = dz2 @ params.w2.T
-    np.multiply(h, h, out=h)
-    dz1 *= np.subtract(1.0, h, out=h)
-    gw1 = x.T @ dz1
-    gb1 = dz1.sum(axis=0)
-    return Gradients(gw1, gb1, gw2, gb2), loss
+    n = _check_shapes(params, feats, target)
+    sums = [np.zeros_like(p) for p in (params.w1, params.b1, params.w2,
+                                       params.b2)]
+    scale = 2.0 / n
+
+    def step(x, h, y, diff):
+        # y becomes dz2 = ((2/n) diff y) (1 - y), the factors in that order
+        # (the last product is taken as (1 - y) times the rest, the same
+        # bits), and h becomes 1 - h^2.
+        diff *= scale
+        diff *= y
+        np.subtract(1.0, y, out=y)
+        y *= diff
+        gw2, gb2 = h.T @ y, y.sum(axis=0)
+        dz1 = y @ params.w2.T
+        np.multiply(h, h, out=h)
+        dz1 *= np.subtract(1.0, h, out=h)
+        for acc, g in zip(sums, (x.T @ dz1, dz1.sum(axis=0), gw2, gb2)):
+            acc += g
+
+    loss = _squared_error(feats, target, lambda x: _layers(params, x), step)
+    return Gradients(*sums), loss / n
 
 
 @dataclass(frozen=True)
@@ -304,14 +304,13 @@ class TrainHistory:
 
 
 def _mean_loss(params, pairs):
-    """Validation loss from forward passes alone; equals backward's loss."""
+    """Validation loss of forward's output, a frame at a time; equals
+    backward's loss."""
     losses = []
     for feats, target in pairs:
-        _check_shapes(params, feats, target)
-        y = forward(params, feats, target.grid).values
-        y = y.reshape(-1, y.shape[2])
-        _minus_target(y, target, y)
-        losses.append(_mean_square(y))
+        n = _check_shapes(params, feats, target)
+        losses.append(_squared_error(feats, target, lambda x: (
+            None, forward(params, x[None], target.grid).values[0])) / n)
     return float(np.mean(losses))
 
 

@@ -509,6 +509,8 @@ class TestTrainTargetsByBlock:
     def test_peak_memory_does_not_grow_with_the_scene_count(self, tmp_path):
         # One 19 x 257 x 720 float64 tensor is 28 MiB: the former code held
         # one per scene, so 3 more scenes added 84 MiB to a ~60 MiB peak.
+        # The peak is about 10 MB, and 3 more scenes' features and masks
+        # add about 1.3 MB to it: the bound is well under one tensor.
         peaks = []
         for scenes in ((2, 1), (4, 2)):
             tracemalloc.start()
@@ -519,7 +521,7 @@ class TestTrainTargetsByBlock:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0], peaks
+        assert peaks[1] - peaks[0] < 4 * 2**20, peaks
 
     def test_mwsbc_collision_exits_2_before_any_training(self, tmp_path,
                                                           monkeypatch, capsys):

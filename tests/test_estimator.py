@@ -1,5 +1,7 @@
 """Estimator network tests: features, hand-written gradients, SGD loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +50,26 @@ def _oracle_backward(params, feats, target):
     gw1 = x.T @ dz1
     gb1 = dz1.sum(axis=0)
     return Gradients(gw1, gb1, gw2, gb2), loss
+
+
+def _assert_matches_oracle(got, want):
+    """(Gradients, loss) pairs agree to 1e-12 relative, each array also to
+    1e-12 of its largest magnitude: a sum over frames rounds differently
+    from one product over all rows."""
+    (grads, loss), (want_grads, want_loss) = got, want
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+    for name in ("w1", "b1", "w2", "b2"):
+        expected = getattr(want_grads, name)
+        np.testing.assert_allclose(getattr(grads, name), expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max(),
+                                   err_msg=name)
+
+
+def _assert_same_bits(got, want):
+    """(Gradients, loss) pairs are bit-identical."""
+    assert got[1] == want[1]
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
 
 
 def _oracle_corrupt_oracle(coding, noise_std=0.0, blur_cells=0, seed=0):
@@ -192,9 +214,19 @@ class TestForwardBackward:
         with pytest.raises(ShapeError):
             backward(params, feats, bad)
 
+    @pytest.mark.parametrize("t, k", [(0, 4), (3, 0)])
+    def test_no_rows_rejected(self, rng, t, k):
+        feats, target, params = _toy_problem(rng, t=t, k=k)
+        with pytest.raises(ShapeError, match="no \\(frame, bin\\) rows"):
+            backward(params, feats, target)
+        with pytest.raises(ShapeError, match="no \\(frame, bin\\) rows"):
+            _mean_loss(params, [(feats, target)])
+
 
 class TestOracleIdentity:
-    """The in-place passes reproduce the reference formulas bit for bit."""
+    """The in-place passes reproduce the reference formulas: the sigmoid
+    and forward bit for bit, the frame sums of backward and the validation
+    loss to 1e-12 relative."""
 
     EDGES = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 709.0, -709.0,
              746.0, -746.0, 1e308, -1e308]
@@ -207,7 +239,7 @@ class TestOracleIdentity:
         np.testing.assert_array_equal(z, self.EDGES)
 
     def test_sigmoid_in_place_over_blocks(self, rng):
-        # 165k elements span several blocks and end in a partial one.
+        # In place over 165k elements, where the result overwrites z.
         z = rng.normal(0.0, 20.0, (5000, 33))
         expected = _oracle_sigmoid(z)
         out = _sigmoid(z, out=z)
@@ -227,22 +259,33 @@ class TestOracleIdentity:
     def test_backward_matches_oracle(self, rng, output_bias):
         feats, target, _ = _toy_problem(rng)
         params = init_params(5, 6, 8, seed=3, output_bias=output_bias)
-        grads, loss = backward(params, feats, target)
-        want, want_loss = _oracle_backward(params, feats, target)
-        assert loss == want_loss
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(grads, name), getattr(want, name)), name
+        _assert_matches_oracle(backward(params, feats, target),
+                               _oracle_backward(params, feats, target))
 
     def test_backward_matches_oracle_at_scene_size(self, two_speaker_scene):
         bundle = two_speaker_scene
         feats = features(bundle.mixture_spec)
         params = init_params(feats.shape[2], 16, bundle.grid.theta_count,
                              seed=1)
-        grads, loss = backward(params, feats, bundle.coding)
-        want, want_loss = _oracle_backward(params, feats, bundle.coding)
-        assert loss == want_loss
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(grads, name), getattr(want, name)), name
+        _assert_matches_oracle(backward(params, feats, bundle.coding),
+                               _oracle_backward(params, feats, bundle.coding))
+
+    @settings(max_examples=100, deadline=None)
+    @given(frames=st.integers(1, 6), bins=st.integers(1, 5),
+           hidden=st.integers(1, 6), cells=st.integers(2, 9),
+           output_bias=st.sampled_from([0.0, -12.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_frame_sums_match_oracle(self, frames, bins, hidden, cells,
+                                     output_bias, seed):
+        # A SpatialGrid has at least 2 cells.
+        feats, target, _ = _toy_problem(np.random.default_rng(seed), frames,
+                                        bins, 5, hidden, cells)
+        params = init_params(5, hidden, cells, seed=seed,
+                             output_bias=output_bias)
+        want = _oracle_backward(params, feats, target)
+        _assert_matches_oracle(backward(params, feats, target), want)
+        assert _mean_loss(params, [(feats, target)]) == pytest.approx(
+            want[1], rel=1e-12, abs=0.0)
 
     def test_forward_matches_oracle(self, rng):
         feats, target, params = _toy_problem(rng)
@@ -290,12 +333,9 @@ class TestFrameBlockTargets:
         feats = features(two_speaker_scene.mixture_spec)
         full, blocks = _scene_targets(two_speaker_scene, kind)
         params = init_params(feats.shape[2], 8, 90, seed=2)
-        grads, loss = backward(params, feats, blocks)
-        want, want_loss = _oracle_backward(params, feats, full)
-        assert loss == want_loss
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(grads, name),
-                                  getattr(want, name)), name
+        got = backward(params, feats, blocks)
+        _assert_same_bits(got, backward(params, feats, full))
+        _assert_matches_oracle(got, _oracle_backward(params, feats, full))
 
     @pytest.mark.parametrize("kind", ["mwslc", "mwsbc"])
     def test_validation_loss_matches_the_full_tensor(self, two_speaker_scene,
@@ -349,6 +389,31 @@ class TestFrameBlockTargets:
             backward(params, feats, blocks)
         with pytest.raises(ShapeError, match="feature dim"):
             _mean_loss(params, [(feats, blocks)])
+
+
+class TestBackwardMemory:
+    def test_peak_is_a_frame_not_a_scene(self, two_speaker_scene):
+        # One (rows, cells) float64 array of the default scene (62 x 257
+        # rows, 720 cells) is 88 MiB; the whole-scene pass peaked at 192
+        # MiB at 64 hidden units. A frame's arrays are 1.4 MiB each.
+        bundle = two_speaker_scene
+        feats = features(bundle.mixture_spec)
+        params = init_params(feats.shape[2], 64, 720, seed=1)
+        peaks = []
+        for copies in (1, 2):
+            masks = MaskSet(np.concatenate([bundle.masks.values] * copies,
+                                           axis=1))
+            target = FrameBlocks("mwslc", masks, bundle.truth, bundle.grid,
+                                 6.0)
+            scene = np.concatenate([feats] * copies)
+            tracemalloc.start()
+            try:
+                backward(params, scene, target)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 16 * 2**20, peaks
+        assert peaks[1] <= peaks[0] + 64 * 2**10, peaks
 
 
 class TestTrainConfig:
