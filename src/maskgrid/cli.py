@@ -5,9 +5,9 @@ encoding, the conditioning sweep, threshold calibration, estimator
 training, decoding, MVDR separation, and scoring. Each stage is one
 function that writes its own artifacts (`_encode_stage`, `_decode`,
 `_separate`, `_score`): the staged subcommands load its inputs from the
-artifact directory, and `pipeline` chains the same functions in memory.
-Every report carries the config hash, seed, and package version; identical
-configs and seeds yield identical output bytes.
+artifact directory, and `pipeline` chains the same functions on the values
+the staged ones read back. Every report carries the config hash, seed, and
+package version; identical configs and seeds yield identical output bytes.
 """
 
 from __future__ import annotations
@@ -136,7 +136,10 @@ def _model_params(cfg: RunConfig):
         return None
     if not cfg.params_path:
         raise ConfigError("estimate.params_path is required for mode=model")
-    return container.load_params(cfg.params_path)
+    params = container.load_params(cfg.params_path)
+    estimator.forward(params, np.empty((0, 0, 2 * cfg.channels + 1)),
+                      cfg.grid())  # its shape checks, on no frames
+    return params
 
 
 def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir,
@@ -150,7 +153,7 @@ def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir,
     estimator.forward_blocks in model mode. Making it runs the encoder's
     or the model's checks before the first write; each block is then made
     once, written to coding.bin and, if `average`, averaged over frequency
-    in the same pass, so no full tensor is held.
+    as written, in float32, in the same pass, so no full tensor is held.
     """
     mixture_spec = stft.analyze(mixture, cfg.stft_config())
     _, masks = _source_masks(cfg, images)
@@ -178,9 +181,9 @@ def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir,
 
 
 def _decode(cfg: RunConfig, coded, likelihood, out_dir: Path):
-    """DoAs decoded from `likelihood`, the frame likelihood of `coded`, and
-    masks sampled from `coded`, a coding or a source of its columns; writes
-    doas.json and sampled_masks.bin."""
+    """DoAs decoded from `likelihood`, the frame likelihood of `coded` (a
+    container.CodingFile), and masks sampled from `coded`; writes doas.json
+    and sampled_masks.bin."""
     detections = decode.peak_search(likelihood, cfg.eps_theta,
                                     cfg.delta_theta_deg)
     estimates = decode.cluster_doas(detections, cfg.sigma_deg,
@@ -203,7 +206,7 @@ def _separate(cfg: RunConfig, mixture_spec, masks, estimates, out_dir: Path):
         mixture_spec, masks, estimates.centers_deg, cfg.geometry(),
         cfg.loading_eps)]
     for i, signal in enumerate(separated):
-        save_wav(signal, out_dir / f"sep{i + 1:02d}.wav")
+        _save_rounded(signal, out_dir / f"sep{i + 1:02d}.wav")
     for path in out_dir.glob("sep[0-9][0-9].wav"):
         if int(path.name[3:5]) > len(separated):
             path.unlink()  # left by an earlier run with more speakers
@@ -229,10 +232,16 @@ def _score(cfg: RunConfig, out_dir: Path, estimates, truth, separated,
     return report, path
 
 
+def _save_rounded(signal: TimeSignal, path: Path) -> None:
+    """save_wav, then `signal` rounded in place to the samples written."""
+    save_wav(signal, path)
+    signal.samples[...] = signal.samples.astype(np.float32)
+
+
 def _save_scene(cfg: RunConfig, rendered, out_dir: Path) -> None:
-    save_wav(rendered.mixture, out_dir / "mixture.wav")
+    _save_rounded(rendered.mixture, out_dir / "mixture.wav")
     for i, img in enumerate(rendered.source_images):
-        save_wav(img, out_dir / f"src{i + 1:02d}_image.wav")
+        _save_rounded(img, out_dir / f"src{i + 1:02d}_image.wav")
         save_wav(rendered.dry_sources[i], out_dir / f"src{i + 1:02d}_dry.wav")
     _write_json(out_dir / "truth.json", {
         "doas_deg": [float(a) for a in rendered.truth.angles_deg],
@@ -396,18 +405,19 @@ def cmd_pipeline(cfg: RunConfig, args) -> int:
     # A bad key that pipeline reads must exit before the first write.
     cfg.grid()
     cfg.stft_config()
-    cfg.coding_kind, cfg.sigma_deg, cfg.noise_std, cfg.blur_cells
-    cfg.eps_theta, cfg.delta_theta_deg, cfg.min_support_frac
+    cfg.coding_kind, cfg.sigma_deg, cfg.eps_m_db, cfg.noise_std
+    cfg.blur_cells, cfg.eps_theta, cfg.delta_theta_deg, cfg.min_support_frac
     cfg.loading_eps, cfg.tolerance_deg
     params = _model_params(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, rendered = _build_scene(cfg)
     _save_scene(cfg, rendered, out_dir)
-    mixture_spec, coded, likelihood = _encode_stage(
+    mixture_spec, _, likelihood = _encode_stage(
         cfg, rendered.mixture, rendered.source_images, rendered.truth, params,
         out_dir, average=True)
-    estimates, sampled = _decode(cfg, coded, likelihood, out_dir)
+    estimates, sampled = _decode(
+        cfg, container.CodingFile(out_dir / "coding.bin"), likelihood, out_dir)
     separated = _separate(cfg, mixture_spec, sampled, estimates, out_dir)
     report, path = _score(cfg, out_dir, estimates, rendered.truth, separated,
                           rendered.mixture, rendered.source_images,

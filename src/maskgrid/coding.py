@@ -161,26 +161,12 @@ class CodingTensor:
 
 class BlockSource:
     """A coding whose each_block(fn) calls fn(t0, block) with CodingTensor
-    blocks of frames t0 .. t0 + block.frames in order, as FrameBlocks does;
-    a subclass may define each_block as a method (container.CodingFile)."""
+    blocks of frames t0 .. t0 + block.frames in order, as FrameBlocks does."""
 
     def __init__(self, frames: int, bins: int, grid: SpatialGrid, kind: str,
                  each_block):
         self.frames, self.bins, self.grid, self.kind = frames, bins, grid, kind
         self.each_block = each_block
-
-    def columns(self, cells) -> np.ndarray:
-        """(len(cells), frames, bins): the coding's columns at `cells`,
-        gathered in one each_block pass."""
-        cells = np.asarray(cells, dtype=np.intp)
-        values = np.empty((cells.size, self.frames, self.bins))
-
-        def put(t0, block):
-            values[:, t0:t0 + block.frames] = block.values.transpose(2, 0, 1)[
-                cells]
-
-        self.each_block(put)
-        return values
 
 
 def compute_irm(source_specs, eps_m_db: float = -35.0) -> MaskSet:
@@ -403,8 +389,8 @@ class FrameBlocks:
     The kind's rows are built, and its checks and shared-cell warning run,
     once, here; each block is fold() of frames t0 .. t0 + n of the masks
     against them, bit-identical to those rows of the full encoding.
-    `frames`, `bins`, `grid`, `kind`, `each_block` and `columns` are
-    CodingTensor's too, so a consumer of blocks takes either.
+    `frames`, `bins`, `grid`, `kind` and `each_block` are CodingTensor's
+    too, so a consumer of blocks takes either.
     """
 
     def __init__(self, kind: str, masks: MaskSet, truth: DoaSet,
@@ -424,17 +410,6 @@ class FrameBlocks:
             block = MaskSet(self.masks.values[:, t0:t0 + _ENCODE_BLOCK_FRAMES])
             fn(t0, fold(block, self.rows, self.grid, self.kind,
                         out=buffer[:block.frames]))
-
-    def columns(self, cells) -> np.ndarray:
-        """(len(cells), frames, bins): the encoding's columns at `cells`.
-
-        The masks are folded against only those cells' rows. Each (t, k,
-        cell) value is folded on its own, from zero and in speaker order,
-        so for finite masks >= 0 the columns are bit-identical to the full
-        encoding's.
-        """
-        values = _place(self.masks, self.rows[:, cells], _CODINGS[self.kind][1])
-        return np.ascontiguousarray(values.transpose(2, 0, 1))
 
     def mean_over_bins(self) -> np.ndarray:
         """(frames, cells): the encoding's mean over bins, as

@@ -38,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import (_ENCODE_BLOCK_FRAMES, CODING_KINDS, BlockSource,
-                     CodingTensor, MaskSet, SpatialGrid)
+from .coding import (_ENCODE_BLOCK_FRAMES, CODING_KINDS, CodingTensor,
+                     MaskSet, SpatialGrid)
 from .errors import ConfigError, FormatError, NumericError
 from .estimator import EstimatorParams
 
@@ -123,14 +123,14 @@ def _header(fh, name: str):
     return kind, dims, shape, span, theta, seed
 
 
-def _payload(fh, name: str, shape) -> np.ndarray:
-    """The next prod(shape) float32 values of fh, as a float64 array."""
+def _payload(fh, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """The next prod(shape) float32 values of fh, as an array of dtype."""
     count = math.prod(shape)
     arr = np.fromfile(fh, "<f4", count)
     if arr.size != count:  # the file shrank after its size was checked
         raise FormatError(f"{name}: payload ends after {arr.size} of "
                           f"{count} values")
-    return arr.reshape(shape).astype(np.float64)
+    return arr.reshape(shape).astype(dtype, copy=False)
 
 
 def read_array(path):
@@ -151,29 +151,28 @@ def save_coding(path, coding, then=None) -> None:
     coding: a CodingTensor (one block), or a source of its frame blocks
     with the same frames, bins, grid and kind (coding.FrameBlocks,
     coding.BlockSource), whose full tensor is then never held.
-    then: if given, then(t0, block) is called on each block once it is
-    written, so another consumer of the blocks shares this pass.
+    then: if given, then(t0, stored) is called with each block's float32
+    values once written, so another consumer shares this pass.
     """
     grid = coding.grid
     with _writer(path, f"coding:{coding.kind}",
                  (coding.frames, coding.bins, grid.theta_count),
                  span_deg=grid.span_deg, theta_count=grid.theta_count) as put:
         def write(t0, block):
-            put(block.values)
+            stored = np.asarray(block.values, dtype="<f4")
+            put(stored)
             if then is not None:
-                then(t0, block)
+                then(t0, stored)
 
         coding.each_block(write)
 
 
-class CodingFile(BlockSource):
+class CodingFile:
     """A coding.bin read a block of frames at a time, so its full tensor is
-    never held.
-
-    The header, kind tag and grid are checked here; `each_block(fn)` then
-    reads the file again on each call and calls fn(t0, block) with a
-    float64 CodingTensor of frames t0 .. t0 + block.frames, as
-    coding.FrameBlocks does.
+    never held. The header, kind tag and grid are checked here; each
+    `each_block(fn)` or `columns(cells)` call reads the file again.
+    each_block calls fn(t0, block) with a float64 CodingTensor of frames
+    t0 .. t0 + block.frames, as coding.FrameBlocks does.
     """
 
     def __init__(self, path):
@@ -188,15 +187,28 @@ class CodingFile(BlockSource):
         self.frames, self.bins = dims[0], dims[1]
         self.grid, self.kind = empty.grid, empty.kind
 
-    def each_block(self, fn) -> None:
-        """fn(t0, block) for each block of frames, in order."""
-        cells = self.grid.theta_count
+    def _stored(self):
+        """(t0, float32 values) of each block of frames, in order."""
         with open(self.path, "rb") as fh:
             fh.seek(self._offset)
             for t0 in range(0, self.frames, _ENCODE_BLOCK_FRAMES):
-                n = min(_ENCODE_BLOCK_FRAMES, self.frames - t0)
-                values = _payload(fh, str(self.path), (n, self.bins, cells))
-                fn(t0, CodingTensor(values, self.grid, self.kind))
+                shape = (min(_ENCODE_BLOCK_FRAMES, self.frames - t0),
+                         self.bins, self.grid.theta_count)
+                yield t0, _payload(fh, str(self.path), shape, np.float32)
+
+    def each_block(self, fn) -> None:
+        """fn(t0, block) for each block of frames, in order."""
+        for t0, stored in self._stored():
+            fn(t0, CodingTensor(stored, self.grid, self.kind))
+
+    def columns(self, cells) -> np.ndarray:
+        """(len(cells), frames, bins): the coding's columns at `cells`,
+        taken from each block's float32 values before they are widened."""
+        cells = np.asarray(cells, dtype=np.intp)
+        values = np.empty((cells.size, self.frames, self.bins))
+        for t0, stored in self._stored():
+            values[:, t0:t0 + len(stored)] = stored.transpose(2, 0, 1)[cells]
+        return values
 
 
 def save_masks(path, masks: MaskSet, span_deg: float = 0.0) -> None:

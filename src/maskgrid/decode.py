@@ -71,19 +71,22 @@ def freq_average(coding, each_block=None) -> FrameLikelihood:
     """Mean of the coding over all frequency bins, per frame and cell.
 
     coding: a CodingTensor, or a source of its frame blocks with the same
-    frames, grid and each_block (coding.FrameBlocks, coding.BlockSource).
+    frames, grid and each_block (coding.FrameBlocks, container.CodingFile).
     Each (frame, cell) mean is taken on its own, so the rows built block by
     block are bit-identical to the full tensor's.
-    each_block: the pass that hands out coding's blocks, coding.each_block
-    by default; pipeline's encode stage passes container.save_coding's, so
-    the blocks it writes are averaged in the same pass.
+    each_block: a pass calling fn(t0, values) with each block's values, in
+    place of coding.each_block; pipeline passes container.save_coding's,
+    whose float32 values, summed in float64, give the written file's bits.
     """
     values = np.empty((coding.frames, coding.grid.theta_count))
 
     def put(t0, block):
-        values[t0:t0 + block.frames] = block.values.mean(axis=1)
+        values[t0:t0 + len(block)] = block.mean(axis=1, dtype=np.float64)
 
-    (each_block or coding.each_block)(put)
+    if each_block is None:
+        coding.each_block(lambda t0, block: put(t0, block.values))
+    else:
+        each_block(put)
     return FrameLikelihood(values, coding.grid)
 
 
@@ -238,11 +241,9 @@ def cluster_doas(detections, sigma_deg: float = 6.0, span_deg: float = 360.0,
 def sample_masks(coding, doas: DoaEstimates) -> MaskSet:
     """Per-speaker masks sliced from the coding at each cluster's cell.
 
-    coding: a CodingTensor, or a source of its columns with the same
-    frames, bins and grid: coding.FrameBlocks encodes only those cells'
-    columns, and a coding.BlockSource (container.CodingFile and the
-    estimator's corrupt and model sources) gathers them in one pass.
-    Nothing is read when there is no cluster.
+    coding: a CodingTensor, or a container.CodingFile, which gathers the
+    columns in one read of the file. Nothing is read when there is no
+    cluster.
     """
     cells = [coding.grid.index_of(c.center_deg) for c in doas.clusters]
     if not cells:

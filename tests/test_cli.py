@@ -176,9 +176,10 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flags, extra", [
         (["--theta-count", "1"], ""), ([], "[stft]\nwin_ms = 31\n"),
-        ([], "[stft]\nhop_ms = 32\n"), ([], "[estimate]\nmode = model\n")],
+        ([], "[stft]\nhop_ms = 32\n"), ([], "[estimate]\nmode = model\n"),
+        ([], "[coding]\neps_m_db = abc\n")],
         ids=["theta_count", "win_ms", "hop_equal_to_win",
-             "model_without_params_path"])
+             "model_without_params_path", "eps_m_db"])
     def test_bad_grid_or_stft_exit_2_before_any_write(self, tmp_path, flags,
                                                        extra):
         out = tmp_path / "run"
@@ -208,6 +209,21 @@ class TestPipeline:
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(ini), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims, message", [
+        ((9, 8, 720), "output dim"), ((7, 8, 360), "feature dim")],
+        ids=["output_dim", "input_dim"])
+    def test_params_shape_mismatch_exit_2_before_any_write(
+            self, tmp_path, capsys, dims, message):
+        # The grid has 360 cells and the 4-mic array 2 * 4 + 1 features.
+        params = tmp_path / "params.bin"
+        save_params(params, estimator.init_params(*dims))
+        out = tmp_path / "run"
+        ini = _fast_ini(tmp_path, "[estimate]\nmode = model\n"
+                                  f"params_path = {params}\n")
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_params_file_exit_4_before_any_write(self, tmp_path):
@@ -670,16 +686,17 @@ _FORMER_STAGES = {
 }
 
 
-# Configurations of the streamed-stage oracle test, each after an open
-# [scene] section of 0.2 s (13 frames, written and decoded one frame at a
-# time), on a 180-cell grid.
+# Configurations of the streamed-stage tests, each after an open [scene]
+# section of 0.2 s (12 frames, written and decoded one frame at a time), on
+# a 180-cell grid.
 _STREAM_CASES = {
     "oracle": "",
     "shoebox_3sp": "room = shoebox\ndoas_deg = 40,150,260\n"
                    "distances_m = 2.0,2.2,2.4\npitches_hz = 210,140,170\n",
     "mwsbc": "[coding]\nkind = mwsbc\n",
     "mwslc_sum": "[coding]\nkind = mwslc_sum\n",
-    "corrupt": "[estimate]\nmode = corrupt\nnoise_std = 0.15\n",
+    "corrupt": "[estimate]\nmode = corrupt\nnoise_std = 0.15\n"
+               "blur_cells = 1\n",
     "model": "[estimate]\nmode = model\nparams_path = {params}\n",
 }
 
@@ -697,21 +714,40 @@ def _artifacts(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def _assert_artifacts_equal_former(tmp_path, monkeypatch, params, case,
-                                   seed, former):
-    """pipeline, then simulate, encode, decode, beamform and eval, leave
-    the same exit codes and artifact bytes as with the former stages."""
+def _assert_same_artifacts(a: Path, b: Path) -> None:
+    """The same file names under a and b, each with the same bytes."""
+    a, b = _artifacts(a), _artifacts(b)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name] == b[name], name
+
+
+def _case_ini(tmp_path, case, params) -> Path:
     ini = tmp_path / "case.ini"
     ini.write_text("[grid]\ntheta_count = 180\n[scene]\nduration_s = 0.2\n"
                    + _STREAM_CASES[case].format(params=params))
+    return ini
+
+
+def _staged(ini, seed, out) -> list:
+    """Exit codes of simulate, encode, decode, beamform and eval into out."""
+    return [main([command, "--config", str(ini), "--seed", seed,
+                  "--out", str(out)])
+            for command in ("simulate", "encode", "decode", "beamform",
+                            "eval")]
+
+
+def _assert_artifacts_equal_former(tmp_path, monkeypatch, params, case,
+                                   seed, former, pipeline=True):
+    """pipeline, if `pipeline`, then simulate, encode, decode, beamform and
+    eval, leave the same exit codes and artifact bytes as with the former
+    stages."""
+    ini = _case_ini(tmp_path, case, params)
 
     def run(root):
         codes = [main(["pipeline", "--config", str(ini), "--seed", seed,
-                       "--out", str(root / "run")])]
-        for command in ("simulate", "encode", "decode", "beamform", "eval"):
-            codes.append(main([command, "--config", str(ini), "--seed", seed,
-                               "--out", str(root / "staged")]))
-        return codes
+                       "--out", str(root / "run")])] if pipeline else []
+        return codes + _staged(ini, seed, root / "staged")
 
     codes = run(tmp_path / "new")
     encode_stage, decode_stage, cmd_decode = _FORMER_STAGES[former]
@@ -719,11 +755,8 @@ def _assert_artifacts_equal_former(tmp_path, monkeypatch, params, case,
     monkeypatch.setattr(cli, "_decode", decode_stage)
     monkeypatch.setitem(cli.COMMANDS, "decode", cmd_decode)
     assert run(tmp_path / "old") == codes
-    assert codes[:4] == [0, 0, 0, 0]
-    new, old = _artifacts(tmp_path / "new"), _artifacts(tmp_path / "old")
-    assert new.keys() == old.keys()
-    for name in new:
-        assert new[name] == old[name], name
+    assert codes[:3 + pipeline] == [0] * (3 + pipeline)
+    _assert_same_artifacts(tmp_path / "new", tmp_path / "old")
 
 
 class TestStreamedCoding:
@@ -735,9 +768,13 @@ class TestStreamedCoding:
     @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
     def test_artifacts_equal_the_former_full_tensor_stages(
             self, tmp_path, monkeypatch, untrained_params, case, seed):
+        # The staged chain only: the former pipeline kept each stage's
+        # float64 output in memory, and its decode stage cannot read
+        # coding.bin. test_pipeline_writes_the_staged_artifacts carries the
+        # comparison over to pipeline.
         _assert_artifacts_equal_former(tmp_path, monkeypatch,
                                        untrained_params, case, seed,
-                                       "full_tensor")
+                                       "full_tensor", pipeline=False)
 
     @pytest.mark.parametrize("seed", ["11", "12345"])
     @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
@@ -748,6 +785,32 @@ class TestStreamedCoding:
         _assert_artifacts_equal_former(tmp_path, monkeypatch,
                                        untrained_params, case, seed,
                                        "three_pass")
+
+    @pytest.mark.parametrize("seed", ["11", "12345"])
+    @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+    def test_pipeline_writes_the_staged_artifacts(self, tmp_path,
+                                                  untrained_params, case,
+                                                  seed):
+        # One config and seed give one artifact set. report.csv names the
+        # scene by the leaf directory, the same for both.
+        ini = _case_ini(tmp_path, case, untrained_params)
+        assert main(["pipeline", "--config", str(ini), "--seed", seed,
+                     "--out", str(tmp_path / "a" / "run")]) == 0
+        assert _staged(ini, seed, tmp_path / "b" / "run") == [0] * 5
+        _assert_same_artifacts(tmp_path / "a", tmp_path / "b")
+
+    def test_corrupt_pipeline_corrupts_each_frame_once(self, tmp_path,
+                                                       monkeypatch):
+        # Masks are sampled from coding.bin, so no frame is made again.
+        frames = []
+        corrupt = estimator.corrupt_oracle
+        monkeypatch.setattr(estimator, "corrupt_oracle", lambda block, *args: (
+            frames.append(block.frames), corrupt(block, *args))[1])
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config",
+                     str(_case_ini(tmp_path, "corrupt", None)),
+                     "--out", str(out)]) == 0
+        assert frames == [1] * CodingFile(out / "coding.bin").frames
 
     def test_pipeline_and_decode_hold_no_full_tensor(self, tmp_path):
         # At 1440 cells one (31, 257, 1440) float64 tensor of this 0.5 s
@@ -928,17 +991,16 @@ class TestStagedCommandsShareStages:
         assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
         names = ("doas.json", "sampled_masks.bin")
         before = {name: (out / name).read_bytes() for name in names}
-        _, pipeline_rows = _read_report(out / "report.csv")
         assert main(["decode", "--config", ini, "--out", str(out)]) == 0
         for name in names:
             assert (out / name).read_bytes() == before[name], name
+        names = ("sep01.wav", "sep02.wav", "report.csv")
+        before = {name: (out / name).read_bytes() for name in names}
         for command in ("beamform", "eval"):
             assert main([command, "--config", ini, "--out", str(out)]) == 0
-        _, eval_rows = _read_report(out / "report.csv")
-        # Same DoAs and truth; only the separation scores may differ, since
-        # eval reads the float32 WAVs.
-        for column in ("doa_mae_deg", "precision", "recall", "f1"):
-            assert eval_rows[0][column] == pipeline_rows[0][column]
+        # pipeline scores the signals that eval reads back from the WAVs.
+        for name in names:
+            assert (out / name).read_bytes() == before[name], name
 
     def test_eval_ignores_stale_separated_file(self, tmp_path):
         # A sep03.wav left by an earlier 3-speaker run must not enter the

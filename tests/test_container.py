@@ -303,6 +303,8 @@ class TestCodingFile:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError, match="ends after"):
             source.each_block(lambda t0, block: None)
+        with pytest.raises(FormatError, match="ends after"):
+            source.columns([0, 7])
 
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
     def test_frame_blocks_write_the_full_tensor_bytes(self, tmp_path, kind,

@@ -26,8 +26,10 @@ from maskgrid.estimator import EstimatorParams, init_params
 
 def read_coding(path):
     """Every check and read that staged decode makes of a coding.bin: a
-    CodingFile and one pass over its blocks."""
-    CodingFile(path).each_block(lambda t0, block: None)
+    CodingFile, one pass over its blocks and one gather of columns."""
+    source = CodingFile(path)
+    source.each_block(lambda t0, block: None)
+    source.columns([0, source.grid.theta_count - 1])
 
 
 LOADERS = (read_array, read_coding, load_masks, load_params)

@@ -13,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
-from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
-                             DoaSet, FrameBlocks, MaskSet, SpatialGrid,
-                             encode_mwslc, wrapped_distance)
+from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, BlockSource,
+                             CodingTensor, DoaSet, FrameBlocks, MaskSet,
+                             SpatialGrid, encode_mwslc, wrapped_distance)
 from maskgrid import decode
 from maskgrid.container import CodingFile, save_coding
 from maskgrid.errors import CollisionError
@@ -508,12 +508,40 @@ class TestFreqAverageByBlocks:
                 CodingTensor(block, grid, "mwslc")).values
         assert blocked.tobytes() == full.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 7), st.integers(1, 4), st.integers(1, 300),
+           st.integers(2, 50), st.integers(0, 2**32 - 1))
+    def test_write_pass_average_equals_the_written_files(
+            self, frames, block_frames, bins, theta, seed):
+        # pipeline averages the float32 values save_coding writes, summed
+        # in float64; staged decode averages coding.bin's blocks widened to
+        # float64. Zeros and values above 1 occur, as in the codings.
+        values = np.random.default_rng(seed).uniform(0.0, 2.0,
+                                                     (frames, bins, theta))
+        values[values < 0.5] = 0.0
+        grid = SpatialGrid(theta)
+
+        def each_block(fn):
+            for t0 in range(0, frames, block_frames):
+                fn(t0, CodingTensor(values[t0:t0 + block_frames], grid,
+                                    "mwslc_sum"))
+
+        source = BlockSource(frames, bins, grid, "mwslc_sum", each_block)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "coding.bin"
+            written = freq_average(source, lambda average: save_coding(
+                path, source, average))
+            stored = freq_average(CodingFile(path))
+        assert written.values.tobytes() == stored.values.tobytes()
+
 
 class TestBlockSources:
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
-    def test_frame_blocks_decode_as_the_full_tensor(self, kind,
+    def test_frame_blocks_decode_as_the_full_tensor(self, kind, tmp_path,
                                                     three_speaker_scene):
-        # 62 frames end in a short block; every byte matches the tensor's.
+        # 62 frames end in a short block; every byte matches the tensor's,
+        # and the masks sampled from the file the blocks write are the
+        # tensor's rounded to float32.
         bundle, grid = three_speaker_scene, SpatialGrid(360)
         full = ENCODERS[kind](bundle.masks, bundle.truth, grid, 6.0)
         blocks = FrameBlocks(kind, bundle.masks, bundle.truth, grid, 6.0)
@@ -521,8 +549,11 @@ class TestBlockSources:
         assert fl.values.tobytes() == freq_average(full).values.tobytes()
         estimates = cluster_doas(peak_search(fl, 0.1))
         assert estimates.count == 3
-        assert sample_masks(blocks, estimates).values.tobytes() == \
-            sample_masks(full, estimates).values.tobytes()
+        save_coding(tmp_path / "coding.bin", blocks)
+        sampled = sample_masks(CodingFile(tmp_path / "coding.bin"), estimates)
+        want = sample_masks(full, estimates).values
+        assert sampled.values.tobytes() == \
+            want.astype(np.float32).astype(np.float64).tobytes()
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=100, deadline=None)
@@ -555,18 +586,19 @@ class TestBlockSources:
                                              st.integers(0, theta - 1)),
                                    max_size=5))
         want = np.moveaxis(full.values[:, :, cells], 2, 0)
-        blocks = FrameBlocks(kind, masks, truth, grid, sigma)
-        assert blocks.columns(cells).shape == want.shape
-        assert blocks.columns(cells).tobytes() == want.tobytes()
+        assert full.columns(cells).shape == want.shape
         assert full.columns(cells).tobytes() == want.tobytes()
+        blocks = FrameBlocks(kind, masks, truth, grid, sigma)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "coding.bin"
             rows = freq_average(blocks, lambda average: save_coding(
                 path, blocks, average))
             stored = CodingFile(path).columns(cells)
-        assert rows.values.tobytes() == freq_average(full).values.tobytes()
-        rounded = want.astype(np.float32).astype(np.float64)
-        assert stored.tobytes() == rounded.tobytes()
+        # The write pass averages the float32 values it writes.
+        rounded = CodingTensor(full.values.astype(np.float32), grid, kind)
+        assert rows.values.tobytes() == freq_average(rounded).values.tobytes()
+        assert stored.shape == want.shape
+        assert stored.tobytes() == rounded.columns(cells).tobytes()
 
     def test_no_cluster_reads_no_block(self):
         class Untouchable:

@@ -616,8 +616,7 @@ def _blocks_of(source):
 
 class TestStreamedSources:
     """forward_blocks and corrupt_blocks hand out a frame at a time what one
-    forward or corrupt_oracle call gives for the whole scene, and gather
-    the columns of exactly those blocks."""
+    forward or corrupt_oracle call gives for the whole scene."""
 
     @settings(max_examples=80, deadline=None)
     @given(frames=st.integers(0, 7), bins=st.integers(1, 40),
@@ -641,9 +640,6 @@ class TestStreamedSources:
         assert starts == list(range(frames))
         np.testing.assert_allclose(got, forward(params, feats, grid).values,
                                    rtol=1e-12, atol=0.0)
-        picked = rng.choice(cells, min(cells, 3), replace=False)
-        assert source.columns(picked).tobytes() == np.ascontiguousarray(
-            got.transpose(2, 0, 1)[picked]).tobytes()
 
     @pytest.mark.parametrize("hidden, cells", [(64, 720), (8, 180)])
     def test_forward_blocks_bit_equal_at_the_cli_shapes(
@@ -689,6 +685,3 @@ class TestStreamedSources:
             got, starts = _blocks_of(source)
             assert starts == list(range(frames))
             assert got.tobytes() == want.tobytes()
-        picked = rng.choice(cells, min(cells, 3), replace=False)
-        assert source.columns(picked).tobytes() == np.ascontiguousarray(
-            want.transpose(2, 0, 1)[picked]).tobytes()
