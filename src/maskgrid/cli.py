@@ -148,12 +148,12 @@ def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir,
     _model_params(cfg)) and, if `average`, its frame likelihood; writes
     coding.bin, masks.bin and encode.json.
 
-    The coding is a source of frame blocks: coding.FrameBlocks, passed
-    through estimator.corrupt_blocks in corrupt mode, or
-    estimator.forward_blocks in model mode. Making it runs the encoder's
-    or the model's checks before the first write; each block is then made
-    once, written to coding.bin and, if `average`, averaged over frequency
-    as written, in float32, in the same pass, so no full tensor is held.
+    The coding is a source of frames: coding.FrameBlocks, passed through
+    estimator.corrupt_blocks in corrupt mode, or estimator.forward_blocks
+    in model mode. Making it runs the encoder's or the model's checks
+    before the first write; each frame is then made once, written to
+    coding.bin and, if `average`, averaged over frequency as written, in
+    float32, in the same pass, so no full tensor is held.
     """
     mixture_spec = stft.analyze(mixture, cfg.stft_config())
     _, masks = _source_masks(cfg, images)
@@ -171,8 +171,7 @@ def _encode_stage(cfg: RunConfig, mixture, images, truth, params, out_dir,
               "eps_m_db": cfg.eps_m_db}
     path, likelihood = out_dir / "coding.bin", None
     if average:
-        likelihood = decode.freq_average(
-            coded, lambda then: container.save_coding(path, coded, then))
+        likelihood = decode.freq_average(container.written(path, coded))
     else:
         container.save_coding(path, coded)
     container.save_masks(out_dir / "masks.bin", masks, truth.span_deg)
@@ -346,8 +345,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     for i in range(total):
         _, rendered = _varied_scene(cfg, i)
         _, masks = _source_masks(cfg, rendered.source_images)
-        # Masks and truth only: each use of the target encodes it a block
-        # of frames at a time, so no scene's (T, K, cells) tensor is held.
+        # Masks and truth only: each use of the target encodes it a frame
+        # at a time, so no scene's (T, K, cells) tensor is held.
         target = coding.FrameBlocks(train_cfg.target_kind, masks,
                                     rendered.truth, cfg.grid(), cfg.sigma_deg)
         mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())

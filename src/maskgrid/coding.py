@@ -22,11 +22,6 @@ CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
 # row span takes more rows). A block's three temporaries stay in a 2 MiB L2
 # up to 1440 cells; 256 rows spilled and ran 2-3x slower.
 _ENCODE_BLOCK_ROWS = 32
-# Frames per FrameBlocks block. On the pipeline benchmark (seed 7, 25 s
-# runs; 257 bins, 720 cells) 1 frame peaked at 50.8 MiB RSS, 2 frames at
-# 53.6-54.1 MiB and 4 frames at 59-64 MiB while each block was a fresh
-# array; blocks are now encoded into one reused buffer.
-_ENCODE_BLOCK_FRAMES = 1
 
 
 def wrapped_distance(a, b, span_deg: float = 360.0):
@@ -124,6 +119,12 @@ class CodingTensor:
     Spatial-only kinds (sbc, slc) carry a single frequency bin (K = 1).
     All kinds are bounded by [0, 1] except mwslc_sum, which can exceed 1
     where Gaussians of nearby speakers overlap.
+
+    A coding source is anything with `frames`, `bins`, `grid` and `kind`
+    whose iteration yields each frame's (bins, cells) values in order: a
+    CodingTensor, FrameBlocks, FrameSource or container.CodingFile. A frame
+    yielded by a source other than a CodingTensor is valid only until the
+    next one is requested, as its array may be reused.
     """
 
     values: np.ndarray
@@ -149,24 +150,21 @@ class CodingTensor:
     def bins(self) -> int:
         return self.values.shape[1]
 
-    def each_block(self, fn) -> None:
-        """fn(0, self): the whole tensor as one block, as FrameBlocks hands
-        out its blocks."""
-        fn(0, self)
-
-    def columns(self, cells) -> np.ndarray:
-        """(len(cells), frames, bins): the tensor's columns at `cells`."""
-        return self.values.transpose(2, 0, 1)[np.asarray(cells, dtype=np.intp)]
+    def __iter__(self):
+        return iter(self.values)
 
 
-class BlockSource:
-    """A coding whose each_block(fn) calls fn(t0, block) with CodingTensor
-    blocks of frames t0 .. t0 + block.frames in order, as FrameBlocks does."""
+class FrameSource:
+    """A coding source whose iteration is make(), a fresh iterator over its
+    frames in order."""
 
     def __init__(self, frames: int, bins: int, grid: SpatialGrid, kind: str,
-                 each_block):
+                 make):
         self.frames, self.bins, self.grid, self.kind = frames, bins, grid, kind
-        self.each_block = each_block
+        self._make = make
+
+    def __iter__(self):
+        return self._make()
 
 
 def compute_irm(source_specs, eps_m_db: float = -35.0) -> MaskSet:
@@ -383,14 +381,13 @@ ENCODERS = {
 
 
 class FrameBlocks:
-    """ENCODERS[kind](masks, truth, grid, sigma_deg) handed out a block of
-    frames at a time, so the full (frames, bins, cells) tensor is never held.
+    """ENCODERS[kind](masks, truth, grid, sigma_deg) as a coding source
+    (see CodingTensor) that encodes a frame at a time, so the full (frames,
+    bins, cells) tensor is never held.
 
     The kind's rows are built, and its checks and shared-cell warning run,
-    once, here; each block is fold() of frames t0 .. t0 + n of the masks
-    against them, bit-identical to those rows of the full encoding.
-    `frames`, `bins`, `grid`, `kind` and `each_block` are CodingTensor's
-    too, so a consumer of blocks takes either.
+    once, here; each frame is fold() of that frame of the masks against
+    them, bit-identical to its rows of the full encoding.
     """
 
     def __init__(self, kind: str, masks: MaskSet, truth: DoaSet,
@@ -400,20 +397,20 @@ class FrameBlocks:
         self.sigma_deg = sigma_deg
         self.frames, self.bins = masks.frames, masks.bins
 
-    def each_block(self, fn) -> None:
-        """fn(t0, block) for each CodingTensor block of frames t0 .. t0 +
-        block.frames, in order; a block is free once fn returns, and the
-        next block is encoded into its array."""
-        buffer = np.empty((_ENCODE_BLOCK_FRAMES, self.bins,
-                           self.grid.theta_count))
-        for t0 in range(0, self.frames, _ENCODE_BLOCK_FRAMES):
-            block = MaskSet(self.masks.values[:, t0:t0 + _ENCODE_BLOCK_FRAMES])
-            fn(t0, fold(block, self.rows, self.grid, self.kind,
-                        out=buffer[:block.frames]))
+    def __iter__(self):
+        """Each frame folded into one reused (1, bins, cells) buffer. On the
+        pipeline benchmark (seed 7, 25 s runs; 257 bins, 720 cells) blocks
+        of 1 frame peaked at 50.8 MiB RSS, 2 frames at 53.6-54.1 MiB and 4
+        frames at 59-64 MiB while each block was a fresh array."""
+        buffer = np.empty((1, self.bins, self.grid.theta_count))
+        for t in range(self.frames):
+            frame = MaskSet(self.masks.values[:, t:t + 1])
+            yield fold(frame, self.rows, self.grid, self.kind,
+                       out=buffer).values[0]
 
     def mean_over_bins(self) -> np.ndarray:
         """(frames, cells): the encoding's mean over bins, as
-        decode.freq_average of these blocks gives it, from the masks and
+        decode.freq_average of these frames gives it, from the masks and
         rows without encoding a cell.
 
         With masks M_i and rows g_i, the sum over bins at frame t is
@@ -425,7 +422,7 @@ class FrameBlocks:
             sorted once per frame); and at bins with three or more active
             speakers the maximum cell by cell, as the encoder takes it.
         mwsbc sums each mask over bins in bin order, as the mean over a
-        block's bin axis does, so for finite masks it is bit-identical; the
+        frame's bin axis does, so for finite masks it is bit-identical; the
         Gaussian kinds sum in another order and agree to 1e-12 relative.
         Masks are nonnegative, as compute_irm gives them.
         """
@@ -433,7 +430,7 @@ class FrameBlocks:
         speakers, frames, bins = masks.shape
         if _CODINGS[self.kind][1] is np.add:
             # A running sum adds the bins in order, as the mean over a
-            # block's bin axis does; np.sum along a contiguous axis (one
+            # frame's bin axis does; np.sum along a contiguous axis (one
             # frame) adds pairwise.
             sums = np.cumsum(masks, axis=2)[:, :, -1]
             return (sums.T @ rows) / bins

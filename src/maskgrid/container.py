@@ -17,10 +17,9 @@ the format targets interchange, not lossless archival. Kind "params" is
 the one special case: its dims are the three layer sizes (input, hidden,
 output) and the payload is the flattened concatenation w1, b1, w2, b2.
 
-Files are written block by block to a sibling ".tmp" file that takes the
+Files are written piece by piece to a sibling ".tmp" file that takes the
 path's place once complete. Readers check the file size against the dims
-before reading any payload byte; `CodingFile` reads a block of frames at
-a time.
+before reading any payload byte; `CodingFile` reads a frame at a time.
 
 The JSON artifacts (truth.json, doas.json) are read by load_json under the
 same rule: every fault in a file's bytes is a FormatError.
@@ -38,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import (_ENCODE_BLOCK_FRAMES, CODING_KINDS, CodingTensor,
-                     MaskSet, SpatialGrid)
+from .coding import (CODING_KINDS, CodingTensor, FrameSource, MaskSet,
+                     SpatialGrid)
 from .errors import ConfigError, FormatError, NumericError
 from .estimator import EstimatorParams
 
@@ -123,14 +122,14 @@ def _header(fh, name: str):
     return kind, dims, shape, span, theta, seed
 
 
-def _payload(fh, name: str, shape, dtype=np.float64) -> np.ndarray:
-    """The next prod(shape) float32 values of fh, as an array of dtype."""
+def _payload(fh, name: str, shape) -> np.ndarray:
+    """The next prod(shape) float32 values of fh, as a float64 array."""
     count = math.prod(shape)
     arr = np.fromfile(fh, "<f4", count)
     if arr.size != count:  # the file shrank after its size was checked
         raise FormatError(f"{name}: payload ends after {arr.size} of "
                           f"{count} values")
-    return arr.reshape(shape).astype(dtype, copy=False)
+    return arr.reshape(shape).astype(np.float64)
 
 
 def read_array(path):
@@ -145,34 +144,42 @@ def read_array(path):
     return kind, arr, span, theta, seed
 
 
-def save_coding(path, coding, then=None) -> None:
-    """Write a coding a block at a time, as coding.each_block hands it out.
-
-    coding: a CodingTensor (one block), or a source of its frame blocks
-    with the same frames, bins, grid and kind (coding.FrameBlocks,
-    coding.BlockSource), whose full tensor is then never held.
-    then: if given, then(t0, stored) is called with each block's float32
-    values once written, so another consumer shares this pass.
-    """
+def written(path, coding) -> FrameSource:
+    """`coding` (a coding source, see coding.CodingTensor) as a FrameSource
+    whose iteration writes it to path a frame at a time and yields each
+    frame's float32 values as written, so another consumer shares the
+    write pass. The file takes path's place once the last frame is written;
+    an iteration stopped early leaves the former file."""
     grid = coding.grid
-    with _writer(path, f"coding:{coding.kind}",
-                 (coding.frames, coding.bins, grid.theta_count),
-                 span_deg=grid.span_deg, theta_count=grid.theta_count) as put:
-        def write(t0, block):
-            stored = np.asarray(block.values, dtype="<f4")
-            put(stored)
-            if then is not None:
-                then(t0, stored)
 
-        coding.each_block(write)
+    def frames():
+        stored = np.empty((coding.bins, grid.theta_count), dtype="<f4")
+        with _writer(path, f"coding:{coding.kind}",
+                     (coding.frames, coding.bins, grid.theta_count),
+                     span_deg=grid.span_deg,
+                     theta_count=grid.theta_count) as put:
+            for frame in coding:
+                np.copyto(stored, frame)
+                # Held, a fresh frame would sit beside the source's next one.
+                del frame
+                put(stored)
+                yield stored
+
+    return FrameSource(coding.frames, coding.bins, grid, coding.kind, frames)
+
+
+def save_coding(path, coding) -> None:
+    """Write a coding source a frame at a time; a FrameBlocks or FrameSource
+    is never held as a full tensor."""
+    for _ in written(path, coding):
+        pass
 
 
 class CodingFile:
-    """A coding.bin read a block of frames at a time, so its full tensor is
-    never held. The header, kind tag and grid are checked here; each
-    `each_block(fn)` or `columns(cells)` call reads the file again.
-    each_block calls fn(t0, block) with a float64 CodingTensor of frames
-    t0 .. t0 + block.frames, as coding.FrameBlocks does.
+    """A coding.bin as a coding source (see coding.CodingTensor): each
+    iteration reads the file again, a frame's float32 values at a time into
+    one reused array, so its full tensor is never held. The header, kind
+    tag and grid are checked here; a coding needs at least one bin.
     """
 
     def __init__(self, path):
@@ -184,31 +191,23 @@ class CodingFile:
             raise FormatError(f"{path}: kind {kind!r} is not a coding tensor")
         empty = _build(path, lambda: CodingTensor(
             np.empty((0,) + dims[1:]), SpatialGrid(theta, span), kind[7:]))
+        if dims[1] == 0:
+            raise FormatError(f"{path}: dims {dims} hold no frequency bin")
         self.frames, self.bins = dims[0], dims[1]
         self.grid, self.kind = empty.grid, empty.kind
 
-    def _stored(self):
-        """(t0, float32 values) of each block of frames, in order."""
+    def __iter__(self):
+        frame = np.empty((self.bins, self.grid.theta_count), dtype="<f4")
         with open(self.path, "rb") as fh:
             fh.seek(self._offset)
-            for t0 in range(0, self.frames, _ENCODE_BLOCK_FRAMES):
-                shape = (min(_ENCODE_BLOCK_FRAMES, self.frames - t0),
-                         self.bins, self.grid.theta_count)
-                yield t0, _payload(fh, str(self.path), shape, np.float32)
-
-    def each_block(self, fn) -> None:
-        """fn(t0, block) for each block of frames, in order."""
-        for t0, stored in self._stored():
-            fn(t0, CodingTensor(stored, self.grid, self.kind))
-
-    def columns(self, cells) -> np.ndarray:
-        """(len(cells), frames, bins): the coding's columns at `cells`,
-        taken from each block's float32 values before they are widened."""
-        cells = np.asarray(cells, dtype=np.intp)
-        values = np.empty((cells.size, self.frames, self.bins))
-        for t0, stored in self._stored():
-            values[:, t0:t0 + len(stored)] = stored.transpose(2, 0, 1)[cells]
-        return values
+            for t in range(self.frames):
+                got = fh.readinto(frame)
+                if got != frame.nbytes:  # the file shrank after opening
+                    raise FormatError(
+                        f"{self.path}: payload ends after "
+                        f"{t * frame.size + got // 4} of "
+                        f"{self.frames * frame.size} values")
+                yield frame
 
 
 def save_masks(path, masks: MaskSet, span_deg: float = 0.0) -> None:

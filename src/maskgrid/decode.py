@@ -67,26 +67,17 @@ class DoaEstimates:
         return np.array([c.center_deg for c in self.clusters])
 
 
-def freq_average(coding, each_block=None) -> FrameLikelihood:
+def freq_average(coding) -> FrameLikelihood:
     """Mean of the coding over all frequency bins, per frame and cell.
 
-    coding: a CodingTensor, or a source of its frame blocks with the same
-    frames, grid and each_block (coding.FrameBlocks, container.CodingFile).
-    Each (frame, cell) mean is taken on its own, so the rows built block by
-    block are bit-identical to the full tensor's.
-    each_block: a pass calling fn(t0, values) with each block's values, in
-    place of coding.each_block; pipeline passes container.save_coding's,
-    whose float32 values, summed in float64, give the written file's bits.
+    coding: a coding source (see coding.CodingTensor). Each frame's mean is
+    taken on its own, so every source of the same values gives the same
+    bits; pipeline passes container.written, whose float32 frames, summed
+    in float64, give the bits of the written file.
     """
     values = np.empty((coding.frames, coding.grid.theta_count))
-
-    def put(t0, block):
-        values[t0:t0 + len(block)] = block.mean(axis=1, dtype=np.float64)
-
-    if each_block is None:
-        coding.each_block(lambda t0, block: put(t0, block.values))
-    else:
-        each_block(put)
+    for t, frame in enumerate(coding):
+        values[t] = frame.mean(axis=0, dtype=np.float64)
     return FrameLikelihood(values, coding.grid)
 
 
@@ -241,14 +232,15 @@ def cluster_doas(detections, sigma_deg: float = 6.0, span_deg: float = 360.0,
 def sample_masks(coding, doas: DoaEstimates) -> MaskSet:
     """Per-speaker masks sliced from the coding at each cluster's cell.
 
-    coding: a CodingTensor, or a container.CodingFile, which gathers the
-    columns in one read of the file. Nothing is read when there is no
-    cluster.
+    coding: a coding source (see coding.CodingTensor), read in one pass;
+    each frame's cells are taken before they are widened to float64.
+    Nothing is read when there is no cluster.
     """
     cells = [coding.grid.index_of(c.center_deg) for c in doas.clusters]
-    if not cells:
-        return MaskSet(np.empty((0, coding.frames, coding.bins)))
-    return MaskSet(coding.columns(cells))
+    values = np.empty((len(cells), coding.frames, coding.bins))
+    for t, frame in enumerate(coding if cells else ()):
+        values[:, t] = frame[:, cells].T
+    return MaskSet(values)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import BlockSource, CodingTensor, SpatialGrid
+from .coding import CodingTensor, FrameSource, SpatialGrid
 from .errors import ConfigError, ShapeError, TrainingError
 from .stft import Spectrogram
 
@@ -162,28 +162,29 @@ def _squared_error(feats: np.ndarray, target, layers, step=None) -> float:
 
     For each frame's (bins, features) rows x, h, y = layers(x). Once the
     running sum with that frame's squares is found finite, step(x, h, y,
-    y - target), if given, may take those arrays over. Frames are walked
-    inside each block of target.each_block, so a CodingTensor and a
-    coding.FrameBlocks target give the same bits.
+    y - target), if given, may take those arrays over. target is a coding
+    source (see coding.CodingTensor); each frame is summed on its own, so
+    a CodingTensor and a coding.FrameBlocks target give the same bits.
 
     Raises:
         TrainingError: the sum is not finite.
     """
     total = 0.0
 
-    def frames(t0, block):
+    # A function, so a frame's arrays are freed before the target makes
+    # the next frame.
+    def add(x, rows):
         nonlocal total
-        for t, rows in enumerate(block.values, t0):
-            x = feats[t]
-            h, y = layers(x)
-            diff = y - rows
-            total += float(np.vdot(diff, diff))
-            if not np.isfinite(total):
-                raise TrainingError("non-finite loss")
-            if step is not None:
-                step(x, h, y, diff)
+        h, y = layers(x)
+        diff = y - rows
+        total += float(np.vdot(diff, diff))
+        if not np.isfinite(total):
+            raise TrainingError("non-finite loss")
+        if step is not None:
+            step(x, h, y, diff)
 
-    target.each_block(frames)
+    for x, rows in zip(feats, target):
+        add(x, rows)
     return total
 
 
@@ -200,17 +201,17 @@ def forward(params: EstimatorParams, feats: np.ndarray,
 
 
 def forward_blocks(params: EstimatorParams, feats: np.ndarray,
-                   grid: SpatialGrid) -> BlockSource:
+                   grid: SpatialGrid) -> FrameSource:
     """forward(params, feats, grid) a frame at a time, after its shape
     checks; a one-frame product may take another BLAS kernel than the
     whole one, and differ from its rows in the last bits."""
     forward(params, feats[:0], grid)  # its shape checks, on no frames
 
-    def each_block(fn):
-        for t0 in range(len(feats)):
-            fn(t0, forward(params, feats[t0:t0 + 1], grid))
+    def frames():
+        for t in range(len(feats)):
+            yield forward(params, feats[t:t + 1], grid).values[0]
 
-    return BlockSource(*feats.shape[:2], grid, "estimated", each_block)
+    return FrameSource(*feats.shape[:2], grid, "estimated", frames)
 
 
 def backward(params: EstimatorParams, feats: np.ndarray, target) -> tuple:
@@ -218,7 +219,7 @@ def backward(params: EstimatorParams, feats: np.ndarray, target) -> tuple:
 
     The loss is the mean of (output - target)^2 over every (t, k, cell),
     backpropagated through the sigmoid and tanh by hand. target is a
-    CodingTensor or a coding.FrameBlocks; either is read through each_block.
+    CodingTensor or a coding.FrameBlocks, read a frame at a time.
 
     Returns:
         (Gradients, loss).
@@ -320,7 +321,7 @@ def train(train_pairs, val_pairs, cfg: TrainConfig,
 
     Scenes are (features, target) pairs, the features as returned by
     `features` and the target a CodingTensor or a coding.FrameBlocks, which
-    holds only the masks and truth and encodes a block of frames per use.
+    holds only the masks and truth and encodes a frame at a time per use.
     The network is initialized from the config seed with the first target's
     grid as its output. Reproducible bit-for-bit for a fixed config seed:
     shuffling uses its own generator and batch gradients are averaged in
@@ -425,15 +426,17 @@ def corrupt_oracle(coding: CodingTensor, noise_std: float = 0.0,
 
 
 def corrupt_blocks(oracle, noise_std: float, blur_cells: int,
-                   seed: int) -> BlockSource:
-    """corrupt_oracle of each block of `oracle` (a coding.FrameBlocks),
+                   seed: int) -> FrameSource:
+    """corrupt_oracle of each frame of `oracle` (a coding.FrameBlocks),
     bit-identical to one call on the full tensor: the blur and the clips
     act within a frame, and each pass draws the noise in C order from one
     generator made fresh from `seed`."""
-    def each_block(fn):
+    def frames():
         rng = np.random.default_rng(seed)
-        oracle.each_block(lambda t0, block: fn(
-            t0, corrupt_oracle(block, noise_std, blur_cells, rng)))
+        for frame in oracle:
+            yield corrupt_oracle(CodingTensor(frame[None], oracle.grid,
+                                              oracle.kind),
+                                 noise_std, blur_cells, rng).values[0]
 
-    return BlockSource(oracle.frames, oracle.bins, oracle.grid, oracle.kind,
-                       each_block)
+    return FrameSource(oracle.frames, oracle.bins, oracle.grid, oracle.kind,
+                       frames)

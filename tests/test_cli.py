@@ -15,7 +15,7 @@ from maskgrid import cli, coding, container, decode, estimator, stft
 from maskgrid.cli import main
 from maskgrid.config import DEFAULTS, load_config
 from maskgrid.container import (CodingFile, load_params, read_array,
-                                save_params)
+                                save_params, write_array)
 from maskgrid.signal import TimeSignal, load_wav, save_wav
 from maskgrid.stft import analyze
 
@@ -302,7 +302,7 @@ class TestOneEncodeStage:
         def no_encoding(*args, **kwargs):
             raise AssertionError("model mode built an oracle coding")
 
-        # Every oracle coding, a full encode or a FrameBlocks block, is
+        # Every oracle coding, a full encode or a FrameBlocks frame, is
         # a coding.fold.
         monkeypatch.setattr(coding, "fold", no_encoding)
         assert main(["encode", "--config", ini, "--out", str(out)]) == 0
@@ -384,7 +384,7 @@ class TestCalibrate:
         def no_encoding(*args, **kwargs):
             raise AssertionError("calibrate encoded an oracle coding")
 
-        # Every oracle coding, a full encode or a FrameBlocks block, is
+        # Every oracle coding, a full encode or a FrameBlocks frame, is
         # a coding.fold.
         monkeypatch.setattr(coding, "fold", no_encoding)
         assert main(["calibrate", "--config", _fast_ini(tmp_path), "--out",
@@ -458,7 +458,7 @@ class TestTrain:
         def no_encoding(*args, **kwargs):
             raise AssertionError("model mode built an oracle coding")
 
-        # Every oracle coding, a full encode or a FrameBlocks block, is
+        # Every oracle coding, a full encode or a FrameBlocks frame, is
         # a coding.fold.
         monkeypatch.setattr(coding, "fold", no_encoding)
         model_out = tmp_path / "model_run"
@@ -495,7 +495,7 @@ def _former_cmd_train(cfg, args) -> int:
 
 def _short_train_ini(tmp_path, train_scenes, val_scenes, extra="",
                      epochs=1):
-    """0.3 s scenes at the default 720 cells; 19 frames end in a part block."""
+    """0.3 s scenes at the default 720 cells, 19 frames each."""
     path = tmp_path / f"train_{train_scenes}_{val_scenes}.ini"
     path.write_text(f"[scene]\nduration_s = 0.3\n[train]\nepochs = {epochs}\n"
                     f"hidden_dim = 4\nbatch_size = 2\nscene_count = "
@@ -617,7 +617,7 @@ def _former_cmd_decode(cfg, args) -> int:
 def _three_pass_encode_stage(cfg, mixture, images, truth, params, out_dir,
                              average=False):
     """_encode_stage as it was when coding.bin was written in a pass of its
-    own, kept verbatim: decoding then encoded each block twice more. It
+    own, kept verbatim: decoding then encoded each frame twice more. It
     returns no likelihood, so pipeline's `average` is ignored."""
     mixture_spec = stft.analyze(mixture, cfg.stft_config())
     _, masks = cli._source_masks(cfg, images)
@@ -641,7 +641,7 @@ def _three_pass_encode_stage(cfg, mixture, images, truth, params, out_dir,
 
 
 def _three_pass_decode(cfg, coded, _likelihood, out_dir):
-    """_decode as it was, averaging in one pass over the blocks and, with
+    """_decode as it was, averaging in one pass over the frames and, with
     the former sample_masks written out, gathering columns in another."""
     fl = decode.freq_average(coded)
     detections = decode.peak_search(fl, cfg.eps_theta, cfg.delta_theta_deg)
@@ -649,13 +649,10 @@ def _three_pass_decode(cfg, coded, _likelihood, out_dir):
                                     coded.grid.span_deg, cfg.min_support_frac)
     cells = [coded.grid.index_of(c.center_deg) for c in estimates.clusters]
     values = np.empty((len(cells), coded.frames, coded.bins))
-
-    def put(t0, block):
-        for i, g in enumerate(cells):
-            values[i, t0:t0 + block.frames] = block.values[:, :, g]
-
     if cells:
-        coded.each_block(put)
+        for t, frame in enumerate(coded):
+            for i, g in enumerate(cells):
+                values[i, t] = frame[:, g]
     sampled = coding.MaskSet(values)
     cli._write_json(out_dir / "doas.json", {
         "clusters": [{"center_deg": float(c.center_deg),
@@ -760,9 +757,8 @@ def _assert_artifacts_equal_former(tmp_path, monkeypatch, params, case,
 
 
 class TestStreamedCoding:
-    """Encode, decode and pipeline stream coding.bin a block of frames at a
-    time in every estimate mode and never hold the (frames, bins, cells)
-    tensor."""
+    """Encode, decode and pipeline stream coding.bin a frame at a time in
+    every estimate mode and never hold the (frames, bins, cells) tensor."""
 
     @pytest.mark.parametrize("seed", ["11", "12345"])
     @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
@@ -780,7 +776,7 @@ class TestStreamedCoding:
     @pytest.mark.parametrize("case", sorted(_STREAM_CASES))
     def test_artifacts_equal_the_three_pass_stages(
             self, tmp_path, monkeypatch, untrained_params, case, seed):
-        # One encode per block: coding.bin and the frame likelihood come
+        # One encode per frame: coding.bin and the frame likelihood come
         # from one pass, the sampled masks from the decoded cells only.
         _assert_artifacts_equal_former(tmp_path, monkeypatch,
                                        untrained_params, case, seed,
@@ -930,6 +926,19 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["decode", "--config", ini, "--out", str(out)]) == 4
         assert "span must be in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frames", [0, 5])
+    def test_coding_without_bins_exit_4_before_doas_json(self, tmp_path,
+                                                          capsys, frames):
+        # Its frequency average would be the mean of no values, NaN.
+        out = tmp_path / "run"
+        out.mkdir()
+        write_array(out / "coding.bin", "coding:mwslc",
+                    np.zeros((frames, 0, 8)), span_deg=360.0, theta_count=8)
+        assert main(["decode", "--config", _fast_ini(tmp_path),
+                     "--out", str(out)]) == 4
+        assert "no frequency bin" in capsys.readouterr().err
+        assert not (out / "doas.json").exists()
 
     def test_missing_config_file_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, _ENCODE_BLOCK_ROWS, ENCODERS,
+from maskgrid.coding import (_ENCODE_BLOCK_ROWS, ENCODERS,
                              CodingTensor, DoaSet, FrameBlocks, MaskSet,
                              SpatialGrid, _gaussian_rows, _warn_shared_cells,
                              compute_irm, encode_mwsbc, encode_mwslc,
@@ -510,23 +510,16 @@ class TestMwslcSumOracleIdentity:
 
 
 def _joined_blocks(kind, masks, truth, grid, sigma_deg=6.0):
-    """FrameBlocks' blocks joined along frames, after checking that the
-    blocks come in order: full blocks, then a rest. A block's array is
-    reused once fn returns, so its values are copied."""
+    """FrameBlocks' frames stacked, after checking that it yields one
+    (bins, cells) frame per frame of the masks. A frame's array is reused
+    once the next one is requested, so its values are copied."""
     blocks = FrameBlocks(kind, masks, truth, grid, sigma_deg)
-    parts, frames = [], []
-    values = [np.empty((0, masks.bins, grid.theta_count))]
-
-    def keep(t0, block):
-        frames.append((t0, block.frames))
-        parts.append(block)
-        values.append(block.values.copy())
-
-    blocks.each_block(keep)
-    assert frames == [(t0, min(_ENCODE_BLOCK_FRAMES, masks.frames - t0))
-                      for t0 in range(0, masks.frames, _ENCODE_BLOCK_FRAMES)]
-    assert all(part.kind == kind and part.grid == grid for part in parts)
-    return np.concatenate(values)
+    assert (blocks.kind, blocks.grid) == (kind, grid)
+    frames = [frame.copy() for frame in blocks]
+    assert [f.shape for f in frames] == \
+        [(masks.bins, grid.theta_count)] * masks.frames
+    return np.array(frames).reshape(masks.frames, masks.bins,
+                                    grid.theta_count)
 
 
 def _assert_blocks_match_full(kind, masks, truth, grid, sigma_deg=6.0):
@@ -537,12 +530,10 @@ def _assert_blocks_match_full(kind, masks, truth, grid, sigma_deg=6.0):
 
 
 class TestEncodeReduced:
-    """FrameBlocks' blocks of frames, joined, give the full encoding, bit
-    for bit, and the encoder's checks and warning behave as in one full
-    encode."""
+    """FrameBlocks' frames, stacked, give the full encoding, bit for bit,
+    and the encoder's checks and warning behave as in one full encode."""
 
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
-    # 3, 4, 12 and 13 frames fill or straddle blocks of 1, 2 or 4 frames.
     @pytest.mark.parametrize("frames", [0, 1, 3, 4, 12, 13])
     def test_frame_counts_around_the_block_size(self, rng, kind, frames):
         masks = MaskSet(rng.uniform(0.0, 1.0, (2, frames, 5)))
@@ -622,8 +613,8 @@ class TestEncodeReduced:
 
 
 class TestFrameBlocks:
-    """FrameBlocks checks at construction and hands out the full encoding's
-    rows in order; a CodingTensor is one block."""
+    """FrameBlocks checks at construction and, on each iteration, yields the
+    full encoding's frames in order; a CodingTensor yields its own."""
 
     def test_collision_raised_at_construction(self):
         with pytest.raises(CollisionError):
@@ -632,28 +623,27 @@ class TestFrameBlocks:
 
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
     def test_blocks_in_order_and_equal_to_the_full_rows(self, rng, kind):
-        masks = MaskSet(rng.uniform(0.0, 1.0, (2, 2 * _ENCODE_BLOCK_FRAMES + 1,
-                                               5)))
+        masks = MaskSet(rng.uniform(0.0, 1.0, (2, 3, 5)))
         truth, grid = DoaSet(np.array([40.0, 52.0])), SpatialGrid(360)
         full = ENCODERS[kind](masks, truth, grid, 20.0)
         blocks = FrameBlocks(kind, masks, truth, grid, 20.0)
         assert (blocks.frames, blocks.bins, blocks.grid, blocks.kind) == (
             full.frames, full.bins, full.grid, full.kind)
-        starts = []
+        for _ in range(2):  # each iteration encodes the frames again
+            count = 0
+            for t, frame in enumerate(blocks):
+                assert frame.tobytes() == full.values[t].tobytes()
+                count += 1
+            assert count == 3
 
-        def check(t0, block):
-            starts.append(t0)
-            want = full.values[t0:t0 + block.frames]
-            assert block.values.tobytes() == want.tobytes()
-
-        blocks.each_block(check)
-        assert starts == [0, _ENCODE_BLOCK_FRAMES, 2 * _ENCODE_BLOCK_FRAMES]
-
-    def test_coding_tensor_is_one_block(self):
-        tensor = CodingTensor(np.zeros((3, 2, 4)), SpatialGrid(4), "mwslc")
-        calls = []
-        tensor.each_block(lambda t0, block: calls.append((t0, block)))
-        assert calls == [(0, tensor)]
+    def test_coding_tensor_yields_its_frames(self):
+        tensor = CodingTensor(np.arange(24.0).reshape(3, 2, 4),
+                              SpatialGrid(4), "mwslc")
+        frames = list(tensor)
+        assert len(frames) == 3
+        for t, frame in enumerate(frames):
+            assert np.shares_memory(frame, tensor.values)  # never a copy
+            assert frame.tobytes() == tensor.values[t].tobytes()
 
 
 @st.composite
@@ -684,7 +674,7 @@ def _bin_mean_inputs(draw):
 
 class TestMeanOverBins:
     """FrameBlocks.mean_over_bins, which encodes no cell, against
-    freq_average of the blocks: mwsbc bit for bit, the Gaussian kinds to
+    freq_average of the frames: mwsbc bit for bit, the Gaussian kinds to
     1e-12 relative (zeros and subnormal products get an absolute floor)."""
 
     @staticmethod

@@ -1,16 +1,19 @@
 """Binary container round trips and corruption handling."""
 
+import gc
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, CodingTensor,
-                             FrameBlocks, MaskSet, SpatialGrid)
+from maskgrid.coding import (ENCODERS, CodingTensor, FrameBlocks, MaskSet,
+                             SpatialGrid)
 from maskgrid.container import (MAGIC, CodingFile, load_masks, load_params,
                                 read_array, save_coding, save_masks,
-                                save_params, write_array)
+                                save_params, write_array, written)
+from maskgrid.decode import DoaCluster, DoaEstimates, sample_masks
 from maskgrid.errors import FormatError, NumericError
 from maskgrid.estimator import EstimatorParams, init_params
 
@@ -98,9 +101,8 @@ class TestCoding:
         assert loaded.kind == "mwslc"
         assert loaded.grid.theta_count == 16
         assert loaded.grid.span_deg == 360.0
-        blocks = []
-        loaded.each_block(lambda t0, block: blocks.append(block.values))
-        np.testing.assert_array_equal(np.concatenate(blocks), coding.values)
+        frames = [frame.copy() for frame in loaded]
+        np.testing.assert_array_equal(np.array(frames), coding.values)
 
     def test_wrong_kind_rejected(self, tmp_path, rng):
         path = tmp_path / "m.bin"
@@ -120,6 +122,15 @@ class TestCoding:
         write_array(path, "coding:alien", np.zeros((1, 1, 4)),
                     span_deg=360.0, theta_count=4)
         with pytest.raises(FormatError):
+            CodingFile(path)
+
+    @pytest.mark.parametrize("frames", [0, 5])
+    def test_no_bins_rejected(self, tmp_path, frames):
+        # Its frequency average would be the mean of no values, NaN.
+        path = tmp_path / "flat.bin"
+        write_array(path, "coding:mwslc", np.zeros((frames, 0, 8)),
+                    span_deg=360.0, theta_count=8)
+        with pytest.raises(FormatError, match="no frequency bin"):
             CodingFile(path)
 
 
@@ -260,19 +271,27 @@ class TestWholeFileWrites:
         class Failing:
             frames, bins, grid, kind = 5, 2, SpatialGrid(6), "mwslc"
 
-            def each_block(self, fn):
-                fn(0, CodingTensor(np.ones((4, 2, 6)), grid, "mwslc"))
+            def __iter__(self):
+                yield from np.ones((4, 2, 6))
                 raise OSError("disk full")
+
+        def consume(source):
+            for t, _ in enumerate(source):
+                if t == 2:
+                    raise RuntimeError("consumer failed")
 
         with pytest.raises(OSError, match="disk full"):
             save_coding(path, Failing())
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            consume(written(path, CodingTensor(np.ones((5, 2, 6)), grid,
+                                               "mwslc")))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["coding.bin"]
 
 
 class TestCodingFile:
-    """A coding.bin read a block of frames at a time, and a coding written
-    from its blocks."""
+    """A coding.bin read a frame at a time, and a coding written from its
+    frames."""
 
     @pytest.mark.parametrize("frames", [0, 1, 4, 9])
     def test_blocks_are_the_file_in_order(self, tmp_path, rng, frames):
@@ -283,17 +302,15 @@ class TestCodingFile:
         source = CodingFile(path)
         assert (source.frames, source.bins, source.grid, source.kind) == (
             frames, 3, SpatialGrid(8, 180.0), "mwsbc")
-        blocks = []
-        source.each_block(lambda t0, block: blocks.append((t0, block)))
-        assert [t0 for t0, _ in blocks] == list(
-            range(0, frames, _ENCODE_BLOCK_FRAMES))
-        for t0, block in blocks:
-            assert block.values.dtype == np.float64
-            assert block.frames == min(_ENCODE_BLOCK_FRAMES, frames - t0)
-            assert block.values.tobytes() == \
-                values[t0:t0 + block.frames].tobytes()
-        gathered = source.columns(range(8)).transpose(1, 2, 0)
-        assert np.ascontiguousarray(gathered).tobytes() == values.tobytes()
+        for _ in range(2):  # each iteration reads the file again
+            read = [(id(frame), frame.copy()) for frame in source]
+            assert len(read) == frames
+            # One array, refilled for each frame.
+            assert len({key for key, _ in read}) <= 1
+            for t, (_, frame) in enumerate(read):
+                assert frame.dtype == np.float32
+                assert frame.astype(np.float64).tobytes() == \
+                    values[t].tobytes()
 
     def test_file_cut_after_opening(self, tmp_path, rng):
         path = tmp_path / "coding.bin"
@@ -301,15 +318,30 @@ class TestCodingFile:
                                                1), SpatialGrid(8), "mwslc"))
         source = CodingFile(path)
         path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="ends after 215 of 216 values"):
+            for _ in source:
+                pass
+        doas = DoaEstimates((DoaCluster(0.0, 1), DoaCluster(315.0, 1)))
         with pytest.raises(FormatError, match="ends after"):
-            source.each_block(lambda t0, block: None)
-        with pytest.raises(FormatError, match="ends after"):
-            source.columns([0, 7])
+            sample_masks(source, doas)
+
+    def test_iteration_stopped_early_closes_the_file(self, tmp_path, rng):
+        path = tmp_path / "coding.bin"
+        save_coding(path, CodingTensor(np.clip(_f4_exact(rng, (9, 3, 8)), 0,
+                                               1), SpatialGrid(8), "mwslc"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frames = iter(CodingFile(path))
+            next(frames)
+            del frames
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
     def test_frame_blocks_write_the_full_tensor_bytes(self, tmp_path, kind,
                                                       two_speaker_scene):
-        # 62 frames: the last block is a short one.
+        # 62 frames, written one at a time.
         bundle, grid = two_speaker_scene, SpatialGrid(360)
         save_coding(tmp_path / "full.bin", ENCODERS[kind](
             bundle.masks, bundle.truth, grid, 6.0))

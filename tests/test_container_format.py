@@ -20,16 +20,21 @@ from maskgrid.coding import CodingTensor, MaskSet, SpatialGrid
 from maskgrid.container import (_KIND_BYTES, MAGIC, CodingFile, load_masks,
                                 load_params, read_array, save_coding,
                                 save_masks, save_params, write_array)
+from maskgrid.decode import DoaCluster, DoaEstimates, sample_masks
 from maskgrid.errors import FormatError
 from maskgrid.estimator import EstimatorParams, init_params
 
 
 def read_coding(path):
     """Every check and read that staged decode makes of a coding.bin: a
-    CodingFile, one pass over its blocks and one gather of columns."""
+    CodingFile, one pass over its frames and one mask sample at its first
+    and last cells."""
     source = CodingFile(path)
-    source.each_block(lambda t0, block: None)
-    source.columns([0, source.grid.theta_count - 1])
+    for _ in source:
+        pass
+    grid = source.grid
+    sample_masks(source, DoaEstimates(tuple(
+        DoaCluster(grid.angle_of(g), 1) for g in (0, grid.theta_count - 1))))
 
 
 LOADERS = (read_array, read_coding, load_masks, load_params)

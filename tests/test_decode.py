@@ -13,11 +13,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
-from maskgrid.coding import (_ENCODE_BLOCK_FRAMES, ENCODERS, BlockSource,
-                             CodingTensor, DoaSet, FrameBlocks, MaskSet,
-                             SpatialGrid, encode_mwslc, wrapped_distance)
+from maskgrid.coding import (ENCODERS, CodingTensor, DoaSet, FrameBlocks,
+                             FrameSource, MaskSet, SpatialGrid, encode_mwslc,
+                             wrapped_distance)
 from maskgrid import decode
-from maskgrid.container import CodingFile, save_coding
+from maskgrid.container import CodingFile, save_coding, written
 from maskgrid.errors import CollisionError
 from maskgrid.decode import (CalibrationResult, CalibrationRow, Detection,
                              DoaCluster, DoaEstimates, FrameLikelihood,
@@ -469,7 +469,7 @@ class TestCalibrateThreshold:
 
     def test_blocked_likelihoods_match_tensors(self, two_speaker_scene,
                                                three_speaker_scene):
-        # Likelihoods averaged block by block, as pipeline builds them,
+        # Likelihoods averaged frame by frame, as pipeline builds them,
         # give the result of the tensors.
         grid = SpatialGrid(360)
         bundles = (two_speaker_scene, three_speaker_scene)
@@ -491,57 +491,56 @@ class TestCalibrateThreshold:
 
 class TestFreqAverageByBlocks:
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 3 * _ENCODE_BLOCK_FRAMES + 1), st.integers(1, 40),
-           st.integers(2, 50), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 4), st.integers(1, 40), st.integers(2, 50),
+           st.integers(0, 2**32 - 1))
     def test_blocks_of_frames_give_the_same_bytes(self, frames, bins, theta,
                                                   seed):
-        # The mean over bins reduces each (frame, cell) on its own, so any
-        # split into blocks of frames leaves every byte as it was.
+        # The mean over bins reduces each (frame, cell) on its own, so the
+        # former whole-tensor mean and one tensor per frame leave every
+        # byte as freq_average's frame loop gives it.
         values = np.random.default_rng(seed).uniform(0.0, 1.0,
                                                      (frames, bins, theta))
         grid = SpatialGrid(theta)
         full = freq_average(CodingTensor(values, grid, "mwslc")).values
-        blocked = np.empty((frames, theta))
-        for t0 in range(0, frames, _ENCODE_BLOCK_FRAMES):
-            block = values[t0:t0 + _ENCODE_BLOCK_FRAMES]
-            blocked[t0:t0 + block.shape[0]] = freq_average(
-                CodingTensor(block, grid, "mwslc")).values
-        assert blocked.tobytes() == full.tobytes()
+        assert full.tobytes() == values.mean(axis=1).tobytes()
+        framed = np.empty((frames, theta))
+        for t in range(frames):
+            framed[t] = freq_average(
+                CodingTensor(values[t:t + 1], grid, "mwslc")).values
+        assert framed.tobytes() == full.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 7), st.integers(1, 4), st.integers(1, 300),
-           st.integers(2, 50), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 7), st.integers(1, 300), st.integers(2, 50),
+           st.integers(0, 2**32 - 1))
     def test_write_pass_average_equals_the_written_files(
-            self, frames, block_frames, bins, theta, seed):
-        # pipeline averages the float32 values save_coding writes, summed
-        # in float64; staged decode averages coding.bin's blocks widened to
-        # float64. Zeros and values above 1 occur, as in the codings.
+            self, frames, bins, theta, seed):
+        # pipeline averages the float32 frames container.written yields,
+        # summed in float64; staged decode averages coding.bin's float32
+        # frames the same way. Zeros and values above 1 occur, as in the
+        # codings. The source makes a fresh array per frame, as
+        # corrupt_blocks does.
         values = np.random.default_rng(seed).uniform(0.0, 2.0,
                                                      (frames, bins, theta))
         values[values < 0.5] = 0.0
         grid = SpatialGrid(theta)
-
-        def each_block(fn):
-            for t0 in range(0, frames, block_frames):
-                fn(t0, CodingTensor(values[t0:t0 + block_frames], grid,
-                                    "mwslc_sum"))
-
-        source = BlockSource(frames, bins, grid, "mwslc_sum", each_block)
+        source = FrameSource(frames, bins, grid, "mwslc_sum",
+                             lambda: (frame.copy() for frame in values))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "coding.bin"
-            written = freq_average(source, lambda average: save_coding(
-                path, source, average))
+            average = freq_average(written(path, source))
             stored = freq_average(CodingFile(path))
-        assert written.values.tobytes() == stored.values.tobytes()
+        assert average.values.tobytes() == stored.values.tobytes()
+        rounded = values.astype(np.float32).mean(axis=1, dtype=np.float64)
+        assert average.values.tobytes() == rounded.tobytes()
 
 
 class TestBlockSources:
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
     def test_frame_blocks_decode_as_the_full_tensor(self, kind, tmp_path,
                                                     three_speaker_scene):
-        # 62 frames end in a short block; every byte matches the tensor's,
-        # and the masks sampled from the file the blocks write are the
-        # tensor's rounded to float32.
+        # 62 frames; every byte matches the tensor's, and the masks sampled
+        # from the file the frames write are the tensor's rounded to
+        # float32.
         bundle, grid = three_speaker_scene, SpatialGrid(360)
         full = ENCODERS[kind](bundle.masks, bundle.truth, grid, 6.0)
         blocks = FrameBlocks(kind, bundle.masks, bundle.truth, grid, 6.0)
@@ -585,27 +584,30 @@ class TestBlockSources:
         cells = data.draw(st.lists(st.one_of(st.sampled_from(snapped),
                                              st.integers(0, theta - 1)),
                                    max_size=5))
+        doas = DoaEstimates(tuple(DoaCluster(grid.angle_of(g), 1)
+                                  for g in cells))
         want = np.moveaxis(full.values[:, :, cells], 2, 0)
-        assert full.columns(cells).shape == want.shape
-        assert full.columns(cells).tobytes() == want.tobytes()
+        got = sample_masks(full, doas).values
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
         blocks = FrameBlocks(kind, masks, truth, grid, sigma)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "coding.bin"
-            rows = freq_average(blocks, lambda average: save_coding(
-                path, blocks, average))
-            stored = CodingFile(path).columns(cells)
+            rows = freq_average(written(path, blocks))
+            stored = sample_masks(CodingFile(path), doas).values
         # The write pass averages the float32 values it writes.
         rounded = CodingTensor(full.values.astype(np.float32), grid, kind)
         assert rows.values.tobytes() == freq_average(rounded).values.tobytes()
         assert stored.shape == want.shape
-        assert stored.tobytes() == rounded.columns(cells).tobytes()
+        assert stored.tobytes() == \
+            want.astype(np.float32).astype(np.float64).tobytes()
 
     def test_no_cluster_reads_no_block(self):
         class Untouchable:
             frames, bins, grid = 5, 3, SpatialGrid(8)
 
-            def each_block(self, fn):
-                raise AssertionError("a block was read for no cluster")
+            def __iter__(self):
+                raise AssertionError("a frame was read for no cluster")
 
         assert sample_masks(Untouchable(), cluster_doas([])).values.shape == \
             (0, 5, 3)

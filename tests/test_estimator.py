@@ -325,8 +325,8 @@ def _scene_targets(bundle, kind, theta=90):
 
 
 class TestFrameBlockTargets:
-    """A target encoded a frame block per use gives the full tensor's loss
-    and gradients bit for bit, and the same shape checks."""
+    """A target encoded a frame at a time per use gives the full tensor's
+    loss and gradients bit for bit, and the same shape checks."""
 
     @pytest.mark.parametrize("kind", ["mwslc", "mwsbc"])
     def test_backward_matches_the_full_tensor(self, two_speaker_scene, kind):
@@ -602,16 +602,14 @@ class TestNoiseDrawnInFrameBlocks:
 
 
 def _blocks_of(source):
-    """The source's blocks stacked over frames, and their t0 in order."""
-    values = np.empty((source.frames, source.bins, source.grid.theta_count))
-    starts = []
-
-    def put(t0, block):
-        starts.append(t0)
-        values[t0:t0 + block.frames] = block.values
-
-    source.each_block(put)
-    return values, starts
+    """The source's frames stacked, after checking that it yields one
+    (bins, cells) frame per frame; each is copied, as a source may reuse
+    its array."""
+    frames = [frame.copy() for frame in source]
+    assert [f.shape for f in frames] == \
+        [(source.bins, source.grid.theta_count)] * source.frames
+    return np.array(frames).reshape(source.frames, source.bins,
+                                    source.grid.theta_count)
 
 
 class TestStreamedSources:
@@ -636,8 +634,7 @@ class TestStreamedSources:
         source = forward_blocks(params, feats, grid)
         assert (source.frames, source.bins, source.grid, source.kind) == (
             frames, bins, grid, "estimated")
-        got, starts = _blocks_of(source)
-        assert starts == list(range(frames))
+        got = _blocks_of(source)
         np.testing.assert_allclose(got, forward(params, feats, grid).values,
                                    rtol=1e-12, atol=0.0)
 
@@ -650,7 +647,7 @@ class TestStreamedSources:
         params = init_params(feats.shape[2], hidden, cells, seed=3,
                              output_bias=-1.0)
         grid = SpatialGrid(cells)
-        got, _ = _blocks_of(forward_blocks(params, feats, grid))
+        got = _blocks_of(forward_blocks(params, feats, grid))
         assert got.tobytes() == forward(params, feats, grid).values.tobytes()
 
     def test_forward_blocks_check_shapes_before_any_block(self, rng):
@@ -682,6 +679,4 @@ class TestStreamedSources:
         assert (source.frames, source.bins, source.grid, source.kind) == (
             frames, bins, grid, "mwslc")
         for _ in range(2):  # each pass draws from a fresh generator
-            got, starts = _blocks_of(source)
-            assert starts == list(range(frames))
-            assert got.tobytes() == want.tobytes()
+            assert _blocks_of(source).tobytes() == want.tobytes()
