@@ -137,8 +137,8 @@ def _model_params(cfg: RunConfig):
     if not cfg.params_path:
         raise ConfigError("estimate.params_path is required for mode=model")
     params = container.load_params(cfg.params_path)
-    estimator.forward(params, np.empty((0, 0, 2 * cfg.channels + 1)),
-                      cfg.grid())  # its shape checks, on no frames
+    estimator.forward_blocks(params, np.empty((0, 0, 2 * cfg.channels + 1)),
+                             cfg.grid())  # its shape checks
     return params
 
 

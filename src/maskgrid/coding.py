@@ -309,9 +309,9 @@ def _split_sums(points, bounds, below, above, side: str):
 
     The max fold of two active speakers i and j gives (bin k, cell c) to
     speaker i iff key[c] = exps_j[c] - exps_i[c] >= log M_j[k] - log M_i[k]:
-    conditioning sorts the cells' keys and splits them at each bin's log
-    ratio, FrameBlocks.mean_over_bins sorts a frame's log ratios and splits
-    them at each cell's key.
+    FrameBlocks.sum_over_cells sorts the cells' keys and splits them at each
+    bin's log ratio, FrameBlocks.mean_over_bins sorts a frame's log ratios
+    and splits them at each cell's key.
     """
     order = np.argsort(points, kind="stable")
     split = np.searchsorted(points[order], bounds, side=side)
@@ -456,3 +456,43 @@ class FrameBlocks:
             np.add.at(total, at // bins,
                       (values[:, at, None] * rows[:, None, :]).max(axis=0))
         return total / bins
+
+    def sum_over_cells(self) -> np.ndarray:
+        """(frames, bins): the encoding summed over cells, from the masks and
+        rows without encoding a cell.
+
+        With masks M_i, rows g_i and G_i = sum_cells g_i, a bin's cell sum
+        is sum_i M_i G_i for a sum fold. For the max fold it is M_i G_i with
+        one active speaker; with two, i and j, speaker i holds exactly the
+        cells where M_i g_i >= M_j g_j, that is where (d_j^2 - d_i^2) /
+        sigma^2 >= log(M_j / M_i) for distances d to the DoAs: the cells
+        sorted once by that key, each bin's sum is one binary search into
+        prefix sums of g_i and g_j (_split_sums). With three or more it is
+        the cell-by-cell maximum, as the encoder takes it, summed. These
+        sums run in another order than a sum over encoded cells and agree
+        with it to 1e-12 relative; mwsbc's are bit-identical up to two
+        speakers, as are the max fold's at bins with three or more active
+        speakers. Masks are nonnegative, as compute_irm gives them.
+        """
+        rows = self.rows
+        values = self.masks.values.reshape(self.masks.speakers, -1)
+        sums = np.tensordot(rows.sum(axis=1), values, axes=1)
+        if _CODINGS[self.kind][1] is np.maximum:
+            exps = _gaussian_exponents(self.truth, self.grid, self.sigma_deg)
+            active = values > 0
+            count = active.sum(axis=0)
+            for i, j in itertools.combinations(range(len(values)), 2):
+                at = np.flatnonzero((count == 2) & active[i] & active[j])
+                masks_i, masks_j = values[i, at], values[j, at]
+                # The key stays in exponent form, because g underflows to 0
+                # far from a DoA.
+                held_by_j, held_by_i = _split_sums(
+                    exps[j] - exps[i], np.log(masks_j) - np.log(masks_i),
+                    rows[j], rows[i], "left")
+                sums[at] = masks_i * held_by_i + masks_j * held_by_j
+            many = np.flatnonzero(count >= 3)
+            for start in range(0, many.size, _ENCODE_BLOCK_ROWS):
+                at = many[start:start + _ENCODE_BLOCK_ROWS]
+                sums[at] = (values[:, at, None] * rows[:, None, :]).max(
+                    axis=0).sum(axis=1)
+        return sums.reshape(self.frames, self.bins)

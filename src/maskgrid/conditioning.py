@@ -7,34 +7,16 @@ spatial L1 norm of (2/theta_count) * sum_cells L. For a nearest-cell
 (mwslc_sum) target it converges to a resolution-free constant
 sqrt(pi) * (2 sigma / span) * sum_i M_i. The sweep measures both against
 that closed form across grid resolutions.
-
-The sweep encodes no cells. With speaker masks M_i, Gaussian rows g_i
-over the cells and G_i = sum_cells g_i, the cell sum at a bin is
-  - mwsbc: sum_i M_i, each mask sitting in a cell of its own;
-  - mwslc_sum: sum_i M_i G_i;
-  - mwslc (max form): M_i G_i with one active speaker. With two, i and j,
-    speaker i holds exactly the cells where M_i g_i >= M_j g_j, that is
-    where (d_j^2 - d_i^2) / sigma^2 >= log(M_j / M_i) for distances d to
-    the DoAs: the cells sorted once by that key, each bin's sum is one
-    binary search into prefix sums of g_i and g_j (coding._split_sums,
-    which also serves coding.FrameBlocks.mean_over_bins along the other
-    axis). Bins with three or more active speakers take the maximum cell
-    by cell.
-These sums run in another order than a sum over encoded cells, so they
-agree with it to 1e-12 relative; theta_sweep says where they are
-bit-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import (_ENCODE_BLOCK_ROWS, CodingTensor, DoaSet, MaskSet,
-                     SpatialGrid, _gaussian_exponents, _split_sums,
+from .coding import (CodingTensor, DoaSet, FrameBlocks, MaskSet, SpatialGrid,
                      snap_to_grid)
 from .errors import ConfigError, ShapeError
 
@@ -105,55 +87,20 @@ class ConditioningReport:
         return [{c: getattr(r, c) for c in SWEEP_COLUMNS} for r in self.rows]
 
 
-def _gaussian_cell_sums(masks: MaskSet, exps: np.ndarray):
-    """sum_cells of the max-form and sum-form Gaussian codings, each (T, K).
-
-    exps holds each speaker's (d / sigma)^2 over the cells. Masks are
-    nonnegative, as compute_irm gives them.
-    """
-    rows = np.exp(-exps)
-    values = masks.values.reshape(masks.speakers, -1)
-    sum_form = np.tensordot(rows.sum(axis=1), values, axes=1)
-    # A bin with one active speaker i sums M_i G_i in either form.
-    max_form = sum_form.copy()
-    active = values > 0
-    count = active.sum(axis=0)
-    for i, j in itertools.combinations(range(masks.speakers), 2):
-        at = np.flatnonzero((count == 2) & active[i] & active[j])
-        masks_i, masks_j = values[i, at], values[j, at]
-        # The key stays in exponent form, because g underflows to 0 far
-        # from a DoA.
-        held_by_j, held_by_i = _split_sums(
-            exps[j] - exps[i], np.log(masks_j) - np.log(masks_i), rows[j],
-            rows[i], "left")
-        max_form[at] = masks_i * held_by_i + masks_j * held_by_j
-    # Three or more: the maximum over speakers cell by cell, as the encoder
-    # takes it, then the same sum over cells.
-    many = np.flatnonzero(count >= 3)
-    for start in range(0, many.size, _ENCODE_BLOCK_ROWS):
-        at = many[start:start + _ENCODE_BLOCK_ROWS]
-        max_form[at] = (values[:, at, None] * rows[:, None, :]).max(
-            axis=0).sum(axis=1)
-    shape = (masks.frames, masks.bins)
-    return max_form.reshape(shape), sum_form.reshape(shape)
-
-
 def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
                 span_deg: float = 360.0, theta_counts=(90, 180, 360, 720, 1440),
                 keep_norms: bool = False) -> ConditioningReport:
     """Gradient norms at the zero estimate across grid resolutions.
 
     Computes grad_norm_at_zero of the nearest-cell coding and of both
-    Gaussian forms at each resolution from the masks and the per-speaker
-    Gaussian rows by the closed forms of the module docstring, without
-    encoding a cell, and averages them over speech-active bins (bins where
-    the speaker masks sum to anything nonzero). rel_gap is the relative
+    Gaussian forms at each resolution from the masks (mwsbc) and
+    coding.FrameBlocks.sum_over_cells (mwslc, mwslc_sum), without encoding
+    a cell, and averages them over speech-active bins (bins where the
+    speaker masks sum to anything nonzero). rel_gap is the relative
     distance of the sum-form mean from the closed-form limit.
 
-    Against the norms of the encoded tensors, the mwsbc norms are
-    bit-identical for up to two speakers, as are the max-form norms at bins
-    with three or more active speakers. Elsewhere the sums run in another
-    order, and the norms agree to 1e-12 relative.
+    The norms agree with those of the encoded tensors as sum_over_cells
+    states, the mwsbc norms included.
 
     Args:
         masks: nonnegative masks, one per DoA.
@@ -188,9 +135,10 @@ def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
             continue
         scale = 2.0 / theta
         sbc_norm = scale * mask_sum
-        max_cells, sum_cells = _gaussian_cell_sums(
-            masks, _gaussian_exponents(truth, grid, sigma_deg))
-        max_norm, sum_norm = scale * max_cells, scale * sum_cells
+        max_norm, sum_norm = (
+            scale * FrameBlocks(kind, masks, truth, grid,
+                                sigma_deg).sum_over_cells()
+            for kind in ("mwslc", "mwslc_sum"))
         if n_active:
             mean_sbc = float(sbc_norm[active].mean())
             mean_max = float(max_norm[active].mean())

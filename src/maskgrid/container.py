@@ -179,8 +179,8 @@ class CodingFile:
     """A coding.bin as a coding source (see coding.CodingTensor): each
     iteration reads the file again, a frame's float32 values at a time into
     one reused array, so its full tensor is never held. The header, kind
-    tag and grid are checked here; a coding needs at least one bin.
-    """
+    tag and grid are checked here (a coding needs at least one bin), and
+    each frame as it is read: NaN or inf in it is a FormatError."""
 
     def __init__(self, path):
         self.path = path
@@ -207,6 +207,8 @@ class CodingFile:
                         f"{self.path}: payload ends after "
                         f"{t * frame.size + got // 4} of "
                         f"{self.frames * frame.size} values")
+                if not np.isfinite(frame).all():
+                    raise FormatError(f"{self.path}: frame {t} holds NaN or inf")
                 yield frame
 
 
@@ -218,7 +220,11 @@ def load_masks(path) -> MaskSet:
     kind, arr, _, _, _ = read_array(path)
     if kind != "maskset":
         raise FormatError(f"{path}: kind {kind!r} is not a mask set")
-    return _build(path, lambda: MaskSet(np.clip(arr, 0.0, None)))
+    masks = _build(path, lambda: MaskSet(np.clip(arr, 0.0, None)))
+    finite = np.isfinite(arr).all(axis=(0, 2))
+    if not finite.all():
+        raise FormatError(f"{path}: frame {finite.argmin()} holds NaN or inf")
+    return masks
 
 
 def save_params(path, params: EstimatorParams) -> None:

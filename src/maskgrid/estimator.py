@@ -142,29 +142,41 @@ def _layers(params: EstimatorParams, x: np.ndarray) -> tuple:
     return h, _sigmoid(y, out=y)
 
 
+def _check_dims(params: EstimatorParams, feats: np.ndarray,
+                grid: SpatialGrid) -> None:
+    """Raise ShapeError unless feats are (frames, bins, input dim) and the
+    grid has the output dim's cells."""
+    if feats.ndim != 3:
+        raise ShapeError(f"features must be 3-D (T, K, F), got ndim={feats.ndim}")
+    if feats.shape[2] != params.input_dim:
+        raise ShapeError(f"feature dim {feats.shape[2]} != input dim {params.input_dim}")
+    if grid.theta_count != params.output_dim:
+        raise ShapeError(f"grid {grid.theta_count} != output dim {params.output_dim}")
+
+
 def _check_shapes(params: EstimatorParams, feats: np.ndarray, target) -> int:
     """The number of loss terms, (frames, bins, cells), once feats and
     target match the parameters and each other and hold at least one."""
-    t, k, f = feats.shape
-    if f != params.input_dim:
-        raise ShapeError(f"feature dim {f} != input dim {params.input_dim}")
+    want = (*feats.shape[:2], params.output_dim)
     shape = (target.frames, target.bins, target.grid.theta_count)
-    if shape != (t, k, params.output_dim):
-        raise ShapeError(f"target shape {shape} does not match "
-                         f"({t}, {k}, {params.output_dim})")
-    if t * k == 0:
+    if shape != want:
+        raise ShapeError(f"target shape {shape} does not match {want}")
+    _check_dims(params, feats, target.grid)
+    if shape[0] * shape[1] == 0:
         raise ShapeError(f"no (frame, bin) rows in target shape {shape}")
-    return t * k * params.output_dim
+    return shape[0] * shape[1] * shape[2]
 
 
-def _squared_error(feats: np.ndarray, target, layers, step=None) -> float:
+def _squared_error(params: EstimatorParams, feats: np.ndarray, target,
+                   step=None) -> float:
     """Sum of (y - target)^2 over every (t, k, cell), a frame at a time.
 
-    For each frame's (bins, features) rows x, h, y = layers(x). Once the
-    running sum with that frame's squares is found finite, step(x, h, y,
-    y - target), if given, may take those arrays over. target is a coding
-    source (see coding.CodingTensor); each frame is summed on its own, so
-    a CodingTensor and a coding.FrameBlocks target give the same bits.
+    For each frame's (bins, features) rows x, h, y = _layers(params, x), y
+    being forward_blocks' frame. Once the running sum with that frame's
+    squares is found finite, step(x, h, y, y - target), if given, may take
+    those arrays over. target is a coding source (see coding.CodingTensor);
+    each frame is summed on its own, so a CodingTensor and a
+    coding.FrameBlocks target give the same bits.
 
     Raises:
         TrainingError: the sum is not finite.
@@ -175,7 +187,7 @@ def _squared_error(feats: np.ndarray, target, layers, step=None) -> float:
     # the next frame.
     def add(x, rows):
         nonlocal total
-        h, y = layers(x)
+        h, y = _layers(params, x)
         diff = y - rows
         total += float(np.vdot(diff, diff))
         if not np.isfinite(total):
@@ -190,28 +202,22 @@ def _squared_error(feats: np.ndarray, target, layers, step=None) -> float:
 
 def forward(params: EstimatorParams, feats: np.ndarray,
             grid: SpatialGrid) -> CodingTensor:
-    """Network output as an estimated coding tensor, values in (0, 1)."""
-    t, k, f = feats.shape
-    if f != params.input_dim:
-        raise ShapeError(f"feature dim {f} != input dim {params.input_dim}")
-    if grid.theta_count != params.output_dim:
-        raise ShapeError(f"grid {grid.theta_count} != output dim {params.output_dim}")
-    _, y = _layers(params, feats.reshape(t * k, f))
-    return CodingTensor(y.reshape(t, k, grid.theta_count), grid, "estimated")
+    """Network output as an estimated coding tensor, values in (0, 1): the
+    frames of forward_blocks, bit for bit."""
+    source = forward_blocks(params, feats, grid)
+    values = np.empty((source.frames, source.bins, grid.theta_count))
+    for t, frame in enumerate(source):
+        values[t] = frame
+    return CodingTensor(values, grid, "estimated")
 
 
 def forward_blocks(params: EstimatorParams, feats: np.ndarray,
                    grid: SpatialGrid) -> FrameSource:
-    """forward(params, feats, grid) a frame at a time, after its shape
-    checks; a one-frame product may take another BLAS kernel than the
-    whole one, and differ from its rows in the last bits."""
-    forward(params, feats[:0], grid)  # its shape checks, on no frames
-
-    def frames():
-        for t in range(len(feats)):
-            yield forward(params, feats[t:t + 1], grid).values[0]
-
-    return FrameSource(*feats.shape[:2], grid, "estimated", frames)
+    """The network output as a coding source that computes a frame at a
+    time, once _check_dims has passed."""
+    _check_dims(params, feats, grid)
+    return FrameSource(*feats.shape[:2], grid, "estimated",
+                       lambda: (_layers(params, x)[1] for x in feats))
 
 
 def backward(params: EstimatorParams, feats: np.ndarray, target) -> tuple:
@@ -248,7 +254,7 @@ def backward(params: EstimatorParams, feats: np.ndarray, target) -> tuple:
         for acc, g in zip(sums, (x.T @ dz1, dz1.sum(axis=0), gw2, gb2)):
             acc += g
 
-    loss = _squared_error(feats, target, lambda x: _layers(params, x), step)
+    loss = _squared_error(params, feats, target, step)
     return Gradients(*sums), loss / n
 
 
@@ -310,8 +316,7 @@ def _mean_loss(params, pairs):
     losses = []
     for feats, target in pairs:
         n = _check_shapes(params, feats, target)
-        losses.append(_squared_error(feats, target, lambda x: (
-            None, forward(params, x[None], target.grid).values[0])) / n)
+        losses.append(_squared_error(params, feats, target) / n)
     return float(np.mean(losses))
 
 

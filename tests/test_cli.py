@@ -940,6 +940,35 @@ class TestErrorPaths:
         assert "no frequency bin" in capsys.readouterr().err
         assert not (out / "doas.json").exists()
 
+    def test_non_finite_coding_exit_4_before_doas_json(self, tmp_path,
+                                                       capsys):
+        # +inf and -inf in one (frame, cell) column average to NaN.
+        out = tmp_path / "run"
+        out.mkdir()
+        values = np.zeros((3, 4, 8))
+        values[1, :2, 5] = np.inf, -np.inf
+        write_array(out / "coding.bin", "coding:mwslc", values,
+                    span_deg=360.0, theta_count=8)
+        assert main(["decode", "--config", _fast_ini(tmp_path),
+                     "--out", str(out)]) == 4
+        assert f"{out / 'coding.bin'}: frame 1 " in capsys.readouterr().err
+        assert not (out / "doas.json").exists()
+
+    def test_non_finite_sampled_masks_exit_4(self, tmp_path, capsys):
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        for command in ("simulate", "encode", "decode"):
+            assert main([command, "--config", ini, "--out", str(out)]) == 0
+        _, masks, span, _, _ = read_array(out / "sampled_masks.bin")
+        masks[0, 2, 7] = np.nan
+        write_array(out / "sampled_masks.bin", "maskset", masks,
+                    span_deg=span)
+        capsys.readouterr()
+        assert main(["beamform", "--config", ini, "--out", str(out)]) == 4
+        assert (f"{out / 'sampled_masks.bin'}: frame 2 "
+                in capsys.readouterr().err)
+        assert not list(out.glob("sep*.wav"))
+
     def test_missing_config_file_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "x")]) == 4

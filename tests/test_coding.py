@@ -718,6 +718,38 @@ class TestMeanOverBins:
                                         SpatialGrid(720), 6.0)
 
 
+class TestSumOverCells:
+    """FrameBlocks.sum_over_cells, which encodes no cell, against the
+    encoded tensor summed over cells: mwsbc bit for bit up to two speakers,
+    the max fold bit for bit at bins with three or more active speakers,
+    all to 1e-12 relative (zeros and subnormal products get an absolute
+    floor). theta_sweep never takes mwsbc through it."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(_bin_mean_inputs())
+    @example(("mwslc", MaskSet(np.full((4, 2, 3), 0.25)),
+              DoaSet(np.array([0.0, 90.0, 180.0, 270.0])), SpatialGrid(8),
+              40.0))
+    @example(("mwsbc", MaskSet(np.zeros((3, 0, 4))),
+              DoaSet(np.array([10.0, 20.0, 30.0])), SpatialGrid(90), 6.0))
+    def test_matches_the_encoded_cell_sums(self, inputs):
+        kind, masks, truth, grid, sigma = inputs
+        try:
+            blocks = FrameBlocks(kind, masks, truth, grid, sigma)
+        except CollisionError:
+            return  # mwsbc refuses DoAs that share a cell before any fold
+        got = blocks.sum_over_cells()
+        want = ENCODERS[kind](masks, truth, grid, sigma).values.sum(axis=2)
+        assert got.shape == want.shape == (masks.frames, masks.bins)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        if kind == "mwsbc" and masks.speakers <= 2:
+            assert got.tobytes() == want.tobytes()
+        if kind == "mwslc":
+            many = (masks.values > 0).sum(axis=0) >= 3
+            assert got[many].tobytes() == want[many].tobytes()
+
+
 class TestWrapAround:
     """Rotating the DoAs by one cell rotates the encoding by one cell, also
     across 0 and the span. Angles and cell widths are binary fractions, so

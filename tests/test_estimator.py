@@ -622,10 +622,6 @@ class TestStreamedSources:
            seed=st.integers(0, 2**32 - 1))
     def test_forward_blocks_match_one_forward(self, frames, bins, hidden,
                                               cells, seed):
-        # Each (frame, bin) row goes through the same operations as in one
-        # call, but a one-frame product may take another BLAS kernel (with
-        # OpenBLAS: a small-matrix kernel, or gemv for one row or column),
-        # which rounds the sums differently.
         rng = np.random.default_rng(seed)
         feats = rng.standard_normal((frames, bins, 5))
         params = init_params(5, hidden, cells, seed=seed % 997,
@@ -635,8 +631,7 @@ class TestStreamedSources:
         assert (source.frames, source.bins, source.grid, source.kind) == (
             frames, bins, grid, "estimated")
         got = _blocks_of(source)
-        np.testing.assert_allclose(got, forward(params, feats, grid).values,
-                                   rtol=1e-12, atol=0.0)
+        assert got.tobytes() == forward(params, feats, grid).values.tobytes()
 
     @pytest.mark.parametrize("hidden, cells", [(64, 720), (8, 180)])
     def test_forward_blocks_bit_equal_at_the_cli_shapes(
@@ -656,6 +651,8 @@ class TestStreamedSources:
             forward_blocks(init_params(5, 2, 8), feats, SpatialGrid(9))
         with pytest.raises(ShapeError, match="feature dim"):
             forward_blocks(init_params(6, 2, 8), feats, SpatialGrid(8))
+        with pytest.raises(ShapeError, match="3-D"):
+            forward(init_params(5, 2, 8), feats[0], SpatialGrid(8))
 
     @settings(max_examples=80, deadline=None)
     @given(frames=st.integers(1, 6), bins=st.integers(1, 6),
