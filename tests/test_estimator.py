@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from maskgrid import estimator
 from maskgrid.coding import (ENCODERS, CodingTensor, DoaSet, FrameBlocks,
                              MaskSet, SpatialGrid)
 from maskgrid.errors import ShapeError, TrainingError
@@ -96,6 +97,22 @@ def _oracle_corrupt_oracle(coding, noise_std=0.0, blur_cells=0, seed=0):
     if noise_std > 0 or blur_cells > 0:
         values = np.clip(values, 0.0, 1.0)
     return CodingTensor(values, coding.grid, coding.kind)
+
+
+def _sigmoid_with_scratch(z):
+    """_sigmoid of z given den/pos scratch, then in place (out=z) with and
+    without scratch, each on a copy of z. The scratch starts as NaN and
+    True, so a value read before it is written shows in the result."""
+    def scratch():
+        return np.full(z.shape, np.nan), np.ones(z.shape, bool)
+
+    den, pos = scratch()
+    yield _sigmoid(z, den=den, pos=pos)
+    for extra in ({}, dict(zip(("den", "pos"), scratch()))):
+        copy = z.copy()
+        got = _sigmoid(copy, out=copy, **extra)
+        assert got is copy
+        yield got
 
 
 def _toy_problem(rng, t=3, k=4, f=5, hidden=6, theta=8):
@@ -237,6 +254,10 @@ class TestOracleIdentity:
         np.testing.assert_array_equal(got, _oracle_sigmoid(z))
         assert np.array_equal(np.signbit(got), np.signbit(_oracle_sigmoid(z)))
         np.testing.assert_array_equal(z, self.EDGES)
+        for got in _sigmoid_with_scratch(z):
+            np.testing.assert_array_equal(got, _oracle_sigmoid(z))
+            assert np.array_equal(np.signbit(got),
+                                  np.signbit(_oracle_sigmoid(z)))
 
     def test_sigmoid_in_place_over_blocks(self, rng):
         # In place over 165k elements, where the result overwrites z.
@@ -254,6 +275,10 @@ class TestOracleIdentity:
         got = _sigmoid(z)
         assert np.array_equal(got, _oracle_sigmoid(z))
         assert np.all((got >= 0.0) & (got <= 1.0))
+        for got in _sigmoid_with_scratch(z):
+            assert np.array_equal(got, _oracle_sigmoid(z))
+            assert np.array_equal(np.signbit(got),
+                                  np.signbit(_oracle_sigmoid(z)))
 
     @pytest.mark.parametrize("output_bias", [0.0, -12.0])
     def test_backward_matches_oracle(self, rng, output_bias):
@@ -414,6 +439,42 @@ class TestBackwardMemory:
                 tracemalloc.stop()
         assert peaks[0] < 16 * 2**20, peaks
         assert peaks[1] <= peaks[0] + 64 * 2**10, peaks
+
+
+class TestFrameBuffers:
+    """A pass of the network writes every frame into one set of buffers;
+    each test holds the former frame's arrays, so fresh arrays per frame
+    could not reuse its memory."""
+
+    def test_backward_steps_share_h_y_and_diff(self, rng, monkeypatch):
+        feats, target, params = _toy_problem(rng, t=5)
+        want = backward(params, feats, target)
+        inner = estimator._squared_error
+        held = []
+
+        def recording(params, feats, target, step=None):
+            def record(x, h, y, diff):
+                held.append((h, y, diff))
+                step(x, h, y, diff)
+            return inner(params, feats, target, record)
+
+        monkeypatch.setattr(estimator, "_squared_error", recording)
+        got = backward(params, feats, target)
+        assert got[1] == want[1]
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(got[0], name).tobytes() == \
+                getattr(want[0], name).tobytes()
+        pointers = {tuple(a.ctypes.data for a in arrays) for arrays in held}
+        assert len(held) == 5 and len(pointers) == 1
+        assert len(set(*pointers)) == 3
+
+    def test_forward_blocks_frames_share_memory(self, rng):
+        feats, target, params = _toy_problem(rng, t=4)
+        frames = iter(forward_blocks(params, feats, target.grid))
+        held = next(frames)
+        for frame in frames:
+            assert np.shares_memory(held, frame)
+            held = frame
 
 
 class TestTrainConfig:
