@@ -66,9 +66,7 @@ def _write_table(out_dir: Path, name: str, rows, columns, meta, fmt: str):
 def _draw_doas(rng, count: int, min_gap_deg: float, span_deg: float) -> np.ndarray:
     for _ in range(1000):
         angles = rng.uniform(0.0, span_deg, count)
-        gaps = [coding.wrapped_distance(angles[i], angles[j], span_deg)
-                for i in range(count) for j in range(i + 1, count)]
-        if not gaps or min(gaps) >= min_gap_deg:
+        if not coding.DoaSet(angles, span_deg).pairs_closer_than(min_gap_deg).size:
             return np.sort(angles)
     raise ConfigError(f"cannot place {count} sources {min_gap_deg} deg apart "
                       f"in a {span_deg} deg span")
@@ -280,8 +278,14 @@ def cmd_encode(cfg: RunConfig, args) -> int:
     truth = _load_truth(out_dir)
     images = [load_wav(out_dir / f"src{i + 1:02d}_image.wav")
               for i in range(truth.count)]
-    _, coded, _ = _encode_stage(cfg, load_wav(out_dir / "mixture.wav"),
-                                images, truth, params, out_dir)
+    mixture = load_wav(out_dir / "mixture.wav")
+    frames = cfg.stft_config().frame_count
+    for i, image in enumerate(images):
+        if frames(image.length) != frames(mixture.length):
+            raise FormatError(f"{out_dir}/src{i + 1:02d}_image.wav gives "
+                              f"{frames(image.length)} frames, mixture.wav "
+                              f"{frames(mixture.length)}")
+    _, coded, _ = _encode_stage(cfg, mixture, images, truth, params, out_dir)
     print(f"{coded.kind} coding ({coded.frames} frames, {coded.bins} "
           f"bins, {coded.grid.theta_count} cells) -> {out_dir}")
     return 0
@@ -378,8 +382,13 @@ def cmd_beamform(cfg: RunConfig, args) -> int:
     mixture = load_wav(out_dir / "mixture.wav")
     estimates = _load_doas(out_dir)
     masks = container.load_masks(out_dir / "sampled_masks.bin")
-    separated = _separate(cfg, stft.analyze(mixture, cfg.stft_config()),
-                          masks, estimates, out_dir)
+    mixture_spec = stft.analyze(mixture, cfg.stft_config())
+    shape = (estimates.count, mixture_spec.frames, mixture_spec.bins)
+    if masks.values.shape != shape:
+        raise FormatError(
+            f"{out_dir}/sampled_masks.bin holds {masks.values.shape} (speakers, "
+            f"frames, bins); doas.json and mixture.wav give {shape}")
+    separated = _separate(cfg, mixture_spec, masks, estimates, out_dir)
     print(f"{len(separated)} separated channels -> {out_dir}")
     return 0
 
@@ -445,17 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maskgrid",
         description="Angular-grid mask coding: simulation, encoding, "
                     "decoding, beamforming, and evaluation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default="maskgrid_out",
-                       help="artifact directory (default: maskgrid_out)")
-        p.add_argument("--theta-count", type=int, default=None)
-        p.add_argument("--sigma-deg", type=float, default=None)
-        p.add_argument("--eps-theta", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="INI config file")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default="maskgrid_out",
+                        help="artifact directory (default: maskgrid_out)")
+    parser.add_argument("--theta-count", type=int, default=None)
+    parser.add_argument("--sigma-deg", type=float, default=None)
+    parser.add_argument("--eps-theta", type=float, default=None)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

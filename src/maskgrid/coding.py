@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import CollisionError, ConfigError, ShapeError
 
-CODING_KINDS = ("sbc", "slc", "mwsbc", "mwslc", "mwslc_sum", "estimated")
 # Full-width (t, k) rows per gather/scatter block in _place (a narrower
 # row span takes more rows). A block's three temporaries stay in a 2 MiB L2
 # up to 1440 cells; 256 rows spilled and ran 2-3x slower.
@@ -76,15 +75,25 @@ class DoaSet:
             raise ShapeError("need a 1-D, non-empty set of angles")
         if not np.all((arr >= 0) & (arr < self.span_deg)):  # NaN fails too
             raise ConfigError(f"angles must lie in [0, {self.span_deg}), got {arr}")
-        for i in range(arr.size):
-            for j in range(i + 1, arr.size):
-                if wrapped_distance(arr[i], arr[j], self.span_deg) == 0.0:
-                    raise ConfigError(f"duplicate DoA at {arr[i]} deg")
+        # In [0, span), a wrapped distance of 0 means equal values.
+        _, first, counts = np.unique(arr, return_index=True, return_counts=True)
+        if counts.max() > 1:
+            raise ConfigError(f"duplicate DoA at {arr[first[counts > 1].min()]} deg")
         object.__setattr__(self, "angles_deg", arr)
 
     @property
     def count(self) -> int:
         return self.angles_deg.size
+
+    def pairs_closer_than(self, gap_deg: float) -> np.ndarray:
+        """Index pairs (i < j, row-major) of DoAs under gap_deg apart."""
+        a = self.angles_deg
+        close = wrapped_distance(a[:, None], a, self.span_deg) < gap_deg
+        return np.argwhere(np.triu(close, 1))
+
+    def shares_a_cell(self, grid: SpatialGrid) -> bool:
+        """Whether two DoAs snap to one cell of `grid`."""
+        return np.unique(snap_to_grid(self, grid)).size < self.count
 
 
 @dataclass(frozen=True)
@@ -233,14 +242,14 @@ def _one_hot_rows(truth: DoaSet, grid: SpatialGrid, _sigma_deg=None) -> np.ndarr
 
 
 def _warn_shared_cells(truth: DoaSet, grid: SpatialGrid, kind: str) -> None:
-    if np.unique(snap_to_grid(truth, grid)).size < truth.count:
+    if truth.shares_a_cell(grid):
         warnings.warn(
             f"{kind}: two speakers fall into one {grid.cell_width_deg:.3g} deg "
             "cell; the maximum silently keeps the larger value", stacklevel=4)
 
 
 def _refuse_shared_cells(truth: DoaSet, grid: SpatialGrid, kind: str) -> None:
-    if np.unique(snap_to_grid(truth, grid)).size < truth.count:
+    if truth.shares_a_cell(grid):
         raise CollisionError(
             f"speakers at {truth.angles_deg} deg share a cell on a "
             f"{grid.theta_count}-cell grid; refine the grid")
@@ -256,6 +265,7 @@ _CODINGS = {
     "mwslc": (_gaussian_rows, np.maximum, _warn_shared_cells),
     "mwslc_sum": (_gaussian_rows, np.add, None),
 }
+CODING_KINDS = (*_CODINGS, "estimated")
 
 
 def _check_speakers(speakers: int, rows: np.ndarray) -> None:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import (CodingTensor, DoaSet, FrameBlocks, MaskSet, SpatialGrid,
-                     snap_to_grid)
+from .coding import CodingTensor, DoaSet, FrameBlocks, MaskSet, SpatialGrid
 from .errors import ConfigError, ShapeError
 
 SWEEP_COLUMNS = ("theta_count", "mean_mwsbc", "mean_mwslc_max",
@@ -116,6 +115,8 @@ def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
     if counts and counts[0] < 2 * truth.count:
         raise ConfigError(
             f"coarsest grid {counts[0]} has fewer than 2 cells per speaker")
+    if masks.speakers != truth.count:
+        raise ShapeError(f"{masks.speakers} masks for {truth.count} DoAs")
 
     mask_sum = masks.values.sum(axis=0)
     active = mask_sum > 0
@@ -126,10 +127,7 @@ def theta_sweep(masks: MaskSet, truth: DoaSet, sigma_deg: float = 6.0,
     rows = []
     for theta in counts:
         grid = SpatialGrid(theta, span_deg)
-        if masks.speakers != truth.count:
-            raise ShapeError(f"{masks.speakers} masks for {truth.count} DoAs")
-        cells = snap_to_grid(truth, grid)
-        if np.unique(cells).size < cells.size:
+        if truth.shares_a_cell(grid):
             rows.append(SweepRow(theta, math.nan, math.nan, math.nan,
                                  limit_mean, math.nan, collision=True))
             continue

@@ -115,23 +115,20 @@ class SceneSpec:
     span_deg: float = 360.0
     min_gap_deg: float = 15.0
     seed: int = 0
+    truth: DoaSet = field(init=False, compare=False)
 
     def __post_init__(self):
         sources = tuple(self.sources)
         object.__setattr__(self, "sources", sources)
         # DoaSet checks the angles: non-empty, in [0, span) and distinct.
-        angles = self.truth.angles_deg.tolist()
-        for i in range(len(angles)):
-            for j in range(i + 1, len(angles)):
-                gap = wrapped_distance(angles[i], angles[j], self.span_deg)
-                if gap < self.min_gap_deg:
-                    raise ConfigError(
-                        f"sources at {angles[i]} and {angles[j]} deg are "
-                        f"{gap:.2f} deg apart; minimum is {self.min_gap_deg}")
-
-    @property
-    def truth(self) -> DoaSet:
-        return DoaSet(np.array([s.doa_deg for s in self.sources]), self.span_deg)
+        truth = DoaSet(np.array([s.doa_deg for s in sources]), self.span_deg)
+        close = truth.pairs_closer_than(self.min_gap_deg)
+        if close.size:
+            a, b = truth.angles_deg[close[0]].tolist()
+            gap = wrapped_distance(a, b, self.span_deg)
+            raise ConfigError(f"sources at {a} and {b} deg are {gap:.2f} deg "
+                              f"apart; minimum is {self.min_gap_deg}")
+        object.__setattr__(self, "truth", truth)
 
 
 @dataclass(frozen=True)

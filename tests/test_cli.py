@@ -1227,6 +1227,66 @@ class TestMalformedInputs:
         assert main(["encode", "--config", ini, "--out", str(out)]) == 4
         assert "fmt chunk too short" in capsys.readouterr().err
 
+    @staticmethod
+    def _pipeline_without_sep(tmp_path):
+        """A pipeline run's artifacts with its sepNN.wav removed."""
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
+        for path in out.glob("sep*.wav"):
+            path.unlink()
+        return ini, out
+
+    @staticmethod
+    def _shorten_mixture(tmp_path, out):
+        """Replace out/mixture.wav with a 0.3 s scene's (0.5 s in _fast_ini)."""
+        ini = tmp_path / "short.ini"
+        ini.write_text(Path(_fast_ini(tmp_path)).read_text().replace(
+            "duration_s = 0.5", "duration_s = 0.3"))
+        short = tmp_path / "short"
+        assert main(["simulate", "--config", str(ini),
+                     "--out", str(short)]) == 0
+        (out / "mixture.wav").write_bytes(
+            (short / "mixture.wav").read_bytes())
+
+    def test_extra_cluster_beamform_exit_4(self, tmp_path, capsys):
+        ini, out = self._pipeline_without_sep(tmp_path)
+        doas = json.loads((out / "doas.json").read_text())
+        doas["clusters"].append({"center_deg": 200.0, "support": 3})
+        (out / "doas.json").write_text(json.dumps(doas))
+        capsys.readouterr()
+        assert main(["beamform", "--config", ini, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "doas.json" in err and "sampled_masks.bin" in err
+        assert not list(out.glob("sep*.wav"))
+
+    def test_shorter_mixture_beamform_exit_4(self, tmp_path, capsys):
+        ini, out = self._pipeline_without_sep(tmp_path)
+        self._shorten_mixture(tmp_path, out)
+        capsys.readouterr()
+        assert main(["beamform", "--config", ini, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "mixture.wav" in err and "sampled_masks.bin" in err
+        assert not list(out.glob("sep*.wav"))
+
+    def test_shorter_mixture_encode_exit_4(self, tmp_path, capsys):
+        ini, out = _simulated(tmp_path)
+        self._shorten_mixture(tmp_path, out)
+        capsys.readouterr()
+        assert main(["encode", "--config", ini, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "mixture.wav" in err and "src01_image.wav" in err
+        assert not any((out / name).exists()
+                       for name in ("coding.bin", "masks.bin", "encode.json"))
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "3"]],
+                             ids=["none", "unknown", "options_only"])
+    def test_missing_or_unknown_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "command" in capsys.readouterr().err
+
 
 # Each key is read by the command below; the others only pass it through.
 _KEY_COMMANDS = {("decode", "eps_theta_candidates"): "calibrate",

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from maskgrid import cli
 from maskgrid.coding import (_ENCODE_BLOCK_ROWS, ENCODERS,
                              CodingTensor, DoaSet, FrameBlocks, MaskSet,
                              SpatialGrid, _gaussian_rows, _warn_shared_cells,
@@ -18,6 +19,8 @@ from maskgrid.coding import (_ENCODE_BLOCK_ROWS, ENCODERS,
                              wrapped_distance)
 from maskgrid.decode import freq_average
 from maskgrid.errors import CollisionError, ConfigError, ShapeError
+from maskgrid.scene import SceneSpec, SourceSpec
+from maskgrid.signal import TimeSignal
 from maskgrid.stft import Spectrogram
 
 
@@ -812,3 +815,133 @@ class TestHelpers:
     def test_coding_tensor_validates_kind(self):
         with pytest.raises(ValueError):
             CodingTensor(np.zeros((2, 3, 360)), SpatialGrid(360), "onehot")
+
+
+# The gap and shared-cell rules as scene.py, cli.py and coding.py wrote them
+# before coding.DoaSet owned them, verbatim, kept as references.
+def _former_doa_set_loop(arr, span_deg):
+    for i in range(arr.size):
+        for j in range(i + 1, arr.size):
+            if wrapped_distance(arr[i], arr[j], span_deg) == 0.0:
+                raise ConfigError(f"duplicate DoA at {arr[i]} deg")
+
+
+def _former_scene_spec_loop(angles, span_deg, min_gap_deg):
+    for i in range(len(angles)):
+        for j in range(i + 1, len(angles)):
+            gap = wrapped_distance(angles[i], angles[j], span_deg)
+            if gap < min_gap_deg:
+                raise ConfigError(
+                    f"sources at {angles[i]} and {angles[j]} deg are "
+                    f"{gap:.2f} deg apart; minimum is {min_gap_deg}")
+
+
+def _former_draw_accepts(angles, count, min_gap_deg, span_deg):
+    gaps = [wrapped_distance(angles[i], angles[j], span_deg)
+            for i in range(count) for j in range(i + 1, count)]
+    return not gaps or min(gaps) >= min_gap_deg
+
+
+def _former_shares_a_cell(truth, grid):
+    return np.unique(snap_to_grid(truth, grid)).size < truth.count
+
+
+def _outcome(make):
+    """None if make() returns, else the ConfigError message it raises."""
+    try:
+        make()
+    except ConfigError as err:
+        return str(err)
+    return None
+
+
+class _OneDraw:
+    """An rng whose first uniform() draw is `angles`; a second draw means
+    the first was rejected."""
+
+    class Rejected(Exception):
+        pass
+
+    def __init__(self, angles):
+        self.angles, self.draws = angles, 0
+
+    def uniform(self, low, high, size):
+        self.draws += 1
+        if self.draws > 1:
+            raise self.Rejected
+        return self.angles.copy()
+
+
+@st.composite
+def _angle_sets(draw):
+    """1-4 angles in [0, span): edge values (0, -0.0, the largest float
+    below span), repeats of an earlier angle and arbitrary floats, with a
+    gap at 0, at an edge, at an exact angle distance or arbitrary."""
+    span = draw(st.sampled_from([360.0, 180.0, 7.5]))
+    pool = [0.0, -0.0, float(np.nextafter(span, 0.0))]
+    angles = []
+    for _ in range(draw(st.integers(1, 4))):
+        angle = draw(st.one_of(
+            st.sampled_from(pool + angles),
+            st.floats(0.0, span, exclude_max=True)))
+        angles.append(angle)
+    arr = np.array(angles)
+    distances = [wrapped_distance(a, b, span) for a in angles for b in angles]
+    gap = draw(st.one_of(st.sampled_from([0.0, 15.0, span / 2] + distances),
+                         st.floats(0.0, span)))
+    return arr, span, gap
+
+
+_SIGNAL = TimeSignal(np.zeros((1, 16)), 16000)
+
+
+class TestOneGapRule:
+    @settings(max_examples=400, deadline=None)
+    @given(_angle_sets())
+    @example((np.array([-0.0, 0.0]), 360.0, 15.0))
+    @example((np.array([0.0, np.nextafter(7.5, 0.0)]), 7.5, 0.0))
+    @example((np.array([5.0, 10.0, 5.0, 10.0]), 180.0, 1.0))
+    def test_doa_set_and_scene_spec_decide_as_the_former_loops(self, case):
+        arr, span, gap = case
+        former = _outcome(lambda: (_former_doa_set_loop(arr, span),
+                                   _former_scene_spec_loop(arr.tolist(),
+                                                           span, gap)))
+        sources = tuple(SourceSpec(a, 2.0, _SIGNAL) for a in arr)
+        assert _outcome(lambda: SceneSpec(sources, span_deg=span,
+                                          min_gap_deg=gap)) == former
+        assert (_outcome(lambda: DoaSet(arr, span))
+                == _outcome(lambda: _former_doa_set_loop(arr, span)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_angle_sets())
+    @example((np.array([-0.0, 120.0]), 360.0, 120.0))
+    def test_draw_doas_accepts_as_the_former_loop(self, case):
+        # rng.uniform draws distinct angles, so repeats are DoaSet's case.
+        arr, span, gap = case
+        if np.unique(arr).size < arr.size:
+            return
+        rng = _OneDraw(arr)
+        try:
+            got = cli._draw_doas(rng, arr.size, gap, span)
+        except _OneDraw.Rejected:
+            got = None
+        if _former_draw_accepts(arr, arr.size, gap, span):
+            assert got.tobytes() == np.sort(arr).tobytes()
+        else:
+            assert got is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(angles=st.lists(st.floats(0.0, 360.0, exclude_max=True),
+                           min_size=1, max_size=4, unique=True),
+           theta=st.integers(2, 720), span=st.sampled_from([360.0, 180.0]))
+    def test_shares_a_cell_matches_the_former_predicate(self, angles, theta,
+                                                        span):
+        truth = DoaSet(np.array(angles) * span / 360.0, span)
+        grid = SpatialGrid(theta, span)
+        assert truth.shares_a_cell(grid) == _former_shares_a_cell(truth, grid)
+
+    def test_close_pairs_come_in_row_major_order(self):
+        truth = DoaSet(np.array([10.0, 355.0, 0.0, 100.0]))
+        assert truth.pairs_closer_than(16.0).tolist() == [[0, 1], [0, 2],
+                                                          [1, 2]]
+        assert truth.pairs_closer_than(0.0).shape == (0, 2)

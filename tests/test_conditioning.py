@@ -234,6 +234,11 @@ class TestThetaSweep:
             theta_sweep(masks, DoaSet(np.array([6.0, 14.0])),
                         theta_counts=counts)
 
+    def test_speaker_count_mismatch_raises_without_a_grid(self):
+        masks = MaskSet(np.full((3, 2, 2), 0.3))
+        with pytest.raises(ShapeError, match="3 masks for 2 DoAs"):
+            theta_sweep(masks, DoaSet(np.array([6.0, 14.0])), theta_counts=())
+
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_nonpositive_sigma_raises_config_error(self, two_speaker_scene,
                                                    sigma):

@@ -53,6 +53,10 @@ class TestSceneSpec:
         spec = _scene([50.0, 120.0], [2.0, 2.2])
         np.testing.assert_allclose(spec.truth.angles_deg, [50.0, 120.0])
 
+    def test_truth_is_the_validated_doa_set(self):
+        spec = _scene([50.0, 120.0], [2.0, 2.2])
+        assert spec.truth is spec.truth
+
     def test_minimum_gap_enforced(self):
         with pytest.raises(ConfigError):
             _scene([50.0, 60.0], [2.0, 2.0])
