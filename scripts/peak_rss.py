@@ -24,6 +24,8 @@ def runs(tmp: Path) -> list:
     model-mode pipeline's model. The streaming rows' 64 MiB is below
     their ~40 MiB peak plus one float32 coding of the default scene
     (46 MB at 720 cells), so a path that holds a whole coding fails.
+    train, at ~52 MiB, holds its scenes' float32 features and masks and
+    a frame of the network at a time, and shares that limit.
     """
     inis = {
         "train": "[train]\nepochs = 1\nscene_count = 2\n"
@@ -38,7 +40,7 @@ def runs(tmp: Path) -> list:
         (tmp / f"{name}.ini").write_text(text)
     return [
         ("train", ["train", "--config", f"{tmp}/train.ini",
-                   "--out", f"{tmp}/train"], 120),
+                   "--out", f"{tmp}/train"], 64),
         ("pipeline", ["pipeline", "--out", f"{tmp}/out"], 64),
         ("decode", ["decode", "--out", f"{tmp}/out"], 64),
         ("conditioning", ["conditioning", "--out", f"{tmp}/out"], 64),

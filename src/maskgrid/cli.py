@@ -263,6 +263,26 @@ def _load_doas(out_dir: Path) -> decode.DoaEstimates:
             for c in d["clusters"]), d["span_deg"]))
 
 
+def _load_images(out_dir: Path, count: int, mixture: TimeSignal) -> list:
+    """src01_image.wav to src{count}_image.wav of out_dir.
+
+    Raises:
+        FormatError: an image's length or sample rate is not mixture's.
+    """
+    images = []
+    for i in range(count):
+        name = f"src{i + 1:02d}_image.wav"
+        image = load_wav(out_dir / name)
+        if ((image.length, image.sample_rate_hz)
+                != (mixture.length, mixture.sample_rate_hz)):
+            raise FormatError(
+                f"{out_dir}/{name} holds {image.length} samples at "
+                f"{image.sample_rate_hz} Hz, mixture.wav {mixture.length} "
+                f"at {mixture.sample_rate_hz} Hz")
+        images.append(image)
+    return images
+
+
 def cmd_simulate(cfg: RunConfig, args) -> int:
     _, rendered = _build_scene(cfg)
     out_dir = Path(args.out)
@@ -276,15 +296,8 @@ def cmd_encode(cfg: RunConfig, args) -> int:
     params = _model_params(cfg)
     out_dir = Path(args.out)
     truth = _load_truth(out_dir)
-    images = [load_wav(out_dir / f"src{i + 1:02d}_image.wav")
-              for i in range(truth.count)]
     mixture = load_wav(out_dir / "mixture.wav")
-    frames = cfg.stft_config().frame_count
-    for i, image in enumerate(images):
-        if frames(image.length) != frames(mixture.length):
-            raise FormatError(f"{out_dir}/src{i + 1:02d}_image.wav gives "
-                              f"{frames(image.length)} frames, mixture.wav "
-                              f"{frames(mixture.length)}")
+    images = _load_images(out_dir, truth.count, mixture)
     _, coded, _ = _encode_stage(cfg, mixture, images, truth, params, out_dir)
     print(f"{coded.kind} coding ({coded.frames} frames, {coded.bins} "
           f"bins, {coded.grid.theta_count} cells) -> {out_dir}")
@@ -354,12 +367,15 @@ def cmd_train(cfg: RunConfig, args) -> int:
         target = coding.FrameBlocks(train_cfg.target_kind, masks,
                                     rendered.truth, cfg.grid(), cfg.sigma_deg)
         mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
-        pairs.append((estimator.features(mixture_spec), target))
+        # The network pass runs in the features' dtype; its sums stay float64.
+        pairs.append((estimator.features(mixture_spec).astype(np.float32),
+                      target))
+    # An --out that cannot be made fails before the epochs, not after.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     split = cfg.train_scene_count
     params, history = estimator.train(pairs[:split], pairs[split:], train_cfg,
                                       hidden_dim=hidden_dim)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     container.save_params(out_dir / "params.bin", params)
     _write_csv(out_dir / "history.csv", history.as_table(),
                estimator.TrainHistory.HISTORY_COLUMNS, _meta(cfg))
@@ -397,13 +413,12 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     out_dir = Path(args.out)
     truth = _load_truth(out_dir)
     estimates = _load_doas(out_dir)
-    images = [load_wav(out_dir / f"src{i + 1:02d}_image.wav")
-              for i in range(truth.count)]
+    mixture = load_wav(out_dir / "mixture.wav")
+    images = _load_images(out_dir, truth.count, mixture)
     separated = [load_wav(out_dir / f"sep{i + 1:02d}.wav")
                  for i in range(estimates.count)]
-    report, path = _score(cfg, out_dir, estimates, truth, separated,
-                          load_wav(out_dir / "mixture.wav"), images,
-                          args.format)
+    report, path = _score(cfg, out_dir, estimates, truth, separated, mixture,
+                          images, args.format)
     print(f"MAE {report.doa_mae_deg:.2f} deg, F1 {report.f1:.2f}, "
           f"delta SI-SDR {report.delta_si_sdr_db:.2f} dB -> {path}")
     return 0

@@ -237,15 +237,14 @@ def save_params(path, params: EstimatorParams) -> None:
         NumericError: a weight beyond the float32 range, which would be
             stored as inf; nothing is written.
     """
-    blocks = [params.w1, params.b1, params.w2, params.b2]
-    limit = np.finfo(np.float32).max
-    if not all(np.all(np.abs(b) <= limit) for b in blocks):
+    if not params.fits(np.float32):
         raise NumericError(f"{path}: a weight exceeds the float32 maximum "
-                           f"{limit:.4g} and would be stored as inf")
+                           f"{np.finfo(np.float32).max:.4g} and would be "
+                           f"stored as inf")
     with _writer(path, "params",
                  (params.input_dim, params.hidden_dim, params.output_dim),
                  seed=params.seed) as put:
-        for block in blocks:
+        for block in (params.w1, params.b1, params.w2, params.b2):
             put(block)
 
 

@@ -428,6 +428,50 @@ class TestTrain:
         assert "float32" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+    @pytest.mark.parametrize("signs", ["same", "alternating"])
+    def test_weights_just_under_float32_max_exit_0_or_3(
+            self, tmp_path, monkeypatch, capsys, name, signs):
+        # One weight array just under the float32 maximum casts to finite
+        # float32 values, but the float32 pass may overflow: the run either
+        # trains or exits 3, never with a traceback (1) or as a config
+        # error (2).
+        top = np.nextafter(float(np.finfo(np.float32).max), 0.0)
+        init = estimator.init_params
+
+        def near_top(*args, **kwargs):
+            params = init(*args, **kwargs)
+            weights = {n: getattr(params, n) for n in ("w1", "b1", "w2", "b2")}
+            near = np.full(weights[name].size, top)
+            if signs == "alternating":
+                near[1::2] *= -1.0
+            weights[name] = near.reshape(weights[name].shape)
+            return estimator.EstimatorParams(**weights, seed=params.seed)
+
+        monkeypatch.setattr(estimator, "init_params", near_top)
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        code = main(["train", "--config", ini, "--theta-count", "90",
+                     "--out", str(out)])
+        assert code in (0, 3), capsys.readouterr().err
+        if code == 3:
+            assert not (out / "params.bin").exists()
+
+    def test_hands_the_network_float32_features(self, tmp_path,
+                                                monkeypatch):
+        dtypes = []
+        inner = estimator.train
+
+        def recording(train_pairs, val_pairs, *args, **kwargs):
+            dtypes.extend(f.dtype for f, _ in train_pairs + val_pairs)
+            return inner(train_pairs, val_pairs, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "train", recording)
+        assert main(["train", "--config", _fast_ini(tmp_path),
+                     "--theta-count", "90",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert dtypes == [np.float32, np.float32]
+
     def test_model_mode_uses_trained_params(self, tmp_path):
         ini = _fast_ini(tmp_path)
         out = tmp_path / "run"
@@ -470,7 +514,8 @@ class TestTrain:
 
 def _former_cmd_train(cfg, args) -> int:
     """cmd_train as it was when it held every scene's full target tensor,
-    kept verbatim as the oracle of the block-encoded targets."""
+    kept verbatim as the oracle of the block-encoded targets, but for the
+    float32 features that cmd_train now hands the network."""
     train_cfg, hidden_dim = cfg.train_config(), cfg.hidden_dim
     pairs = []
     total = cfg.train_scene_count + cfg.val_scene_count
@@ -479,7 +524,8 @@ def _former_cmd_train(cfg, args) -> int:
         _, masks = cli._source_masks(cfg, rendered.source_images)
         target = cli._encode(cfg, train_cfg.target_kind, masks, rendered.truth)
         mixture_spec = stft.analyze(rendered.mixture, cfg.stft_config())
-        pairs.append((estimator.features(mixture_spec), target))
+        pairs.append((estimator.features(mixture_spec).astype(np.float32),
+                      target))
     split = cfg.train_scene_count
     params, history = estimator.train(pairs[:split], pairs[split:], train_cfg,
                                       hidden_dim=hidden_dim)
@@ -1238,16 +1284,21 @@ class TestMalformedInputs:
         return ini, out
 
     @staticmethod
-    def _shorten_mixture(tmp_path, out):
-        """Replace out/mixture.wav with a 0.3 s scene's (0.5 s in _fast_ini)."""
+    def _copy_from_shorter_scene(tmp_path, out, name):
+        """Replace out/name with a 0.3 s scene's (0.5 s in _fast_ini)."""
         ini = tmp_path / "short.ini"
         ini.write_text(Path(_fast_ini(tmp_path)).read_text().replace(
             "duration_s = 0.5", "duration_s = 0.3"))
         short = tmp_path / "short"
         assert main(["simulate", "--config", str(ini),
                      "--out", str(short)]) == 0
-        (out / "mixture.wav").write_bytes(
-            (short / "mixture.wav").read_bytes())
+        (out / name).write_bytes((short / name).read_bytes())
+
+    @staticmethod
+    def _shorten_mixture(tmp_path, out):
+        """Replace out/mixture.wav with a 0.3 s scene's (0.5 s in _fast_ini)."""
+        TestMalformedInputs._copy_from_shorter_scene(tmp_path, out,
+                                                     "mixture.wav")
 
     def test_extra_cluster_beamform_exit_4(self, tmp_path, capsys):
         ini, out = self._pipeline_without_sep(tmp_path)
@@ -1278,6 +1329,27 @@ class TestMalformedInputs:
         assert "mixture.wav" in err and "src01_image.wav" in err
         assert not any((out / name).exists()
                        for name in ("coding.bin", "masks.bin", "encode.json"))
+
+    @pytest.mark.parametrize("name", ["mixture.wav", "src01_image.wav",
+                                      "resampled"])
+    def test_disagreeing_scene_eval_exit_4(self, tmp_path, capsys, name):
+        # _score cuts every signal to the shortest, so eval must refuse a
+        # mixture and source images that disagree before it scores them.
+        ini = _fast_ini(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", ini, "--out", str(out)]) == 0
+        (out / "report.csv").unlink()
+        if name == "resampled":
+            image = load_wav(out / "src01_image.wav")
+            save_wav(TimeSignal(image.samples, image.sample_rate_hz // 2),
+                     out / "src01_image.wav")
+        else:
+            self._copy_from_shorter_scene(tmp_path, out, name)
+        capsys.readouterr()
+        assert main(["eval", "--config", ini, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "mixture.wav" in err and "src01_image.wav" in err
+        assert not list(out.glob("report.*"))
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "3"]],
                              ids=["none", "unknown", "options_only"])
