@@ -25,7 +25,11 @@ def runs(tmp: Path) -> list:
     their ~40 MiB peak plus one float32 coding of the default scene
     (46 MB at 720 cells), so a path that holds a whole coding fails.
     train, at ~52 MiB, holds its scenes' float32 features and masks and
-    a frame of the network at a time, and shares that limit.
+    a frame of the network at a time, and shares that limit. The model
+    row, ~68 MiB, adds the one-epoch model's ~1700 detections: clustering
+    holds one distance matrix per arc between gaps wider than 2 sigma, so
+    96 MiB fails a path that builds the whole set's n x n matrix again
+    (~108 MiB).
     """
     inis = {
         "train": "[train]\nepochs = 1\nscene_count = 2\n"
@@ -49,7 +53,7 @@ def runs(tmp: Path) -> list:
           ["pipeline", "--config", f"{tmp}/{name}.ini",
            "--out", f"{tmp}/{name}"], limit)
          for name, limit in (("mwsbc", 64), ("mwslc_sum", 64),
-                             ("corrupt", 64), ("model", 160))]
+                             ("corrupt", 64), ("model", 96))]
 
 
 def peak_rss_mib(argv) -> tuple:

@@ -143,7 +143,56 @@ def _average_linkage(angles: np.ndarray, span: float, threshold: float) -> list:
     """Agglomerative clustering: merge while the smallest average pairwise
     wrapped distance between clusters is at or below the threshold.
 
-    Returns a list of member-index arrays.
+    Returns a list of member-index arrays, ordered by their first member,
+    each in merge order.
+
+    The circle is cut at every gap between neighbouring angles wider than
+    the threshold, and each arc is clustered on its own; with fewer than
+    two cuts the whole set is one arc. The result is that of one loop over
+    the whole set, groups, group order and member order alike:
+    - every pair from two arcs lies farther apart than the threshold, and
+      a Lance-Williams value for two clusters from two arcs is an average
+      of such distances, so no merge crosses a cut;
+    - a merge changes only its own arc's rows;
+    - the loop breaks ties by the first pair in row-major order, and a
+      cluster's row is its smallest member, so an arc taken in ascending
+      index order makes its merges in the same order.
+    A gap must exceed the threshold by 1e-9 span to cut, so that rounding
+    in the wrapped distance or in an average cannot bring a value across
+    the threshold; a gap inside that margin only keeps two arcs as one.
+    An arc on one angle is one group in index order, which is what the
+    loop makes of it, so duplicate detections on a few cells build no
+    matrix and take no loop pass each.
+    """
+    n = angles.size
+    if n == 0:
+        return []
+    order = np.argsort(angles)
+    gaps = np.diff(angles[order], append=angles[order[0]] + span)
+    cuts = np.flatnonzero(gaps > threshold + 1e-9 * span)
+    # An angle outside [0, span], never a cell centre, has no place on the
+    # sorted circle, so such a set stays one arc.
+    if cuts.size < 2 or not 0.0 <= angles.min() <= angles.max() <= span:
+        arcs = [np.arange(n)]
+    else:
+        arcs = np.split(np.roll(order, -1 - cuts[-1]), cuts[:-1] + n - cuts[-1])
+    groups = []
+    for arc in arcs:
+        arc = np.sort(arc)
+        # The loop merges one angle's points into one group in index order,
+        # unless the threshold is negative.
+        if threshold >= 0 and np.ptp(angles[arc]) == 0:
+            groups.append(arc)
+        else:
+            groups.extend(arc[g] for g in
+                          _nearest_neighbour_merges(angles[arc], span, threshold))
+    groups.sort(key=lambda g: g[0])
+    return groups
+
+
+def _nearest_neighbour_merges(angles: np.ndarray, span: float,
+                              threshold: float) -> list:
+    """_average_linkage's loop over one arc's angles.
 
     Each row caches its minimum and the first column holding it (the
     nearest-neighbour list of Muellner, arXiv:1109.2378), so a merge picks
@@ -151,8 +200,6 @@ def _average_linkage(angles: np.ndarray, span: float, threshold: float) -> list:
     rows whose nearest cluster was merged away are rescanned.
     """
     n = angles.size
-    if n == 0:
-        return []
     dist = wrapped_distance(angles[:, None], angles[None, :], span)
     np.fill_diagonal(dist, np.inf)
     members = [[i] for i in range(n)]
@@ -194,7 +241,9 @@ def cluster_doas(detections, sigma_deg: float = 6.0, span_deg: float = 360.0,
     """Detections to utterance-level DoAs via average-linkage clustering.
 
     Merging continues while the average inter-cluster distance is at most
-    2 sigma; afterwards any clusters whose circular-mean centers still sit
+    2 sigma; the linkage clusters each arc between gaps wider than 2 sigma
+    on its own, which gives the merges of one pass over all detections
+    (see _average_linkage). Afterwards any clusters whose circular-mean centers still sit
     within 2 sigma are merged so the result is unambiguous. Clusters
     supported by fewer than min_support_frac of the detected frames are
     dropped (pass None or 0 to keep everything).

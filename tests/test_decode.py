@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -49,6 +50,49 @@ def _oracle_average_linkage(angles, span, threshold):
         members[i].extend(members[j])
         sizes[i] += sizes[j]
         alive[j] = False
+    return [np.array(members[i]) for i in range(n) if alive[i]]
+
+
+def _former_average_linkage(angles: np.ndarray, span: float,
+                            threshold: float) -> list:
+    """The nearest-neighbour-list loop over the whole set, before arcs were
+    clustered on their own; verbatim but for its name."""
+    n = angles.size
+    if n == 0:
+        return []
+    dist = wrapped_distance(angles[:, None], angles[None, :], span)
+    np.fill_diagonal(dist, np.inf)
+    members = [[i] for i in range(n)]
+    sizes = np.ones(n)
+    alive = np.ones(n, dtype=bool)
+    nearest = np.argmin(dist, axis=1)
+    low = dist[np.arange(n), nearest]
+    for _ in range(n - 1):
+        i = int(np.argmin(low))
+        j = int(nearest[i])
+        if low[i] > threshold:
+            break
+        # Lance-Williams update keeps dist[i] the exact mean pairwise distance.
+        dist[i, :] = (sizes[i] * dist[i, :] + sizes[j] * dist[j, :]) / (
+            sizes[i] + sizes[j])
+        dist[:, i] = dist[i, :]
+        dist[i, i] = np.inf
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        members[i].extend(members[j])
+        sizes[i] += sizes[j]
+        alive[j] = False
+        low[j] = np.inf
+        # i < j, as row i is the first to hold the minimum. A row's first
+        # minimum moves to column i if the new distance beats it, or ties it
+        # at or after i; rows whose minimum was at i or j (row i too) rescan.
+        col = dist[i]
+        to_i = (col < low) | ((col == low) & (nearest >= i))
+        stale = np.flatnonzero(~to_i & ((nearest == i) | (nearest == j)))
+        nearest[to_i] = i
+        low[to_i] = col[to_i]
+        nearest[stale] = np.argmin(dist[stale], axis=1)
+        low[stale] = dist[stale, nearest[stale]]
     return [np.array(members[i]) for i in range(n) if alive[i]]
 
 
@@ -312,6 +356,123 @@ class TestAverageLinkageOracle:
            st.sampled_from([0.0, 0.5, 3.0, 12.0, 45.0, 180.0]))
     def test_matches_oracle_on_cell_centres(self, cells, threshold):
         _assert_same_groups(np.array(cells, dtype=float) * 0.5, threshold)
+
+
+_SPANS = st.sampled_from([360.0, 180.0])
+_THRESHOLDS = st.sampled_from([0.0, 0.5, 3.0, 12.0, 45.0, 180.0])
+
+
+@st.composite
+def _arc_cases(draw):
+    """(angles, span, threshold): a few cells under many duplicates, runs
+    of cells across 0 (0.0 beside span - 0.5, and span itself), or chains
+    whose gaps sit at the threshold, inside the cut margin or past it."""
+    span, threshold = draw(_SPANS), draw(_THRESHOLDS)
+    cells = int(2 * span)
+    kind = draw(st.sampled_from(["plateau", "wrap", "chain"]))
+    if kind == "plateau":
+        distinct = draw(st.lists(st.integers(0, cells - 1), min_size=1,
+                                 max_size=3, unique=True))
+        angles = np.array(draw(st.lists(st.sampled_from(distinct),
+                                        min_size=1, max_size=400))) * 0.5
+    elif kind == "wrap":
+        offsets = draw(st.lists(st.integers(-30, 30), min_size=1,
+                                max_size=120))
+        angles = (np.array(offsets) % cells) * 0.5
+        if draw(st.booleans()):
+            every_other = angles[::2]
+            every_other[every_other == 0.0] = span
+    else:
+        margin = 1e-9 * span
+        gaps = draw(st.lists(st.sampled_from(
+            [0.0, 0.5, threshold, threshold + margin / 10,
+             threshold + 10 * margin, threshold + 0.5]), min_size=1,
+            max_size=12))
+        start = draw(st.integers(0, cells - 1)) * 0.5
+        points = (start + np.cumsum(gaps)) % span
+        picks = draw(st.lists(st.integers(0, points.size - 1), min_size=1,
+                              max_size=150))
+        angles = points[picks]
+    return angles, span, threshold
+
+
+def _assert_same_as_former(angles, span, threshold):
+    got = _average_linkage(angles, span, threshold)
+    expected = _former_average_linkage(angles, span, threshold)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+
+
+class TestArcsMatchFormerLoop:
+    """Clustering each arc on its own makes the whole-set loop's groups,
+    group order and member order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_arc_cases())
+    def test_matches_former_loop(self, case):
+        _assert_same_as_former(*case)
+
+    def test_gap_equal_to_threshold_merges(self):
+        # Two cells 12 deg apart: the rule is <=, so at a 12 deg threshold
+        # they are one arc and one group, at 11.5 two.
+        angles = np.array([100.0, 112.0, 100.0, 112.0])
+        assert [g.tolist() for g in _average_linkage(angles, 360.0, 12.0)] \
+            == [[0, 2, 1, 3]]
+        assert [g.tolist() for g in _average_linkage(angles, 360.0, 11.5)] \
+            == [[0, 2], [1, 3]]
+        for threshold in (11.5, 12.0):
+            _assert_same_as_former(angles, 360.0, threshold)
+
+    def test_zero_and_span_are_one_angle(self):
+        angles = np.array([360.0, 0.0, 180.0, 0.0, 360.0])
+        groups = _average_linkage(angles, 360.0, 0.0)
+        assert [g.tolist() for g in groups] == [[0, 1, 3, 4], [2]]
+        _assert_same_as_former(angles, 360.0, 0.0)
+
+    def test_angles_beyond_the_span_stay_one_arc(self):
+        # 700 deg is 340 deg, but sorts past it; such a set is not cut.
+        angles = np.array([100.0, 340.0, 700.0, 100.0, 220.0])
+        for threshold in (0.0, 12.0, 45.0):
+            _assert_same_as_former(angles, 360.0, threshold)
+
+    def test_negative_threshold_merges_nothing(self):
+        angles = np.array([5.0, 5.0, 5.0, 6.0])
+        for threshold in (-1e-8, -1.0):
+            assert [g.tolist() for g in _average_linkage(
+                angles, 360.0, threshold)] == [[0], [1], [2], [3]]
+            _assert_same_as_former(angles, 360.0, threshold)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.05, 0.15, 0.3]),
+           eps=st.sampled_from([0.05, 0.2, 0.5]),
+           threshold=st.sampled_from([0.0, 3.0, 12.0, 45.0]))
+    def test_noisy_coding_detections(self, two_speaker_scene, seed, noise,
+                                     eps, threshold):
+        coding = two_speaker_scene.coding
+        head = CodingTensor(coding.values[:12], coding.grid, coding.kind)
+        noisy = corrupt_oracle(head, noise, 0, seed=seed)
+        angles = np.array([d.angle_deg for d in
+                           peak_search(freq_average(noisy), eps)])
+        _assert_same_as_former(angles, 360.0, threshold)
+
+    def test_duplicates_on_few_cells_build_no_matrix(self):
+        # The whole-set loop's 3000 x 3000 float64 matrix alone is 72 MB.
+        labels = np.random.default_rng(0).integers(0, 3, 3000)
+        angles = np.array([100.0, 130.0, 160.0])[labels]
+        tracemalloc.start()
+        try:
+            groups = _average_linkage(angles, 360.0, 12.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = sorted((np.flatnonzero(labels == k) for k in range(3)),
+                          key=lambda g: g[0])
+        assert len(groups) == 3
+        for g, e in zip(groups, expected):
+            assert np.array_equal(g, e)
+        assert peak < 2**20
 
 
 class TestClusterDoas:
