@@ -175,7 +175,8 @@ def _average_linkage(angles: np.ndarray, span: float, threshold: float) -> list:
     if cuts.size < 2 or not 0.0 <= angles.min() <= angles.max() <= span:
         arcs = [np.arange(n)]
     else:
-        arcs = np.split(np.roll(order, -1 - cuts[-1]), cuts[:-1] + n - cuts[-1])
+        arcs = np.split(np.roll(order, -1 - cuts[-1]),
+                        cuts[:-1] + n - cuts[-1])
     groups = []
     for arc in arcs:
         arc = np.sort(arc)
@@ -184,8 +185,8 @@ def _average_linkage(angles: np.ndarray, span: float, threshold: float) -> list:
         if threshold >= 0 and np.ptp(angles[arc]) == 0:
             groups.append(arc)
         else:
-            groups.extend(arc[g] for g in
-                          _nearest_neighbour_merges(angles[arc], span, threshold))
+            groups.extend(arc[g] for g in _nearest_neighbour_merges(
+                angles[arc], span, threshold))
     groups.sort(key=lambda g: g[0])
     return groups
 
@@ -243,8 +244,9 @@ def cluster_doas(detections, sigma_deg: float = 6.0, span_deg: float = 360.0,
     Merging continues while the average inter-cluster distance is at most
     2 sigma; the linkage clusters each arc between gaps wider than 2 sigma
     on its own, which gives the merges of one pass over all detections
-    (see _average_linkage). Afterwards any clusters whose circular-mean centers still sit
-    within 2 sigma are merged so the result is unambiguous. Clusters
+    (see _average_linkage). Afterwards any clusters whose circular-mean
+    centers still sit within 2 sigma are merged so the result is
+    unambiguous. Clusters
     supported by fewer than min_support_frac of the detected frames are
     dropped (pass None or 0 to keep everything).
     """

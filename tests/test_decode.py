@@ -143,9 +143,10 @@ def _oracle_peak_search(fl, eps_theta, delta_theta_deg=6.0):
     return detections
 
 
-def _assert_same_groups(angles, threshold, span=360.0):
+def _assert_same_groups(angles, threshold, span=360.0,
+                        reference=_oracle_average_linkage):
     got = _average_linkage(angles, span, threshold)
-    expected = _oracle_average_linkage(angles, span, threshold)
+    expected = reference(angles, span, threshold)
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
@@ -396,14 +397,6 @@ def _arc_cases(draw):
     return angles, span, threshold
 
 
-def _assert_same_as_former(angles, span, threshold):
-    got = _average_linkage(angles, span, threshold)
-    expected = _former_average_linkage(angles, span, threshold)
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert np.array_equal(g, e)
-
-
 class TestArcsMatchFormerLoop:
     """Clustering each arc on its own makes the whole-set loop's groups,
     group order and member order."""
@@ -411,7 +404,8 @@ class TestArcsMatchFormerLoop:
     @settings(max_examples=150, deadline=None)
     @given(_arc_cases())
     def test_matches_former_loop(self, case):
-        _assert_same_as_former(*case)
+        angles, span, threshold = case
+        _assert_same_groups(angles, threshold, span, _former_average_linkage)
 
     def test_gap_equal_to_threshold_merges(self):
         # Two cells 12 deg apart: the rule is <=, so at a 12 deg threshold
@@ -422,26 +416,23 @@ class TestArcsMatchFormerLoop:
         assert [g.tolist() for g in _average_linkage(angles, 360.0, 11.5)] \
             == [[0, 2], [1, 3]]
         for threshold in (11.5, 12.0):
-            _assert_same_as_former(angles, 360.0, threshold)
-
-    def test_zero_and_span_are_one_angle(self):
-        angles = np.array([360.0, 0.0, 180.0, 0.0, 360.0])
-        groups = _average_linkage(angles, 360.0, 0.0)
-        assert [g.tolist() for g in groups] == [[0, 1, 3, 4], [2]]
-        _assert_same_as_former(angles, 360.0, 0.0)
+            _assert_same_groups(angles, threshold,
+                                reference=_former_average_linkage)
 
     def test_angles_beyond_the_span_stay_one_arc(self):
         # 700 deg is 340 deg, but sorts past it; such a set is not cut.
         angles = np.array([100.0, 340.0, 700.0, 100.0, 220.0])
         for threshold in (0.0, 12.0, 45.0):
-            _assert_same_as_former(angles, 360.0, threshold)
+            _assert_same_groups(angles, threshold,
+                                reference=_former_average_linkage)
 
     def test_negative_threshold_merges_nothing(self):
         angles = np.array([5.0, 5.0, 5.0, 6.0])
         for threshold in (-1e-8, -1.0):
             assert [g.tolist() for g in _average_linkage(
                 angles, 360.0, threshold)] == [[0], [1], [2], [3]]
-            _assert_same_as_former(angles, 360.0, threshold)
+            _assert_same_groups(angles, threshold,
+                                reference=_former_average_linkage)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -455,7 +446,8 @@ class TestArcsMatchFormerLoop:
         noisy = corrupt_oracle(head, noise, 0, seed=seed)
         angles = np.array([d.angle_deg for d in
                            peak_search(freq_average(noisy), eps)])
-        _assert_same_as_former(angles, 360.0, threshold)
+        _assert_same_groups(angles, threshold,
+                            reference=_former_average_linkage)
 
     def test_duplicates_on_few_cells_build_no_matrix(self):
         # The whole-set loop's 3000 x 3000 float64 matrix alone is 72 MB.
